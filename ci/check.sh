@@ -376,6 +376,25 @@ if [ ! -S "$TELEM_SOCK" ]; then
     cat target/vericomp-ci-telemetry-daemon.txt >&2
     exit 1
 fi
+# a solo run reports exactly what a served run does: on the fresh daemon,
+# --connect --profile profiles the server-side spans of its own request,
+# and their counter digest must equal a solo run's of the same request
+cargo run --release --offline -p vericomp --bin compile_fleet -- \
+    --connect "$TELEM_SOCK" --nodes 6 --profile \
+    | tee target/vericomp-ci-telemetry-profile.txt
+cargo run --release --offline -p vericomp --bin compile_fleet -- \
+    --nodes 6 --profile | tee target/vericomp-ci-telemetry-profile-solo.txt
+served_profile_digest=$(grep '^profile: counter digest:' \
+    target/vericomp-ci-telemetry-profile.txt || true)
+solo_profile_digest=$(grep '^profile: counter digest:' \
+    target/vericomp-ci-telemetry-profile-solo.txt)
+if [ -z "$served_profile_digest" ] \
+        || [ "$served_profile_digest" != "$solo_profile_digest" ]; then
+    echo "telemetry smoke FAILED: served profile counters differ from solo" >&2
+    echo "  served: ${served_profile_digest:-?}" >&2
+    echo "  solo:   $solo_profile_digest" >&2
+    exit 1
+fi
 # a traced scenario through the daemon: --connect --trace now works and
 # writes one merged Chrome trace — client rows under pid 1, the server's
 # rows for the same request (tagged with its trace id) under pid 2

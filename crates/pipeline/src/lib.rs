@@ -108,7 +108,7 @@ pub use service::{
     CompileUnit, CompileUnitBuilder, FleetResult, OptionsError, Pipeline, PipelineError,
     PipelineOptions, PipelineOptionsBuilder, UnitOutcome, MAX_JOBS,
 };
-pub use stats::{saturating_nanos, PipelineStats, StatsCell};
+pub use stats::{saturating_nanos, PipelineStats};
 pub use store::{
     artifact_key, machine_digest, source_digest, Artifact, ArtifactStore, ParsedUnit, StoreConfig,
     Verdict, FORMAT_VERSION,

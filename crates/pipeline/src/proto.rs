@@ -1044,58 +1044,23 @@ impl ServerStats {
         s
     }
 
-    /// Single-line JSON object (for `BENCH_daemon.json` embedding).
+    /// Single-line JSON object (for `BENCH_daemon.json` embedding): every
+    /// wire field, then the derived rates and the SLO verdict.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"requests\":{},\"batches\":{},\"batched_cells\":{},",
-                "\"jobs_run\":{},\"jobs_cached\":{},\"hit_rate\":{:.6},",
-                "\"evictions\":{},\"resident\":{},\"store_bytes\":{},\"shards\":{},",
-                "\"queue_depth\":{},\"queue_peak\":{},\"deferred\":{},",
-                "\"compile_ns\":{},\"analyze_ns\":{},\"store_ns\":{},\"wall_ns\":{},",
-                "\"bytes_rx\":{},\"bytes_tx\":{},",
-                "\"units_offered\":{},\"units_uploaded\":{},",
-                "\"parse_hits\":{},\"parse_misses\":{},\"parse_hit_rate\":{:.6},",
-                "\"parse_evictions\":{},\"parse_resident\":{},\"parse_bytes\":{},",
-                "\"request_p50_ns\":{},\"request_p99_ns\":{},\"slo_p99_ns\":{},",
-                "\"proto_minor\":{},",
-                "\"slo_per_mille\":{},\"slo_met\":{}}}"
-            ),
-            self.requests,
-            self.batches,
-            self.batched_cells,
-            self.jobs_run,
-            self.jobs_cached,
+        use std::fmt::Write as _;
+        let mut out = String::from("{");
+        for (name, value) in self.fields() {
+            let _ = write!(out, "\"{name}\":{value},");
+        }
+        let _ = write!(
+            out,
+            "\"hit_rate\":{:.6},\"parse_hit_rate\":{:.6},\"slo_met\":{}}}",
             self.hit_rate(),
-            self.evictions,
-            self.resident,
-            self.store_bytes,
-            self.shards,
-            self.queue_depth,
-            self.queue_peak,
-            self.deferred,
-            self.compile_ns,
-            self.analyze_ns,
-            self.store_ns,
-            self.wall_ns,
-            self.bytes_rx,
-            self.bytes_tx,
-            self.units_offered,
-            self.units_uploaded,
-            self.parse_hits,
-            self.parse_misses,
             self.parse_hit_rate(),
-            self.parse_evictions,
-            self.parse_resident,
-            self.parse_bytes,
-            self.request_p50_ns,
-            self.request_p99_ns,
-            self.slo_p99_ns,
-            self.proto_minor,
-            self.slo_per_mille,
             self.slo_met(),
-        )
+        );
+        out
     }
 
     fn fields(&self) -> [(&'static str, u64); 30] {
@@ -1381,11 +1346,12 @@ fn decode_sweep_payload(payload: &str) -> Result<SweepResponse, ProtoError> {
                 };
                 let (name, detail) = w[4].split_once(' ').unwrap_or((w[4], ""));
                 check_word("span name", name)?;
+                let job = num(w[1])?;
                 spans.push(Span {
                     name: name.to_owned(),
                     kind,
-                    #[allow(clippy::cast_possible_truncation)]
-                    job: num(w[1])? as u32,
+                    job: u32::try_from(job)
+                        .map_err(|_| ProtoError(format!("span job `{job}` out of range")))?,
                     pid: 1,
                     ts_ns: num(w[2])?,
                     dur_ns: num(w[3])?,
@@ -1932,5 +1898,19 @@ mod tests {
             "axes 0 0 0\nspan bogus 0 0 0 x\ndigest 00000000000000000000000000000000"
         )
         .is_err());
+        // a job index past u32 is rejected, not wrapped onto cell 0
+        let e = decode_sweep_payload(
+            "axes 0 0 0\nspan stage 4294967296 0 0 compile\ndigest 00000000000000000000000000000000",
+        )
+        .expect_err("job overflows u32");
+        assert!(e.0.contains("4294967296"), "{}", e.0);
+        let max_job = format!(
+            "axes 0 0 0\nspan stage 4294967295 0 0 compile\ndigest {}",
+            cells_digest(&[])
+        );
+        assert_eq!(
+            decode_sweep_payload(&max_job).expect("u32::MAX fits").spans[0].job,
+            u32::MAX
+        );
     }
 }

@@ -142,48 +142,15 @@ struct QueueState {
     closed: bool,
 }
 
-/// Monotonic server counters (see [`ServerStats`] for meanings).
-#[derive(Default)]
-struct Metrics {
-    requests: AtomicU64,
-    batches: AtomicU64,
-    batched_cells: AtomicU64,
-    jobs_run: AtomicU64,
-    jobs_cached: AtomicU64,
-    queue_peak: AtomicU64,
-    deferred: AtomicU64,
-    compile_ns: AtomicU64,
-    analyze_ns: AtomicU64,
-    store_ns: AtomicU64,
-    wall_ns: AtomicU64,
-    bytes_rx: AtomicU64,
-    bytes_tx: AtomicU64,
-    units_offered: AtomicU64,
-    units_uploaded: AtomicU64,
-    parse_hits: AtomicU64,
-    parse_misses: AtomicU64,
-}
-
-impl Metrics {
-    fn add(counter: &AtomicU64, v: u64) {
-        counter.fetch_add(v, Ordering::Relaxed);
-    }
-
-    fn raise(counter: &AtomicU64, v: u64) {
-        counter.fetch_max(v, Ordering::Relaxed);
-    }
-}
-
 /// State shared between the acceptor, the readers and the batcher.
 struct Shared {
     queue: Mutex<QueueState>,
     ready: Condvar,
     shutdown: AtomicBool,
-    metrics: Metrics,
-    /// Lifetime metrics registry, served by the `metrics` request. The
-    /// [`Metrics`] atomics above stay authoritative for [`ServerStats`];
-    /// the registry mirrors the deterministic counters and adds the
-    /// latency/batch/queue histograms the snapshot quantiles come from.
+    /// Lifetime metrics registry, served by the `metrics` request and the
+    /// only place server telemetry is collected: [`ServerStats`] is a
+    /// view over its counters, gauges and histogram sums plus the store's
+    /// own counts.
     registry: Registry,
     /// The flight recorder (`None` under `--no-recorder`).
     recorder: Option<FlightRecorder>,
@@ -212,39 +179,47 @@ impl Shared {
     }
 
     fn snapshot(&self) -> ServerStats {
-        let m = &self.metrics;
+        let reg = &self.registry;
+        let sum = |name: &str| reg.histogram(name).map_or(0, |h| h.sum());
         ServerStats {
-            requests: m.requests.load(Ordering::Relaxed),
-            batches: m.batches.load(Ordering::Relaxed),
-            batched_cells: m.batched_cells.load(Ordering::Relaxed),
-            jobs_run: m.jobs_run.load(Ordering::Relaxed),
-            jobs_cached: m.jobs_cached.load(Ordering::Relaxed),
+            requests: reg.counter("requests"),
+            batches: reg.counter("batches"),
+            batched_cells: reg.counter("batched_cells"),
+            jobs_run: reg.counter("jobs_run"),
+            jobs_cached: reg.counter("jobs_cached"),
             evictions: self.store.evictions(),
             resident: self.store.resident() as u64,
             store_bytes: self.store.len_bytes(),
             shards: self.store.shard_count() as u64,
             queue_depth: self.queue.lock().expect("queue lock").items.len() as u64,
-            queue_peak: m.queue_peak.load(Ordering::Relaxed),
-            deferred: m.deferred.load(Ordering::Relaxed),
-            compile_ns: m.compile_ns.load(Ordering::Relaxed),
-            analyze_ns: m.analyze_ns.load(Ordering::Relaxed),
-            store_ns: m.store_ns.load(Ordering::Relaxed),
-            wall_ns: m.wall_ns.load(Ordering::Relaxed),
+            queue_peak: reg.gauge("queue_peak"),
+            deferred: reg.gauge("deferred"),
+            compile_ns: sum("batch_compile_ns"),
+            analyze_ns: sum("batch_analyze_ns"),
+            store_ns: sum("batch_store_ns"),
+            wall_ns: sum("batch_wall_ns"),
             slo_per_mille: self.slo_per_mille,
-            bytes_rx: m.bytes_rx.load(Ordering::Relaxed),
-            bytes_tx: m.bytes_tx.load(Ordering::Relaxed),
-            units_offered: m.units_offered.load(Ordering::Relaxed),
-            units_uploaded: m.units_uploaded.load(Ordering::Relaxed),
-            parse_hits: m.parse_hits.load(Ordering::Relaxed),
-            parse_misses: m.parse_misses.load(Ordering::Relaxed),
+            bytes_rx: sum("frame_rx_bytes"),
+            bytes_tx: sum("frame_tx_bytes"),
+            units_offered: reg.counter("units_offered"),
+            units_uploaded: reg.counter("units_uploaded"),
+            parse_hits: reg.counter("parse_hits"),
+            parse_misses: reg.counter("parse_misses"),
             parse_evictions: self.store.parse_evictions(),
             parse_resident: self.store.parse_resident() as u64,
             parse_bytes: self.store.parse_len_bytes(),
-            request_p50_ns: self.registry.quantile("request_wall_ns", 0.50).unwrap_or(0),
-            request_p99_ns: self.registry.quantile("request_wall_ns", 0.99).unwrap_or(0),
+            request_p50_ns: reg.quantile("request_wall_ns", 0.50).unwrap_or(0),
+            request_p99_ns: reg.quantile("request_wall_ns", 0.99).unwrap_or(0),
             slo_p99_ns: self.slo_p99_ns,
             proto_minor: u64::from(PROTO_MINOR),
         }
+    }
+
+    /// Encodes a response and counts its bytes on the way out.
+    fn encode(&self, response: &Response) -> String {
+        let text = encode_response(response);
+        self.registry.observe("frame_tx_bytes", text.len() as u64);
+        text
     }
 }
 
@@ -298,7 +273,6 @@ impl Server {
                 queue: Mutex::new(QueueState::default()),
                 ready: Condvar::new(),
                 shutdown: AtomicBool::new(false),
-                metrics: Metrics::default(),
                 registry: Registry::new(),
                 recorder: options
                     .recorder
@@ -349,10 +323,7 @@ impl Server {
                         let _ = acceptor.join();
                         let _ = std::fs::remove_file(&self.shared.socket);
                         self.shared.record(0, 0, "shutdown", || {
-                            format!(
-                                "requests={}",
-                                self.shared.metrics.requests.load(Ordering::Relaxed)
-                            )
+                            format!("requests={}", self.shared.registry.counter("requests"))
                         });
                         if let Some(path) = &self.metrics_json {
                             let _ = std::fs::write(path, self.shared.registry.to_json());
@@ -406,7 +377,10 @@ impl Server {
             }
         }
         if !q.items.is_empty() {
-            Metrics::add(&self.shared.metrics.deferred, 1);
+            // only the batcher selects, so this read-modify-write is
+            // never raced
+            let reg = &self.shared.registry;
+            reg.set_gauge("deferred", reg.gauge("deferred") + 1);
         }
         selected
     }
@@ -416,11 +390,8 @@ impl Server {
     /// assembled per request. The store epoch advances first and bounds
     /// are enforced after — the daemon's two batch-boundary hooks.
     fn execute_batch(&self, batch: Vec<Queued>) {
-        let m = &self.shared.metrics;
         let reg = &self.shared.registry;
         self.shared.store.advance_epoch();
-        Metrics::add(&m.batches, 1);
-        Metrics::add(&m.requests, batch.len() as u64);
         reg.incr("batches", 1);
         reg.incr("requests", batch.len() as u64);
         for item in &batch {
@@ -469,47 +440,62 @@ impl Server {
             for (label, machine) in members[0].spec.machines() {
                 merged = merged.machine(label, machine);
             }
-            Metrics::add(&m.batched_cells, merged.cell_count() as u64);
             reg.incr("batched_cells", merged.cell_count() as u64);
             reg.observe("batch_cells", merged.cell_count() as u64);
             self.shared.record(0, 0, "sweep-start", || {
                 format!("members={} cells={}", members.len(), merged.cell_count())
             });
 
-            match self.pipeline.run_sweep(&merged) {
+            let responses: Vec<Response> = match self.pipeline.run_sweep(&merged) {
                 Ok(sweep) => {
-                    Metrics::add(&m.jobs_run, sweep.stats.jobs_run);
-                    Metrics::add(&m.jobs_cached, sweep.stats.jobs_cached);
-                    Metrics::add(&m.compile_ns, sweep.stats.compile_ns);
-                    Metrics::add(&m.analyze_ns, sweep.stats.analyze_ns);
-                    Metrics::add(&m.store_ns, sweep.stats.store_ns);
                     reg.incr("jobs_run", sweep.stats.jobs_run);
                     reg.incr("jobs_cached", sweep.stats.jobs_cached);
+                    reg.observe("batch_compile_ns", sweep.stats.compile_ns);
+                    reg.observe("batch_analyze_ns", sweep.stats.analyze_ns);
+                    reg.observe("batch_store_ns", sweep.stats.store_ns);
                     self.shared.record(0, 0, "sweep-end", || {
                         format!(
                             "run={} cached={}",
                             sweep.stats.jobs_run, sweep.stats.jobs_cached
                         )
                     });
-                    for (item, map) in members.iter().zip(&maps) {
-                        let mut response = project_response(&item.spec, map, &sweep);
-                        if item.trace != 0 {
-                            response.spans =
-                                project_spans(&item.spec, map, &sweep, item.trace, item.request);
-                        }
-                        let _ = item.respond.send(Response::Sweep(response));
-                    }
+                    members
+                        .iter()
+                        .zip(&maps)
+                        .map(|(item, map)| {
+                            let mut response = project_response(&item.spec, map, &sweep);
+                            if item.trace != 0 {
+                                response.spans = project_spans(
+                                    &item.spec,
+                                    map,
+                                    &sweep,
+                                    item.trace,
+                                    item.request,
+                                );
+                            }
+                            Response::Sweep(response)
+                        })
+                        .collect()
                 }
                 Err(e) => {
                     reg.incr("errors", members.len() as u64);
-                    for item in &members {
-                        self.shared
-                            .record(item.request, item.trace, "error", || e.to_string());
-                        let _ = item.respond.send(Response::Error(e.to_string()));
-                    }
+                    members
+                        .iter()
+                        .map(|item| {
+                            self.shared
+                                .record(item.request, item.trace, "error", || e.to_string());
+                            Response::Error(e.to_string())
+                        })
+                        .collect()
                 }
+            };
+            // observed before any response is mailed: a client's next
+            // request must see this batch fully counted, or the registry
+            // digest would depend on thread timing
+            reg.observe("batch_wall_ns", saturating_nanos(started.elapsed()));
+            for (item, response) in members.iter().zip(responses) {
+                let _ = item.respond.send(response);
             }
-            Metrics::add(&m.wall_ns, saturating_nanos(started.elapsed()));
         }
 
         self.shared.store.enforce_bounds();
@@ -664,22 +650,18 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
 /// reaches the batch queue unless *every* unit resolved, so a failed
 /// request never admits a partial batch.
 fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String> {
-    let m = &shared.metrics;
     let mut spec = SweepSpec::new();
     for unit in &wire.units {
         if unit.body.is_some() {
-            Metrics::add(&m.units_uploaded, 1);
             shared.registry.incr("units_uploaded", 1);
         }
         let resolved = match shared.store.parse_lookup(unit.digest) {
             Some(parsed) => {
-                Metrics::add(&m.parse_hits, 1);
                 shared.registry.incr("parse_hits", 1);
                 parsed
             }
             None => match &unit.body {
                 Some(body) => {
-                    Metrics::add(&m.parse_misses, 1);
                     shared.registry.incr("parse_misses", 1);
                     let ast = vericomp_minic::parse::parse(body)
                         .map_err(|e| format!("unit `{}` failed to parse: {e}", unit.name))?;
@@ -722,7 +704,9 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
             Ok(Some(frame)) => frame,
             Ok(None) | Err(_) => return,
         };
-        Metrics::add(&shared.metrics.bytes_rx, frame.len() as u64);
+        shared
+            .registry
+            .observe("frame_rx_bytes", frame.len() as u64);
         let request = frame_text(&frame).and_then(decode_request);
         let response = match request {
             Err(e) => {
@@ -737,7 +721,6 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                 None => Response::Error("flight recorder disabled (--no-recorder)".into()),
             },
             Ok(Request::Have(digests)) => {
-                Metrics::add(&shared.metrics.units_offered, digests.len() as u64);
                 shared.registry.incr("units_offered", digests.len() as u64);
                 // `parse_contains` stamps hits with the current epoch, so
                 // a just-negotiated digest is maximally recent when its
@@ -752,8 +735,7 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
             Ok(Request::Shutdown) => {
                 shared.shutdown.store(true, Ordering::SeqCst);
                 shared.ready.notify_all();
-                let text = encode_response(&Response::Ok);
-                Metrics::add(&shared.metrics.bytes_tx, text.len() as u64);
+                let text = shared.encode(&Response::Ok);
                 let _ = reader.get_mut().write_all(text.as_bytes());
                 // unblock the acceptor so it can observe the flag
                 let _ = UnixStream::connect(&shared.socket);
@@ -787,7 +769,6 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                                     respond: tx,
                                 });
                                 let depth = q.items.len() as u64;
-                                Metrics::raise(&shared.metrics.queue_peak, depth);
                                 shared.registry.observe("queue_depth", depth);
                                 shared.registry.raise_gauge("queue_peak", depth);
                                 true
@@ -810,8 +791,7 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                 response
             }
         };
-        let text = encode_response(&response);
-        Metrics::add(&shared.metrics.bytes_tx, text.len() as u64);
+        let text = shared.encode(&response);
         if reader.get_mut().write_all(text.as_bytes()).is_err() {
             return;
         }
@@ -990,6 +970,53 @@ mod tests {
         assert!(after_b.bytes_rx > 0 && after_b.bytes_tx > 0);
 
         b.shutdown().expect("acknowledged");
+        handle.join().expect("run returns");
+    }
+
+    /// The number after `"<key>": ` in a metrics JSON blob, searched from
+    /// the start of `section` (e.g. the histogram's object).
+    fn json_number(json: &str, section: &str, key: &str) -> u64 {
+        let from = json.find(section).expect("section present");
+        let tag = format!("\"{key}\": ");
+        let at = from + json[from..].find(&tag).expect("key present") + tag.len();
+        let digits: String = json[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("number")
+    }
+
+    #[test]
+    fn server_stats_are_a_view_over_the_metrics_registry() {
+        let socket = socket_path("server-view");
+        let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
+        let handle = thread::spawn(move || server.run().expect("serves"));
+
+        let mut client = Client::connect(&socket).expect("connects");
+        client.run_sweep(&spec_of(0..2)).expect("served");
+        client.run_sweep(&spec_of(1..3)).expect("served");
+        let json = client.server_metrics().expect("metrics");
+        let stats = client.server_stats().expect("stats");
+
+        let counters = "\"counters\": {";
+        assert_eq!(stats.requests, json_number(&json, counters, "requests"));
+        assert_eq!(stats.jobs_run, json_number(&json, counters, "jobs_run"));
+        assert_eq!(
+            stats.units_uploaded,
+            json_number(&json, counters, "units_uploaded")
+        );
+        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.units_uploaded, 3);
+        // received bytes are the frame-size histogram's sum; the stats
+        // request frame itself arrived after the metrics snapshot
+        let rx = json_number(&json, "\"frame_rx_bytes\": {", "sum");
+        let stats_frame = crate::proto::encode_request(&Request::Stats)
+            .expect("encodes")
+            .len() as u64;
+        assert!(rx > 0);
+        assert_eq!(stats.bytes_rx, rx + stats_frame);
+
+        client.shutdown().expect("acknowledged");
         handle.join().expect("run returns");
     }
 

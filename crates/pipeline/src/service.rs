@@ -31,7 +31,7 @@ use vericomp_wcet::AnalysisError;
 
 use crate::hash::{Digest, Hasher};
 use crate::pool::{JobGraph, ThreadPool};
-use crate::stats::{saturating_nanos, PipelineStats, StatsCell};
+use crate::stats::{saturating_nanos, PipelineStats};
 use crate::store::{artifact_key, Artifact, ArtifactStore, Verdict};
 use crate::trace::{RunTrace, Span, TraceSink};
 
@@ -481,12 +481,10 @@ impl Pipeline {
         let submitted = Instant::now();
         let since_epoch = move |at: Instant| saturating_nanos(at.saturating_duration_since(epoch));
         let n = cells.len();
-        // one collector per cell, so sweeps can report per-cell stage
-        // times; the run aggregate is their merge
-        let stats: Arc<Vec<StatsCell>> = Arc::new((0..n).map(|_| StatsCell::new()).collect());
-        // same pattern for spans: each sink is touched only by its own
-        // cell's two (strictly ordered) jobs, so collection is
-        // contention-free
+        // one span sink per cell, the only telemetry collector: each sink
+        // is touched only by its own cell's two (strictly ordered) jobs,
+        // so collection is contention-free, and the cell's stats are
+        // derived from its spans once the job set completes
         let sinks: Arc<Vec<TraceSink>> = Arc::new((0..n).map(|_| TraceSink::new()).collect());
         let slots: Arc<Vec<Mutex<Option<(Stage1, Instant)>>>> =
             Arc::new((0..n).map(|_| Mutex::new(None)).collect());
@@ -504,7 +502,6 @@ impl Pipeline {
             let detail = format!("unit={} config={}", unit.name, unit.label);
             let unit = Arc::new(unit);
             let store = Arc::clone(&self.store);
-            let stats1 = Arc::clone(&stats);
             let sinks1 = Arc::clone(&sinks);
             let slots1 = Arc::clone(&slots);
             let errs1 = Arc::clone(&first_error);
@@ -529,7 +526,6 @@ impl Pipeline {
                 let t = Instant::now();
                 let hit = store.lookup(key, &machine);
                 let looked = t.elapsed();
-                stats1[i].add_store(looked);
                 sinks1[i].push(Span::stage(
                     "cache-lookup",
                     job,
@@ -538,10 +534,7 @@ impl Pipeline {
                     &detail1,
                 ));
                 let stage = match hit {
-                    Some(artifact) => {
-                        stats1[i].count_cached();
-                        Stage1::Hit(artifact)
-                    }
+                    Some(artifact) => Stage1::Hit(artifact),
                     None => {
                         let t = Instant::now();
                         let mut pass_times = PassTimes(Vec::new());
@@ -553,7 +546,6 @@ impl Pipeline {
                                 &mut pass_times,
                             );
                         let took = t.elapsed();
-                        stats1[i].add_compile(took);
                         let base = since_epoch(t);
                         sinks1[i].push(Span::stage(
                             "compile",
@@ -587,7 +579,6 @@ impl Pipeline {
                 };
                 *slots1[i].lock().expect("slot lock") = Some((stage, Instant::now()));
             });
-            let stats2 = Arc::clone(&stats);
             let sinks2 = Arc::clone(&sinks);
             let slots2 = Arc::clone(&slots);
             let outcomes2 = Arc::clone(&outcomes);
@@ -625,7 +616,6 @@ impl Pipeline {
                         let analyzed = analyzer2
                             .analyze(&vericomp_wcet::AnalysisRequest::new(&program, &unit.entry));
                         let took = t.elapsed();
-                        stats2[i].add_analyze(took);
                         let base = since_epoch(t);
                         sinks2[i].push(Span::stage(
                             "analyze",
@@ -667,7 +657,6 @@ impl Pipeline {
                                 return;
                             }
                         };
-                        stats2[i].count_run();
                         let artifact = Artifact {
                             key,
                             entry: unit.entry.clone(),
@@ -679,7 +668,6 @@ impl Pipeline {
                         let t = Instant::now();
                         let inserted = store2.insert(artifact);
                         let took = t.elapsed();
-                        stats2[i].add_store(took);
                         sinks2[i].push(Span::stage(
                             "store",
                             job,
@@ -714,37 +702,29 @@ impl Pipeline {
         }
         let wall = submitted.elapsed();
         let mut aggregate = PipelineStats::default();
-        let cell_outcomes: Vec<CellOutcome> = outcomes
-            .iter()
-            .zip(stats.iter())
-            .map(|(slot, cell_stats)| {
-                // per-cell wall is the cell's summed stage time (the cells
-                // overlap, so a single clock would be meaningless per cell)
-                let s = cell_stats.snapshot(Duration::default());
-                let stage_sum = Duration::from_nanos(s.compile_ns + s.analyze_ns + s.store_ns);
-                let stats = cell_stats.snapshot(stage_sum);
-                aggregate.merge(&stats);
-                CellOutcome {
-                    outcome: slot
-                        .lock()
-                        .expect("outcome lock")
-                        .take()
-                        .expect("every unit succeeded"),
-                    stats,
-                }
-            })
-            .collect();
+        let mut trace = RunTrace::new();
+        let mut cell_outcomes = Vec::with_capacity(n);
+        // drain the sinks in cell order: span order becomes (cell index,
+        // recording order), a pure function of the work
+        for (slot, sink) in outcomes.iter().zip(sinks.iter()) {
+            let spans = sink.take();
+            let stats = PipelineStats::from_spans(&spans);
+            aggregate.merge(&stats);
+            for span in spans {
+                trace.push(span);
+            }
+            cell_outcomes.push(CellOutcome {
+                outcome: slot
+                    .lock()
+                    .expect("outcome lock")
+                    .take()
+                    .expect("every unit succeeded"),
+                stats,
+            });
+        }
         // the merge maxed per-cell walls (summed stage times); the run
         // aggregate reports the real end-to-end clock
         aggregate.wall_ns = saturating_nanos(wall);
-        // drain the sinks in cell order: span order becomes (cell index,
-        // recording order), a pure function of the work
-        let mut trace = RunTrace::new();
-        for sink in sinks.iter() {
-            for span in sink.take() {
-                trace.push(span);
-            }
-        }
         Ok((cell_outcomes, aggregate, trace))
     }
 }

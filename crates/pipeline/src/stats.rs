@@ -1,12 +1,13 @@
 //! Pipeline metrics: job counts, cache hit rate, per-stage wall time.
 //!
-//! Collection happens through [`StatsCell`], a lock-free atomic collector
-//! shared by every worker; drivers snapshot it into the plain
-//! [`PipelineStats`] value at the end of a run and print it with
-//! [`PipelineStats::render`].
+//! [`PipelineStats`] is a view over the span trace, not a second
+//! collector: [`PipelineStats::from_spans`] derives a cell's figures from
+//! the stage spans its jobs recorded, drivers merge the per-cell values
+//! into a run total and print it with [`PipelineStats::render`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use crate::trace::{Span, SpanKind};
 
 /// Converts a [`Duration`] to whole nanoseconds, saturating at
 /// `u64::MAX` instead of silently truncating the way `as_nanos() as u64`
@@ -36,6 +37,43 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// Derives one cell's stats from that cell's spans. Every job records
+    /// one `cache-lookup` stage and only misses go on to `compile`, so
+    /// `jobs_cached` is lookups minus compiles; `jobs_run` counts the
+    /// `analyze` stages; `store_ns` covers lookup and insert. `wall_ns`
+    /// is the summed stage time (cells overlap, so a single clock would
+    /// be meaningless per cell). Pass and event spans are ignored.
+    #[must_use]
+    pub fn from_spans(spans: &[Span]) -> PipelineStats {
+        let mut stats = PipelineStats::default();
+        let (mut lookups, mut compiles) = (0u64, 0u64);
+        for span in spans.iter().filter(|s| s.kind == SpanKind::Stage) {
+            let slot = match span.name.as_str() {
+                "cache-lookup" => {
+                    lookups += 1;
+                    &mut stats.store_ns
+                }
+                "compile" => {
+                    compiles += 1;
+                    &mut stats.compile_ns
+                }
+                "analyze" => {
+                    stats.jobs_run += 1;
+                    &mut stats.analyze_ns
+                }
+                "store" => &mut stats.store_ns,
+                _ => continue,
+            };
+            *slot = slot.saturating_add(span.dur_ns);
+        }
+        stats.jobs_cached = lookups.saturating_sub(compiles);
+        stats.wall_ns = stats
+            .compile_ns
+            .saturating_add(stats.analyze_ns)
+            .saturating_add(stats.store_ns);
+        stats
+    }
+
     /// Total units processed.
     #[must_use]
     pub fn jobs_total(&self) -> u64 {
@@ -106,80 +144,6 @@ impl PipelineStats {
             self.wall_ns,
         )
     }
-
-    /// One-line summary for drivers that print many runs (e.g. the fleet
-    /// binary's `--search` mode prints one line per search). Deliberately
-    /// omits wall times so the line is stable across reruns of identical
-    /// work — only the counters, which are deterministic.
-    #[must_use]
-    pub fn render_compact(&self) -> String {
-        format!(
-            "pipeline: {} run / {} cached ({:.1}% hit rate)",
-            self.jobs_run,
-            self.jobs_cached,
-            self.hit_rate() * 100.0,
-        )
-    }
-}
-
-/// Thread-safe stats collector. All counters are relaxed — they are
-/// telemetry, not synchronization.
-#[derive(Debug, Default)]
-pub struct StatsCell {
-    jobs_run: AtomicU64,
-    jobs_cached: AtomicU64,
-    compile_ns: AtomicU64,
-    analyze_ns: AtomicU64,
-    store_ns: AtomicU64,
-}
-
-impl StatsCell {
-    /// A zeroed collector.
-    #[must_use]
-    pub fn new() -> StatsCell {
-        StatsCell::default()
-    }
-
-    /// Records one from-scratch compilation.
-    pub fn count_run(&self) {
-        self.jobs_run.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one cache hit.
-    pub fn count_cached(&self) {
-        self.jobs_cached.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds compile-stage wall time.
-    pub fn add_compile(&self, d: Duration) {
-        self.compile_ns
-            .fetch_add(saturating_nanos(d), Ordering::Relaxed);
-    }
-
-    /// Adds analysis-stage wall time.
-    pub fn add_analyze(&self, d: Duration) {
-        self.analyze_ns
-            .fetch_add(saturating_nanos(d), Ordering::Relaxed);
-    }
-
-    /// Adds store lookup/insert wall time.
-    pub fn add_store(&self, d: Duration) {
-        self.store_ns
-            .fetch_add(saturating_nanos(d), Ordering::Relaxed);
-    }
-
-    /// Snapshots the counters, stamping `wall` as the end-to-end time.
-    #[must_use]
-    pub fn snapshot(&self, wall: Duration) -> PipelineStats {
-        PipelineStats {
-            jobs_run: self.jobs_run.load(Ordering::Relaxed),
-            jobs_cached: self.jobs_cached.load(Ordering::Relaxed),
-            compile_ns: self.compile_ns.load(Ordering::Relaxed),
-            analyze_ns: self.analyze_ns.load(Ordering::Relaxed),
-            store_ns: self.store_ns.load(Ordering::Relaxed),
-            wall_ns: saturating_nanos(wall),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,21 +152,33 @@ mod tests {
 
     #[test]
     fn hit_rate_and_render() {
-        let cell = StatsCell::new();
-        for _ in 0..3 {
-            cell.count_run();
+        // three cold jobs and one cache hit
+        let mut spans = Vec::new();
+        for job in 0..4 {
+            spans.push(Span::stage("queue-wait", job, 0, 9, ""));
+            spans.push(Span::stage("cache-lookup", job, 0, 1, ""));
         }
-        cell.count_cached();
-        cell.add_compile(Duration::from_millis(2));
-        let stats = cell.snapshot(Duration::from_millis(5));
+        for job in 0..3 {
+            spans.push(Span::stage("compile", job, 0, 2_000_000, ""));
+            spans.push(Span::pass("lower", job, 0, 5, ""));
+            spans.push(Span::stage("analyze", job, 0, 30, ""));
+            spans.push(Span::event("analyze:fixpoint", job, 0, ""));
+            spans.push(Span::stage("store", job, 0, 4, ""));
+        }
+        let stats = PipelineStats::from_spans(&spans);
+        assert_eq!(stats.jobs_run, 3);
+        assert_eq!(stats.jobs_cached, 1);
+        assert_eq!(stats.compile_ns, 6_000_000);
+        assert_eq!(stats.analyze_ns, 90);
+        assert_eq!(stats.store_ns, 4 + 12);
+        assert_eq!(stats.wall_ns, 6_000_000 + 90 + 16);
         assert_eq!(stats.jobs_total(), 4);
         assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
         let text = stats.render();
         assert!(text.contains("3 run"));
         assert!(text.contains("1 cached"));
         assert!(text.contains("25.0% hit rate"));
-        let compact = stats.render_compact();
-        assert_eq!(compact, "pipeline: 3 run / 1 cached (25.0% hit rate)");
+        assert_eq!(PipelineStats::from_spans(&[]), PipelineStats::default());
     }
 
     #[test]

@@ -686,6 +686,7 @@ pub struct ReanalysisAudit {
 mod tests {
     use super::*;
     use crate::service::PipelineOptions;
+    use crate::trace::SpanKind;
     use vericomp_dataflow::fleet;
 
     fn suite_prefix(n: usize) -> Vec<Node> {
@@ -844,6 +845,41 @@ mod tests {
         assert_eq!(merged.compile_ns, sweep.stats.compile_ns);
         assert_eq!(merged.analyze_ns, sweep.stats.analyze_ns);
         assert_eq!(merged.store_ns, sweep.stats.store_ns);
+    }
+
+    #[test]
+    fn cell_stats_are_the_figures_of_the_cells_own_spans() {
+        let nodes = suite_prefix(3);
+        let spec = small_spec(&nodes);
+        let pipeline = Pipeline::in_memory();
+        for run in ["cold", "warm"] {
+            let sweep = pipeline.run_sweep(&spec).expect("sweep");
+            for (i, cell) in sweep.cells().iter().enumerate() {
+                let stage = |name: &str| {
+                    sweep
+                        .trace()
+                        .spans()
+                        .iter()
+                        .filter(|s| s.job as usize == i && s.kind == SpanKind::Stage)
+                        .filter(|s| s.name == name)
+                        .fold((0u64, 0u64), |(c, t), s| (c + 1, t + s.dur_ns))
+                };
+                let (lookups, lookup_ns) = stage("cache-lookup");
+                let (compiles, compile_ns) = stage("compile");
+                let (analyzes, analyze_ns) = stage("analyze");
+                let (_, store_ns) = stage("store");
+                let expected = PipelineStats {
+                    jobs_run: analyzes,
+                    jobs_cached: lookups - compiles,
+                    compile_ns,
+                    analyze_ns,
+                    store_ns: lookup_ns + store_ns,
+                    wall_ns: compile_ns + analyze_ns + lookup_ns + store_ns,
+                };
+                assert_eq!(cell.stats, expected, "{run} cell {i}");
+                assert_eq!(cell.stats.jobs_cached, u64::from(run == "warm"));
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Structured span tracing: where the wall time of a run actually went.
 //!
 //! [`PipelineStats`](crate::stats::PipelineStats) answers *how much* time a
-//! run spent per stage; this module answers *where* — one [`Span`] per job
-//! stage (queue wait, cache lookup, compile, WCET analyze, store insert),
-//! nested per-pass spans inside `compile` (via the
+//! run spent per stage, derived from these spans; this module answers
+//! *where* — one [`Span`] per job stage (queue wait, cache lookup,
+//! compile, WCET analyze, store insert), nested per-pass spans inside
+//! `compile` (via the
 //! [`PassObserver`](vericomp_core::PassObserver) hook in `vericomp-core`),
 //! and provenance [`SpanKind::Event`]s from the lattice search (generation
-//! boundaries, flag flips, admissions, prunings). Collection follows the
-//! `StatsCell` pattern: one contention-free [`TraceSink`] per cell, merged
-//! into a [`RunTrace`] at the end of the run.
+//! boundaries, flag flips, admissions, prunings). Collection is one
+//! contention-free [`TraceSink`] per cell, merged into a [`RunTrace`] at
+//! the end of the run.
 //!
 //! Two export formats:
 //!
@@ -17,11 +18,10 @@
 //!   to see the run on a timeline, one track per cell index.
 //! * **Deterministic text profile** ([`RunTrace::profile`]) — a per-stage
 //!   and per-pass table whose *counts* (not times) are digest-stable
-//!   across `--jobs` values and cache states of identical work, the same
-//!   discipline as `PipelineStats::render_compact`. The `validate` stage
-//!   row is derived from the `check-*` pass spans (the validators run
-//!   inside `compile`, so a separate stage interval would overlap the
-//!   pass spans).
+//!   across `--jobs` values and cache states of identical work (counts
+//!   are hashed, timings never are). The `validate` stage row is derived
+//!   from the `check-*` pass spans (the validators run inside `compile`,
+//!   so a separate stage interval would overlap the pass spans).
 
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -146,8 +146,9 @@ impl Span {
     }
 }
 
-/// Per-cell span collector, the trace twin of
-/// [`StatsCell`](crate::stats::StatsCell). The mutex is contention-free by
+/// Per-cell span collector — the pipeline's only per-cell telemetry; the
+/// cell's [`PipelineStats`](crate::stats::PipelineStats) are derived from
+/// its drained spans. The mutex is contention-free by
 /// construction: each cell's sink is touched only by that cell's own two
 /// jobs, which the job graph orders strictly (stage 2 depends on stage 1),
 /// so the lock is never contended — it exists to satisfy `Sync`, not to

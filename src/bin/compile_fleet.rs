@@ -77,10 +77,10 @@ const USAGE: &str = "usage: compile_fleet [--jobs N] [--cache-dir DIR] [--config
                     pid 1, server spans as pid 2
   --profile         print the per-stage / per-pass profile table; its
                     counter digest is identical across --jobs values.
-                    With --connect the table is server-derived instead:
-                    lifetime per-stage nanos, store and parse-cache hit
-                    rates and wire byte counters from the daemon's
-                    ServerStats snapshot
+                    With --connect the sweep request carries a trace id
+                    and the table covers the daemon's spans of this
+                    request, so its counter digest equals a solo run's
+                    (lifetime totals: vericomp_serve --stats-of)
   --scenario SEED   sweep a generated multi-rate scenario (testkit scenario
                     suite) instead of the curated fleet, and print its
                     schedulability report + digest (excludes --search/--nodes)
@@ -369,7 +369,7 @@ fn main() -> ExitCode {
             return code;
         }
     }
-    if let Err(code) = export_trace(result.trace(), &args) {
+    if let Err(code) = export_trace(result.trace(), &args, "") {
         return code;
     }
 
@@ -490,7 +490,7 @@ fn run_scenario(pipeline: &Pipeline, args: &Args) -> ExitCode {
             return code;
         }
     }
-    if let Err(code) = export_trace(result.trace(), args) {
+    if let Err(code) = export_trace(result.trace(), args, "") {
         return code;
     }
 
@@ -532,17 +532,19 @@ fn fresh_trace_id() -> u64 {
 /// `sched digest:` lines, and by the service determinism guarantee, the
 /// same digest values a local run of the identical request prints.
 ///
-/// With `--trace FILE` the request carries a fresh trace id; the daemon
-/// answers with the server-side spans of exactly this request, which are
-/// shifted onto the client's epoch timeline (anchored at the request
-/// send) and written alongside the client's own connection/request spans
-/// as one Chrome trace — client rows under pid 1, server rows under pid 2.
+/// With `--trace FILE` or `--profile` the request carries a fresh trace
+/// id; the daemon answers with the server-side spans of exactly this
+/// request, which are shifted onto the client's epoch timeline (anchored
+/// at the request send) and merged with the client's own
+/// connection/request spans — written as one Chrome trace (client rows
+/// under pid 1, server rows under pid 2) and profiled exactly as a solo
+/// run's trace is.
 fn run_connected(args: &Args) -> ExitCode {
     let sock = args
         .connect
         .as_deref()
         .expect("run_connected needs --connect");
-    let trace_id = if args.trace.is_some() {
+    let trace_id = if args.trace.is_some() || args.profile {
         fresh_trace_id()
     } else {
         0
@@ -674,17 +676,7 @@ fn run_connected(args: &Args) -> ExitCode {
         println!("fleet digest: {}", response.digest);
     }
 
-    if args.profile {
-        match client.server_stats() {
-            Ok(stats) => print_server_profile(&stats),
-            Err(e) => {
-                eprintln!("compile_fleet: fetching server stats: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some(path) = &args.trace {
+    if trace_id != 0 {
         let mut merged = RunTrace::new();
         for span in client_spans {
             merged.push(span);
@@ -698,14 +690,12 @@ fn run_connected(args: &Args) -> ExitCode {
             span.pid = 2;
             merged.push(span);
         }
-        if let Err(e) = std::fs::write(path, merged.to_chrome_json()) {
-            eprintln!("compile_fleet: writing {path}: {e}");
-            return ExitCode::FAILURE;
+        // the client's own `connect`/`request` spans are not profile
+        // stages, so the profile covers exactly the server's work
+        let note = format!(" ({server_spans} server-side, trace id {trace_id:016x})");
+        if let Err(code) = export_trace(&merged, args, &note) {
+            return code;
         }
-        println!(
-            "trace: {} spans written to {path} ({server_spans} server-side, trace id {trace_id:016x})",
-            merged.len(),
-        );
     }
 
     if let Some(min) = args.min_hit_rate {
@@ -720,53 +710,18 @@ fn run_connected(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--connect --profile`: the daemon has no span trace to export, but its
-/// [`vericomp_pipeline::ServerStats`] carries lifetime per-stage nanos and
-/// both cache hit rates — render them in the local profile's line shape so
-/// the same `profile:` greps work against either path.
-fn print_server_profile(stats: &vericomp_pipeline::ServerStats) {
-    #[allow(clippy::cast_precision_loss)]
-    let ms = |ns: u64| ns as f64 / 1e6;
-    println!(
-        "profile: stage compile {:>12.2} ms (server lifetime)",
-        ms(stats.compile_ns)
-    );
-    println!(
-        "profile: stage analyze {:>12.2} ms (server lifetime)",
-        ms(stats.analyze_ns)
-    );
-    println!(
-        "profile: stage store   {:>12.2} ms (server lifetime)",
-        ms(stats.store_ns)
-    );
-    println!(
-        "profile: batch wall    {:>12.2} ms ({} batches, {} cells)",
-        ms(stats.wall_ns),
-        stats.batches,
-        stats.batched_cells,
-    );
-    println!("profile: cache hit rate: {:.1}%", stats.hit_rate() * 100.0);
-    println!(
-        "profile: parse-cache hit rate: {:.1}%",
-        stats.parse_hit_rate() * 100.0
-    );
-    println!(
-        "profile: wire rx {} tx {} bytes, units offered {} uploaded {}",
-        stats.bytes_rx, stats.bytes_tx, stats.units_offered, stats.units_uploaded,
-    );
-}
-
-/// `--trace` / `--profile` handling shared by the sweep and search paths:
-/// writes the Chrome trace-event JSON and prints the deterministic profile
-/// table (the CI smoke greps its `profile:` lines and compares the counter
-/// digest across job counts).
-fn export_trace(trace: &vericomp_pipeline::RunTrace, args: &Args) -> Result<(), ExitCode> {
+/// `--trace` / `--profile` handling shared by the sweep, search and
+/// `--connect` paths: writes the Chrome trace-event JSON (`note` is
+/// appended to the `trace:` line) and prints the deterministic profile
+/// table (the CI smokes grep its `profile:` lines and compare the counter
+/// digest across job counts and against served runs).
+fn export_trace(trace: &RunTrace, args: &Args, note: &str) -> Result<(), ExitCode> {
     if let Some(path) = &args.trace {
         if let Err(e) = std::fs::write(path, trace.to_chrome_json()) {
             eprintln!("compile_fleet: writing {path}: {e}");
             return Err(ExitCode::FAILURE);
         }
-        println!("trace: {} spans written to {path}", trace.len());
+        println!("trace: {} spans written to {path}{note}", trace.len());
     }
     if args.profile {
         print!("{}", trace.profile().render());
@@ -819,7 +774,7 @@ fn run_search(pipeline: &Pipeline, nodes: &[vericomp_dataflow::Node], args: &Arg
     println!("{result}");
     println!("{}", result.stats.render());
     println!("search digest: {}", result.digest());
-    if let Err(code) = export_trace(result.trace(), &args) {
+    if let Err(code) = export_trace(result.trace(), args, "") {
         return code;
     }
 
