@@ -73,6 +73,7 @@ impl ThreadPool {
         } else {
             threads
         };
+        heap::pin_mmap_threshold();
         let shared = Arc::new(Shared {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
@@ -195,6 +196,47 @@ impl Drop for ThreadPool {
             let _ = w.join();
         }
     }
+}
+
+/// Keeps the resident set of a pool's work a function of the work alone.
+///
+/// Each worker allocates from its own glibc arena. By default glibc
+/// raises its mmap threshold every time a large mmapped block is freed,
+/// so after the first run large buffers are carved out of those arenas
+/// instead, and how much of them stays resident depends on which worker
+/// ran which job. A process that runs one pipeline after another (a
+/// search per configuration, a rebuild per edit) then sees its peak
+/// resident set drift by several MiB between runs of identical work.
+/// Pinning the threshold at glibc's default keeps large buffers in mmap,
+/// returned to the OS as soon as they are freed.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod heap {
+    use std::ffi::c_int;
+
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+
+    /// `M_MMAP_THRESHOLD` from glibc's `<malloc.h>`.
+    const M_MMAP_THRESHOLD: c_int = -3;
+
+    /// glibc's initial mmap threshold, 128 KiB.
+    const DEFAULT_MMAP_THRESHOLD: c_int = 128 * 1024;
+
+    /// Pins the mmap threshold, once per process.
+    pub(super) fn pin_mmap_threshold() {
+        static PIN: std::sync::Once = std::sync::Once::new();
+        // SAFETY: `mallopt` takes no pointers and takes the allocator's
+        // own lock; it only changes where future allocations come from.
+        PIN.call_once(|| unsafe {
+            mallopt(M_MMAP_THRESHOLD, DEFAULT_MMAP_THRESHOLD);
+        });
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+mod heap {
+    pub(super) fn pin_mmap_threshold() {}
 }
 
 fn default_parallelism() -> usize {
