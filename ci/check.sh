@@ -395,6 +395,22 @@ if [ -z "$served_profile_digest" ] \
     echo "  solo:   $solo_profile_digest" >&2
     exit 1
 fi
+# ...and once the lines that carry timings or name the backend are
+# dropped, the two runs print the same text: the cell table, the `sweep`
+# line, the job counts and the fleet digest
+untimed='^compile_fleet:\|^pipeline: stage\|^pipeline: end-to-end\|^profile:'
+grep -v "$untimed" target/vericomp-ci-telemetry-profile.txt \
+    > target/vericomp-ci-telemetry-profile-lines.txt || true
+grep -v "$untimed" target/vericomp-ci-telemetry-profile-solo.txt \
+    > target/vericomp-ci-telemetry-profile-solo-lines.txt || true
+if ! grep -q '^fleet digest:' target/vericomp-ci-telemetry-profile-lines.txt \
+        || ! cmp -s target/vericomp-ci-telemetry-profile-lines.txt \
+            target/vericomp-ci-telemetry-profile-solo-lines.txt; then
+    echo "telemetry smoke FAILED: served output differs from solo" >&2
+    diff target/vericomp-ci-telemetry-profile-lines.txt \
+        target/vericomp-ci-telemetry-profile-solo-lines.txt >&2 || true
+    exit 1
+fi
 # a traced scenario through the daemon: --connect --trace now works and
 # writes one merged Chrome trace — client rows under pid 1, the server's
 # rows for the same request (tagged with its trace id) under pid 2

@@ -105,8 +105,8 @@ pub use search::{
 };
 pub use server::{Server, ServerOptions};
 pub use service::{
-    CompileUnit, CompileUnitBuilder, FleetResult, OptionsError, Pipeline, PipelineError,
-    PipelineOptions, PipelineOptionsBuilder, UnitOutcome, MAX_JOBS,
+    OptionsError, Pipeline, PipelineError, PipelineOptions, PipelineOptionsBuilder, UnitOutcome,
+    MAX_JOBS,
 };
 pub use stats::{saturating_nanos, PipelineStats};
 pub use store::{

@@ -75,12 +75,13 @@ use std::sync::Arc;
 
 use vericomp_arch::config::CacheConfig;
 use vericomp_arch::MachineConfig;
-use vericomp_core::{OptLevel, PassConfig};
+use vericomp_core::PassConfig;
 
-use crate::hash::{Digest, Hasher};
+use crate::hash::Digest;
 use crate::stats::PipelineStats;
-use crate::store::{source_digest, Verdict};
-use crate::sweep::{SweepResult, SweepSpec};
+use crate::store::{machine_fields, pass_flags, source_digest, Verdict};
+pub use crate::sweep::normalize_spec;
+use crate::sweep::{sweep_digest, SweepCell, SweepResult, SweepSpec};
 use crate::trace::{Span, SpanKind};
 
 /// Protocol version. Bump on any grammar change — mismatched peers fail
@@ -309,21 +310,10 @@ fn check_header(line: Option<&str>, word: &str) -> Result<(), ProtoError> {
 /// `PassConfig` as ten `0`/`1` characters in cache-key order.
 #[must_use]
 pub fn passes_to_bits(p: &PassConfig) -> String {
-    [
-        p.mem2reg,
-        p.constprop,
-        p.cse,
-        p.dce,
-        p.tunnel,
-        p.strength,
-        p.schedule,
-        p.sda,
-        p.full_palette,
-        p.validators,
-    ]
-    .iter()
-    .map(|&b| if b { '1' } else { '0' })
-    .collect()
+    pass_flags(p)
+        .iter()
+        .map(|&b| if b { '1' } else { '0' })
+        .collect()
 }
 
 /// Parses the ten-bit `PassConfig` encoding.
@@ -351,36 +341,6 @@ pub fn passes_from_bits(bits: &str) -> Result<PassConfig, ProtoError> {
         full_palette: b[8],
         validators: b[9],
     })
-}
-
-/// The 24 `u32` fields of a machine model, in `machine_digest` order.
-fn machine_fields(m: &MachineConfig) -> [u32; 24] {
-    [
-        m.icache.size_bytes,
-        m.icache.ways,
-        m.icache.line_bytes,
-        m.dcache.size_bytes,
-        m.dcache.ways,
-        m.dcache.line_bytes,
-        m.mem_latency,
-        m.fetch_latency,
-        m.io_latency,
-        m.text_base,
-        m.data_base,
-        m.stack_top,
-        m.io_base,
-        m.io_size,
-        m.lat_int,
-        m.lat_mul,
-        m.lat_div,
-        m.lat_fp,
-        m.lat_fmadd,
-        m.lat_fdiv,
-        m.lat_fmove,
-        m.lat_conv,
-        m.lat_load,
-        m.branch_penalty,
-    ]
 }
 
 /// `MachineConfig` as 24 space-separated `u32`s in `machine_digest` order.
@@ -524,34 +484,6 @@ pub enum Request {
     RecorderDump,
     /// Drain and stop the server.
     Shutdown,
-}
-
-/// Makes a spec's implicit axes explicit with **the same defaults
-/// `Pipeline::run_sweep` applies**: an empty config axis becomes the
-/// single `verified` preset, an empty machine axis becomes `machine`
-/// under the label `default`. Sending a normalized spec guarantees the
-/// response's labels — and therefore its digest — match a solo run.
-#[must_use]
-pub fn normalize_spec(spec: &SweepSpec, machine: &MachineConfig) -> SweepSpec {
-    let mut out = SweepSpec::new();
-    for unit in spec.units() {
-        out = out.unit(unit.clone());
-    }
-    if spec.configs().is_empty() {
-        out = out.level(OptLevel::Verified);
-    } else {
-        for (label, passes) in spec.configs() {
-            out = out.config(label, passes);
-        }
-    }
-    if spec.machines().is_empty() {
-        out = out.machine("default", machine);
-    } else {
-        for (label, m) in spec.machines() {
-            out = out.machine(label, m);
-        }
-    }
-    out
 }
 
 /// Serializes a request document.
@@ -776,19 +708,35 @@ pub struct CellSummary {
     pub output_digest: Digest,
 }
 
-/// The digest of a cell sequence, **bit-compatible with
-/// [`SweepResult::digest`]**: cells in flattening order, each hashed as
-/// (labels, output-digest halves). Client and server both recompute it;
-/// the determinism gates compare it against solo runs.
+impl From<&SweepCell> for CellSummary {
+    /// The one projection of an engine cell onto the wire.
+    fn from(cell: &SweepCell) -> CellSummary {
+        CellSummary {
+            unit: cell.unit.clone(),
+            config: cell.config.clone(),
+            machine: cell.machine.clone(),
+            wcet: cell.wcet(),
+            cached: cell.outcome.cached,
+            verdict: cell.outcome.artifact.verdict,
+            output_digest: cell.outcome.artifact.output_digest(),
+        }
+    }
+}
+
+/// The digest of a cell sequence — the same function as
+/// [`SweepResult::digest`], computed from the summaries instead of the
+/// artifacts. Client and server both recompute it; the determinism gates
+/// compare it against solo runs.
 #[must_use]
 pub fn cells_digest(cells: &[CellSummary]) -> Digest {
-    let mut h = Hasher::new();
-    for cell in cells {
-        h.str(&cell.unit).str(&cell.config).str(&cell.machine);
-        h.u64(cell.output_digest.0 as u64)
-            .u64((cell.output_digest.0 >> 64) as u64);
-    }
-    h.finish()
+    sweep_digest(cells.iter().map(|c| {
+        (
+            c.unit.as_str(),
+            c.config.as_str(),
+            c.machine.as_str(),
+            c.output_digest,
+        )
+    }))
 }
 
 /// A served sweep: axis labels, cells in flattening order, the request's
@@ -821,27 +769,14 @@ impl SweepResponse {
     /// reference the determinism gates compare daemon responses against.
     #[must_use]
     pub fn from_result(result: &SweepResult) -> SweepResponse {
-        let cells: Vec<CellSummary> = result
-            .cells()
-            .iter()
-            .map(|c| CellSummary {
-                unit: c.unit.clone(),
-                config: c.config.clone(),
-                machine: c.machine.clone(),
-                wcet: c.wcet(),
-                cached: c.outcome.cached,
-                verdict: c.outcome.artifact.verdict,
-                output_digest: c.outcome.artifact.output_digest(),
-            })
-            .collect();
+        let cells: Vec<CellSummary> = result.cells().iter().map(CellSummary::from).collect();
         let digest = cells_digest(&cells);
-        debug_assert_eq!(digest, result.digest());
         SweepResponse {
             units: result.unit_labels().to_vec(),
             configs: result.config_labels().to_vec(),
             machines: result.machine_labels().to_vec(),
             cells,
-            stats: result.stats.clone(),
+            stats: result.stats,
             spans: Vec::new(),
             digest,
         }
@@ -860,6 +795,21 @@ impl SweepResponse {
         self.cells
             .iter()
             .find(|c| c.unit == unit && c.config == config && c.machine == machine)
+    }
+}
+
+impl fmt::Display for SweepResponse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "sweep {} units × {} configs × {} machines = {} cells ({} run, {} cached)",
+            self.units.len(),
+            self.configs.len(),
+            self.machines.len(),
+            self.cells.len(),
+            self.stats.jobs_run,
+            self.stats.jobs_cached,
+        )
     }
 }
 

@@ -549,19 +549,17 @@ fn project_response(spec: &SweepSpec, unit_map: &[usize], sweep: &SweepResult) -
     let mut cells = Vec::with_capacity(spec.cell_count());
     let mut stats = PipelineStats::default();
     for (ui, unit) in spec.units().iter().enumerate() {
-        for (ci, (config_label, _)) in spec.configs().iter().enumerate() {
-            for (mi, (machine_label, _)) in spec.machines().iter().enumerate() {
+        for ci in 0..spec.configs().len() {
+            for mi in 0..spec.machines().len() {
                 let cell = sweep
                     .cell_at(unit_map[ui], ci, mi)
                     .expect("merged sweep covers every request cell");
+                // the merged axes carry the request's own config and
+                // machine labels; only the unit may be another request's
+                // name for the same source
                 cells.push(CellSummary {
                     unit: unit.name.clone(),
-                    config: config_label.clone(),
-                    machine: machine_label.clone(),
-                    wcet: cell.wcet(),
-                    cached: cell.outcome.cached,
-                    verdict: cell.outcome.artifact.verdict,
-                    output_digest: cell.outcome.artifact.output_digest(),
+                    ..CellSummary::from(cell)
                 });
                 stats.merge(&cell.stats);
             }
@@ -733,10 +731,18 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                 )
             }
             Ok(Request::Shutdown) => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.ready.notify_all();
+                // acknowledge before raising the flag: once the batcher
+                // sees it the process may exit, taking an unwritten `ok`
+                // with it
                 let text = shared.encode(&Response::Ok);
                 let _ = reader.get_mut().write_all(text.as_bytes());
+                // raised under the queue lock, so the batcher either sees
+                // the flag before it waits or is already waiting for the
+                // notification
+                let queue = shared.queue.lock().expect("queue lock");
+                shared.shutdown.store(true, Ordering::SeqCst);
+                drop(queue);
+                shared.ready.notify_all();
                 // unblock the acceptor so it can observe the flag
                 let _ = UnixStream::connect(&shared.socket);
                 return;

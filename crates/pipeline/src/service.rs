@@ -1,13 +1,13 @@
 //! The compilation service: schedulable, cacheable compile→analyze jobs.
 //!
 //! A [`Pipeline`] owns a work-stealing [`ThreadPool`](crate::pool::ThreadPool)
-//! and an [`ArtifactStore`]. Work arrives as [`CompileUnit`]s — (source
-//! translation unit, entry, pass configuration) triples — and each unit
-//! becomes a two-stage chain in a [`JobGraph`]: a *compile* job (cache
-//! lookup, then compile + translation-validate on a miss) feeding an
-//! *analyze* job (WCET analysis + cache insert). Chains of different units
-//! are independent, so the stages of separate nodes overlap freely while
-//! each unit's stages stay ordered.
+//! and an [`ArtifactStore`]. Work arrives as the cells of a
+//! [`SweepSpec`](crate::sweep::SweepSpec) — (unit, config, machine)
+//! triples — and each cell becomes a two-stage chain in a [`JobGraph`]: a
+//! *compile* job (cache lookup, then compile + translation-validate on a
+//! miss) feeding an *analyze* job (WCET analysis + cache insert). Chains
+//! of different cells are independent, so the stages of separate cells
+//! overlap freely while each cell's stages stay ordered.
 //!
 //! **Incrementality falls out of content addressing**: there is no
 //! explicit dirty-bit protocol. A changed node changes its generated
@@ -25,14 +25,13 @@ use std::time::{Duration, Instant};
 
 use vericomp_arch::MachineConfig;
 use vericomp_core::{CompileError, Compiler, OptLevel, PassConfig};
-use vericomp_dataflow::{Application, ApplicationError, Node};
-use vericomp_minic::ast::Program as SrcProgram;
 use vericomp_wcet::AnalysisError;
 
-use crate::hash::{Digest, Hasher};
+use crate::hash::Digest;
 use crate::pool::{JobGraph, ThreadPool};
 use crate::stats::{saturating_nanos, PipelineStats};
 use crate::store::{artifact_key, Artifact, ArtifactStore, Verdict};
+use crate::sweep::{SweepCell, SweepUnit};
 use crate::trace::{RunTrace, Span, TraceSink};
 
 /// Configuration of a [`Pipeline`].
@@ -156,186 +155,13 @@ impl PipelineOptionsBuilder {
     }
 }
 
-/// One schedulable unit of work: compile `source`'s `entry` under
-/// `passes`, then bound its WCET.
-#[derive(Debug, Clone)]
-pub struct CompileUnit {
-    /// Display name (node name, application name, …).
-    pub name: String,
-    /// Configuration label (e.g. `verified`), part of the artifact.
-    pub label: String,
-    /// The MiniC translation unit (shared — sweeps cross one unit with
-    /// many configs and machines without cloning the AST).
-    pub source: Arc<SrcProgram>,
-    /// Entry-point function.
-    pub entry: String,
-    /// Pass selection the unit compiles under.
-    pub passes: PassConfig,
-}
-
-impl CompileUnit {
-    /// Starts building a unit. Select the source with one of
-    /// [`node`](CompileUnitBuilder::node),
-    /// [`application`](CompileUnitBuilder::application) or
-    /// [`source`](CompileUnitBuilder::source), then the configuration with
-    /// [`level`](CompileUnitBuilder::level) or
-    /// [`passes`](CompileUnitBuilder::passes) (+
-    /// [`label`](CompileUnitBuilder::label)).
-    ///
-    /// ```
-    /// # use vericomp_pipeline::CompileUnit;
-    /// # use vericomp_core::OptLevel;
-    /// # use vericomp_dataflow::fleet;
-    /// let node = &fleet::named_suite()[0];
-    /// let unit = CompileUnit::builder().node(node).level(OptLevel::Verified).build();
-    /// assert_eq!(unit.label, "verified");
-    /// ```
-    #[must_use]
-    pub fn builder() -> CompileUnitBuilder {
-        CompileUnitBuilder {
-            name: None,
-            label: None,
-            source: None,
-            entry: None,
-            passes: PassConfig::for_level(OptLevel::Verified),
-        }
-    }
-}
-
-/// Builder for [`CompileUnit`]: pick a source, a pass selection, and a
-/// label, in any order.
-#[derive(Debug, Clone)]
-pub struct CompileUnitBuilder {
-    name: Option<String>,
-    label: Option<String>,
-    source: Option<SrcProgram>,
-    entry: Option<String>,
-    passes: PassConfig,
-}
-
-impl CompileUnitBuilder {
-    /// Compile a dataflow node (name, generated source and entry point all
-    /// come from the node).
-    #[must_use]
-    pub fn node(mut self, node: &Node) -> Self {
-        self.name = Some(node.name().to_owned());
-        self.source = Some(node.to_minic());
-        self.entry = Some(node.step_name().to_owned());
-        self
-    }
-
-    /// Compile a whole linked [`Application`] image.
-    ///
-    /// # Errors
-    ///
-    /// [`ApplicationError`] from linking the application's translation
-    /// unit.
-    pub fn application(mut self, app: &Application) -> Result<Self, ApplicationError> {
-        self.name = Some(app.name().to_owned());
-        self.source = Some(app.to_minic()?);
-        self.entry = Some(app.step_name().to_owned());
-        Ok(self)
-    }
-
-    /// Compile a raw MiniC translation unit.
-    #[must_use]
-    pub fn source(mut self, name: &str, source: SrcProgram, entry: &str) -> Self {
-        self.name = Some(name.to_owned());
-        self.source = Some(source);
-        self.entry = Some(entry.to_owned());
-        self
-    }
-
-    /// Compile under an [`OptLevel`] preset; the label defaults to the
-    /// level's name unless [`label`](Self::label) overrides it.
-    #[must_use]
-    pub fn level(mut self, level: OptLevel) -> Self {
-        self.passes = PassConfig::for_level(level);
-        self.label.get_or_insert_with(|| level.to_string());
-        self
-    }
-
-    /// Compile under an explicit pass selection.
-    #[must_use]
-    pub fn passes(mut self, passes: &PassConfig) -> Self {
-        self.passes = *passes;
-        self
-    }
-
-    /// Configuration label (part of the artifact's display identity).
-    #[must_use]
-    pub fn label(mut self, label: &str) -> Self {
-        self.label = Some(label.to_owned());
-        self
-    }
-
-    /// Override the entry-point function.
-    #[must_use]
-    pub fn entry(mut self, entry: &str) -> Self {
-        self.entry = Some(entry.to_owned());
-        self
-    }
-
-    /// Finishes the unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no source was selected ([`node`](Self::node),
-    /// [`application`](Self::application) or [`source`](Self::source)) —
-    /// that is a driver bug, not input-dependent.
-    #[must_use]
-    pub fn build(self) -> CompileUnit {
-        let source = self.source.expect(
-            "CompileUnit::builder(): select a source with .node()/.application()/.source()",
-        );
-        CompileUnit {
-            name: self.name.expect("source selection sets the name"),
-            label: self.label.unwrap_or_else(|| "verified".to_owned()),
-            source: Arc::new(source),
-            entry: self.entry.expect("source selection sets the entry"),
-            passes: self.passes,
-        }
-    }
-}
-
-/// How one unit was produced.
+/// How one sweep cell was produced.
 #[derive(Debug, Clone)]
 pub struct UnitOutcome {
-    /// Unit display name.
-    pub name: String,
-    /// Configuration label.
-    pub label: String,
     /// Whether the artifact came from the cache (verdict replayed).
     pub cached: bool,
     /// The validated artifact: binary + verdict + WCET report.
     pub artifact: Arc<Artifact>,
-}
-
-/// Result of one pipeline run: per-unit outcomes in submission order plus
-/// run metrics.
-#[derive(Debug, Clone)]
-pub struct FleetResult {
-    /// Outcomes, in the order the units were submitted.
-    pub outcomes: Vec<UnitOutcome>,
-    /// Run metrics.
-    pub stats: PipelineStats,
-}
-
-impl FleetResult {
-    /// A digest of every unit's outputs, in submission order — equal
-    /// digests mean bit-identical binaries, annotation tables and WCET
-    /// bounds, which is how the determinism gates compare serial and
-    /// parallel builds.
-    #[must_use]
-    pub fn digest(&self) -> Digest {
-        let mut h = Hasher::new();
-        for o in &self.outcomes {
-            h.str(&o.name).str(&o.label);
-            let d = o.artifact.output_digest();
-            h.u64(d.0 as u64).u64((d.0 >> 64) as u64);
-        }
-        h.finish()
-    }
 }
 
 /// Errors of a pipeline run. The first failing unit wins; the run still
@@ -450,19 +276,22 @@ impl Pipeline {
         &self.analyzer
     }
 
-    /// Runs a set of fully-specified cells (unit + target machine) on the
-    /// pool and returns per-cell outcomes **in submission order** plus the
-    /// aggregate run stats and the run's span trace. This is the one
-    /// engine every public entry point funnels through.
+    /// Runs the (units × configs × machines) cross product on the pool
+    /// and returns its cells **in flattening order** (unit-major, then
+    /// config, then machine) plus the aggregate run stats and the run's
+    /// span trace. This is the one engine every public entry point
+    /// funnels through; the axes arrive with their defaults applied.
     ///
     /// `epoch` anchors every span timestamp: single sweeps pass their own
     /// submission instant, the lattice search passes one search-wide epoch
     /// so all generations land on a single timeline.
     pub(crate) fn run_cells(
         &self,
-        cells: Vec<CellSpec>,
+        units: &[SweepUnit],
+        configs: &[(String, PassConfig)],
+        machines: &[(String, MachineConfig)],
         epoch: Instant,
-    ) -> Result<(Vec<CellOutcome>, PipelineStats, RunTrace), PipelineError> {
+    ) -> Result<(Vec<SweepCell>, PipelineStats, RunTrace), PipelineError> {
         enum Stage1 {
             Hit(Arc<Artifact>),
             Fresh(Digest, vericomp_arch::Program),
@@ -480,7 +309,13 @@ impl Pipeline {
 
         let submitted = Instant::now();
         let since_epoch = move |at: Instant| saturating_nanos(at.saturating_duration_since(epoch));
-        let n = cells.len();
+        let (nc, nm) = (configs.len(), machines.len());
+        let n = units.len() * nc * nm;
+        // flat cell index → (unit, config, machine) axis positions
+        let coords = |i: usize| (i / (nc * nm), i / nm % nc, i % nm);
+        // the cells of a unit share it: the AST, canonical text (the
+        // cache-key material) and entry are never copied per cell
+        let shared: Vec<Arc<SweepUnit>> = units.iter().cloned().map(Arc::new).collect();
         // one span sink per cell, the only telemetry collector: each sink
         // is touched only by its own cell's two (strictly ordered) jobs,
         // so collection is contention-free, and the cell's stats are
@@ -493,14 +328,12 @@ impl Pipeline {
         let first_error: Arc<Mutex<Option<PipelineError>>> = Arc::new(Mutex::new(None));
 
         let mut graph = JobGraph::new();
-        for (i, cell) in cells.into_iter().enumerate() {
-            let CellSpec {
-                unit,
-                canonical,
-                machine,
-            } = cell;
-            let detail = format!("unit={} config={}", unit.name, unit.label);
-            let unit = Arc::new(unit);
+        for i in 0..n {
+            let (u, c, m) = coords(i);
+            let unit = Arc::clone(&shared[u]);
+            let (label, passes) = (configs[c].0.clone(), configs[c].1);
+            let machine = machines[m].1.clone();
+            let detail = format!("unit={} config={label}", unit.name);
             let store = Arc::clone(&self.store);
             let sinks1 = Arc::clone(&sinks);
             let slots1 = Arc::clone(&slots);
@@ -522,7 +355,7 @@ impl Pipeline {
                 ));
                 // the memoized canonical text *is* the key material: no
                 // per-cell pretty-print on either the hit or miss path
-                let key = artifact_key(&canonical, &unit1.entry, &unit1.passes, &machine);
+                let key = artifact_key(unit1.canonical(), &unit1.entry, &passes, &machine);
                 let t = Instant::now();
                 let hit = store.lookup(key, &machine);
                 let looked = t.elapsed();
@@ -542,7 +375,7 @@ impl Pipeline {
                             .compile_with_passes_observed(
                                 &unit1.source,
                                 &unit1.entry,
-                                &unit1.passes,
+                                &passes,
                                 &mut pass_times,
                             );
                         let took = t.elapsed();
@@ -606,8 +439,6 @@ impl Pipeline {
                 let outcome = match stage {
                     Stage1::Failed => return,
                     Stage1::Hit(artifact) => UnitOutcome {
-                        name: unit.name.clone(),
-                        label: unit.label.clone(),
                         cached: true,
                         artifact,
                     },
@@ -660,9 +491,9 @@ impl Pipeline {
                         let artifact = Artifact {
                             key,
                             entry: unit.entry.clone(),
-                            label: unit.label.clone(),
+                            label,
                             program,
-                            verdict: Verdict::from_passes(&unit.passes),
+                            verdict: Verdict::from_passes(&passes),
                             report,
                         };
                         let t = Instant::now();
@@ -677,8 +508,6 @@ impl Pipeline {
                         ));
                         match inserted {
                             Ok(artifact) => UnitOutcome {
-                                name: unit.name.clone(),
-                                label: unit.label.clone(),
                                 cached: false,
                                 artifact,
                             },
@@ -703,17 +532,21 @@ impl Pipeline {
         let wall = submitted.elapsed();
         let mut aggregate = PipelineStats::default();
         let mut trace = RunTrace::new();
-        let mut cell_outcomes = Vec::with_capacity(n);
+        let mut cells = Vec::with_capacity(n);
         // drain the sinks in cell order: span order becomes (cell index,
         // recording order), a pure function of the work
-        for (slot, sink) in outcomes.iter().zip(sinks.iter()) {
+        for (i, (slot, sink)) in outcomes.iter().zip(sinks.iter()).enumerate() {
             let spans = sink.take();
             let stats = PipelineStats::from_spans(&spans);
             aggregate.merge(&stats);
             for span in spans {
                 trace.push(span);
             }
-            cell_outcomes.push(CellOutcome {
+            let (u, c, m) = coords(i);
+            cells.push(SweepCell {
+                unit: units[u].name.clone(),
+                config: configs[c].0.clone(),
+                machine: machines[m].0.clone(),
                 outcome: slot
                     .lock()
                     .expect("outcome lock")
@@ -725,32 +558,14 @@ impl Pipeline {
         // the merge maxed per-cell walls (summed stage times); the run
         // aggregate reports the real end-to-end clock
         aggregate.wall_ns = saturating_nanos(wall);
-        Ok((cell_outcomes, aggregate, trace))
+        Ok((cells, aggregate, trace))
     }
-}
-
-/// One fully-specified engine cell: a unit, its memoized canonical
-/// source text (the cache-key material — computed once per unit, shared
-/// across every cell the unit appears in), and the machine it targets.
-#[derive(Debug, Clone)]
-pub(crate) struct CellSpec {
-    pub(crate) unit: CompileUnit,
-    pub(crate) canonical: Arc<String>,
-    pub(crate) machine: MachineConfig,
-}
-
-/// One engine cell's result: the outcome plus that cell's own stats
-/// (`wall_ns` = the cell's summed stage time, not a wall clock).
-#[derive(Debug, Clone)]
-pub(crate) struct CellOutcome {
-    pub(crate) outcome: UnitOutcome,
-    pub(crate) stats: PipelineStats,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vericomp_dataflow::fleet;
+    use vericomp_dataflow::{fleet, Application, Node};
 
     fn suite_prefix(n: usize) -> Vec<Node> {
         let mut nodes = fleet::named_suite();
@@ -901,11 +716,5 @@ mod tests {
             conventional.cache_dir,
             Some(PipelineOptions::default_cache_dir())
         );
-    }
-
-    #[test]
-    fn unit_builder_requires_a_source() {
-        let r = std::panic::catch_unwind(|| CompileUnit::builder().build());
-        assert!(r.is_err(), "build() without a source must panic");
     }
 }

@@ -47,34 +47,61 @@ use crate::hash::{Digest, Hasher};
 /// hitting.
 pub const FORMAT_VERSION: u32 = 1;
 
+/// The 24 `u32` fields of a machine model, in digest order — the one
+/// list [`machine_digest`] hashes and the wire protocol encodes.
+pub(crate) fn machine_fields(m: &MachineConfig) -> [u32; 24] {
+    [
+        m.icache.size_bytes,
+        m.icache.ways,
+        m.icache.line_bytes,
+        m.dcache.size_bytes,
+        m.dcache.ways,
+        m.dcache.line_bytes,
+        m.mem_latency,
+        m.fetch_latency,
+        m.io_latency,
+        m.text_base,
+        m.data_base,
+        m.stack_top,
+        m.io_base,
+        m.io_size,
+        m.lat_int,
+        m.lat_mul,
+        m.lat_div,
+        m.lat_fp,
+        m.lat_fmadd,
+        m.lat_fdiv,
+        m.lat_fmove,
+        m.lat_conv,
+        m.lat_load,
+        m.branch_penalty,
+    ]
+}
+
+/// The ten `PassConfig` flags, in cache-key order — the one list
+/// [`artifact_key`] hashes and the wire protocol encodes.
+pub(crate) fn pass_flags(p: &PassConfig) -> [bool; 10] {
+    [
+        p.mem2reg,
+        p.constprop,
+        p.cse,
+        p.dce,
+        p.tunnel,
+        p.strength,
+        p.schedule,
+        p.sda,
+        p.full_palette,
+        p.validators,
+    ]
+}
+
 /// Digest of a machine configuration (every field).
 #[must_use]
 pub fn machine_digest(config: &MachineConfig) -> Digest {
     let mut h = Hasher::new();
-    h.u32(config.icache.size_bytes)
-        .u32(config.icache.ways)
-        .u32(config.icache.line_bytes)
-        .u32(config.dcache.size_bytes)
-        .u32(config.dcache.ways)
-        .u32(config.dcache.line_bytes)
-        .u32(config.mem_latency)
-        .u32(config.fetch_latency)
-        .u32(config.io_latency)
-        .u32(config.text_base)
-        .u32(config.data_base)
-        .u32(config.stack_top)
-        .u32(config.io_base)
-        .u32(config.io_size)
-        .u32(config.lat_int)
-        .u32(config.lat_mul)
-        .u32(config.lat_div)
-        .u32(config.lat_fp)
-        .u32(config.lat_fmadd)
-        .u32(config.lat_fdiv)
-        .u32(config.lat_fmove)
-        .u32(config.lat_conv)
-        .u32(config.lat_load)
-        .u32(config.branch_penalty);
+    for field in machine_fields(config) {
+        h.u32(field);
+    }
     h.finish()
 }
 
@@ -95,19 +122,12 @@ pub fn artifact_key(
     h.u32(FORMAT_VERSION)
         .u32(vericomp_dataflow::SYMBOL_LIBRARY_VERSION)
         .str(source)
-        .str(entry)
-        .bool(passes.mem2reg)
-        .bool(passes.constprop)
-        .bool(passes.cse)
-        .bool(passes.dce)
-        .bool(passes.tunnel)
-        .bool(passes.strength)
-        .bool(passes.schedule)
-        .bool(passes.sda)
-        .bool(passes.full_palette)
-        .bool(passes.validators)
-        .u64(machine_digest(config).0 as u64)
-        .u64((machine_digest(config).0 >> 64) as u64);
+        .str(entry);
+    for flag in pass_flags(passes) {
+        h.bool(flag);
+    }
+    let machine = machine_digest(config);
+    h.u64(machine.0 as u64).u64((machine.0 >> 64) as u64);
     h.finish()
 }
 
@@ -1250,6 +1270,27 @@ mod tests {
         // the fresh entry survives
         assert!(store.lookup(fresh.key, &config).is_some());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The key derivation is the cache's contract with every `.vcart`
+    /// already on disk: these values may only change together with a
+    /// [`FORMAT_VERSION`] (or symbol-library version) bump.
+    #[test]
+    fn machine_digests_and_keys_are_pinned() {
+        assert_eq!(
+            machine_digest(&MachineConfig::mpc755()).to_hex(),
+            "7819ab4a38ea49d61b5ad1fc95faec50"
+        );
+        assert_eq!(
+            machine_digest(&MachineConfig::tiny_caches()).to_hex(),
+            "d06fe0a2d517767e25c95d0f0c330980"
+        );
+        let src = "int g;\nvoid step() {\n  g = 1;\n}\n";
+        let full = PassConfig::for_level(OptLevel::OptFull);
+        assert_eq!(
+            artifact_key(src, "step", &full, &MachineConfig::tiny_caches()).to_hex(),
+            "c25e61cd4bed4a5e5b3db200faa306f2"
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! # Ok::<(), vericomp_pipeline::PipelineError>(())
 //! ```
 
-use std::fmt;
+use std::borrow::Cow;
 use std::ops::Index;
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,14 +53,14 @@ use vericomp_minic::ast::Program as SrcProgram;
 use vericomp_minic::pretty::program_to_c;
 
 use crate::hash::{Digest, Hasher};
-use crate::service::{CellSpec, CompileUnit, Pipeline, PipelineError, UnitOutcome};
+use crate::service::{Pipeline, PipelineError, UnitOutcome};
 use crate::stats::PipelineStats;
 use crate::store::source_digest;
 use crate::trace::{RunTrace, Span};
 
 /// One entry of the sweep's unit axis: a named translation unit with its
-/// entry point. Unlike [`CompileUnit`] it carries **no pass selection** —
-/// configs are their own axis.
+/// entry point. It carries **no pass selection** — configs are their own
+/// axis.
 ///
 /// Construction pretty-prints the AST **once** and memoizes the canonical
 /// text plus its [`source_digest`]; every cell key derivation, wire
@@ -275,6 +275,58 @@ impl SweepSpec {
     pub fn cell_count(&self) -> usize {
         self.units.len() * self.configs.len().max(1) * self.machines.len().max(1)
     }
+
+    /// The config axis a run of this spec uses: an empty axis is the
+    /// single `verified` preset. With [`run_machines`](Self::run_machines)
+    /// the one place the axis defaults live.
+    fn run_configs(&self) -> Cow<'_, [(String, PassConfig)]> {
+        if self.configs.is_empty() {
+            let level = OptLevel::Verified;
+            Cow::Owned(vec![(level.to_string(), PassConfig::for_level(level))])
+        } else {
+            Cow::Borrowed(&self.configs)
+        }
+    }
+
+    /// The machine axis a run of this spec uses: an empty axis is
+    /// `machine` labeled `default`.
+    fn run_machines(&self, machine: &MachineConfig) -> Cow<'_, [(String, MachineConfig)]> {
+        if self.machines.is_empty() {
+            Cow::Owned(vec![("default".to_owned(), machine.clone())])
+        } else {
+            Cow::Borrowed(&self.machines)
+        }
+    }
+}
+
+/// Makes a spec's implicit axes explicit with **the same defaults
+/// `Pipeline::run_sweep` applies**: an empty config axis becomes the
+/// single `verified` preset, an empty machine axis becomes `machine`
+/// under the label `default`. Sending a normalized spec guarantees the
+/// response's labels — and therefore its digest — match a solo run.
+#[must_use]
+pub fn normalize_spec(spec: &SweepSpec, machine: &MachineConfig) -> SweepSpec {
+    SweepSpec {
+        units: spec.units.clone(),
+        configs: spec.run_configs().into_owned(),
+        machines: spec.run_machines(machine).into_owned(),
+    }
+}
+
+/// The sweep digest over cells given as (unit, config, machine labels,
+/// output digest), in flattening order — the one definition behind
+/// [`SweepResult::digest`] and [`cells_digest`](crate::proto::cells_digest),
+/// so a served response and a solo run of the same request digest
+/// identically by construction.
+pub(crate) fn sweep_digest<'a>(
+    cells: impl IntoIterator<Item = (&'a str, &'a str, &'a str, Digest)>,
+) -> Digest {
+    let mut h = Hasher::new();
+    for (unit, config, machine, output) in cells {
+        h.str(unit).str(config).str(machine);
+        h.u64(output.0 as u64).u64((output.0 >> 64) as u64);
+    }
+    h.finish()
 }
 
 /// One cell of a completed sweep: the three axis labels, the outcome, and
@@ -460,13 +512,14 @@ impl SweepResult {
     /// serial and parallel sweeps with this.
     #[must_use]
     pub fn digest(&self) -> Digest {
-        let mut h = Hasher::new();
-        for cell in &self.cells {
-            h.str(&cell.unit).str(&cell.config).str(&cell.machine);
-            let d = cell.outcome.artifact.output_digest();
-            h.u64(d.0 as u64).u64((d.0 >> 64) as u64);
-        }
-        h.finish()
+        sweep_digest(self.cells.iter().map(|c| {
+            (
+                c.unit.as_str(),
+                c.config.as_str(),
+                c.machine.as_str(),
+                c.outcome.artifact.output_digest(),
+            )
+        }))
     }
 }
 
@@ -492,21 +545,6 @@ impl Index<(&str, &str, &str)> for SweepResult {
         self.get(unit, config, machine).unwrap_or_else(|| {
             panic!("sweep has no cell labeled ({unit:?}, {config:?}, {machine:?})")
         })
-    }
-}
-
-impl fmt::Display for SweepResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "sweep {} units × {} configs × {} machines = {} cells ({} run, {} cached)",
-            self.units.len(),
-            self.configs.len(),
-            self.machines.len(),
-            self.cells.len(),
-            self.stats.jobs_run,
-            self.stats.jobs_cached,
-        )
     }
 }
 
@@ -542,64 +580,13 @@ impl Pipeline {
         spec: &SweepSpec,
         epoch: Instant,
     ) -> Result<SweepResult, PipelineError> {
-        let configs: Vec<(String, PassConfig)> = if spec.configs.is_empty() {
-            vec![(
-                OptLevel::Verified.to_string(),
-                PassConfig::for_level(OptLevel::Verified),
-            )]
-        } else {
-            spec.configs.clone()
-        };
-        let machines: Vec<(String, MachineConfig)> = if spec.machines.is_empty() {
-            vec![("default".to_owned(), self.machine().clone())]
-        } else {
-            spec.machines.clone()
-        };
-
-        let mut cells = Vec::with_capacity(spec.units.len() * configs.len() * machines.len());
-        for unit in &spec.units {
-            for (config_label, passes) in &configs {
-                for (_, machine) in &machines {
-                    cells.push(CellSpec {
-                        unit: CompileUnit {
-                            name: unit.name.clone(),
-                            label: config_label.clone(),
-                            source: Arc::clone(&unit.source),
-                            entry: unit.entry.clone(),
-                            passes: *passes,
-                        },
-                        canonical: Arc::clone(&unit.canonical),
-                        machine: machine.clone(),
-                    });
-                }
-            }
-        }
-
-        let (outcomes, stats, trace) = self.run_cells(cells, epoch)?;
-
-        let machine_labels: Vec<String> = machines.iter().map(|(l, _)| l.clone()).collect();
-        let config_labels: Vec<String> = configs.iter().map(|(l, _)| l.clone()).collect();
-        let mut result_cells = Vec::with_capacity(outcomes.len());
-        let mut it = outcomes.into_iter();
-        for unit in &spec.units {
-            for config_label in &config_labels {
-                for machine_label in &machine_labels {
-                    let cell = it.next().expect("one outcome per cell");
-                    result_cells.push(SweepCell {
-                        unit: unit.name.clone(),
-                        config: config_label.clone(),
-                        machine: machine_label.clone(),
-                        outcome: cell.outcome,
-                        stats: cell.stats,
-                    });
-                }
-            }
-        }
+        let (configs, machines) = (spec.run_configs(), spec.run_machines(self.machine()));
+        let (cells, stats, trace) = self.run_cells(&spec.units, &configs, &machines, epoch)?;
         Ok(SweepResult {
             units: spec.units.iter().map(|u| u.name.clone()).collect(),
-            configs: config_labels,
-            machines: machine_labels,
-            cells: result_cells,
+            configs: configs.iter().map(|(l, _)| l.clone()).collect(),
+            machines: machines.iter().map(|(l, _)| l.clone()).collect(),
+            cells,
             trace,
             stats,
         })

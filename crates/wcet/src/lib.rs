@@ -188,7 +188,6 @@ impl fmt::Display for AnalysisError {
 impl std::error::Error for AnalysisError {}
 
 /// One analysis request: which function of which program to bound.
-/// Mirrors the pipeline's `CompileUnit::builder()` shape.
 #[derive(Debug, Clone, Copy)]
 pub struct AnalysisRequest<'a> {
     program: &'a Program,

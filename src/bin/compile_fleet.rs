@@ -21,14 +21,19 @@
 //! whose `sched:` lines and digest are bit-identical across `--jobs`
 //! counts. (The binary lives in the root crate because the scenario suite
 //! sits in `vericomp-testkit`, which itself builds on the pipeline.)
+//!
+//! With `--connect SOCK` the same sweep runs on a `vericomp_serve` daemon
+//! instead; both backends hand back one `SweepResponse`, printed the same
+//! way, so a served run prints what a solo run prints.
 
 use std::process::ExitCode;
 
 use vericomp_arch::MachineConfig;
 use vericomp_core::OptLevel;
-use vericomp_dataflow::fleet;
+use vericomp_dataflow::{fleet, Node};
 use vericomp_pipeline::{
-    normalize_spec, Client, Pipeline, PipelineOptions, RunTrace, SearchSpec, Span, SweepSpec,
+    Client, Pipeline, PipelineOptions, PipelineStats, RunTrace, SearchSpec, Span, SweepResponse,
+    SweepSpec,
 };
 use vericomp_testkit::scenario::{Scenario, ScenarioConfig};
 
@@ -61,7 +66,6 @@ const USAGE: &str = "usage: compile_fleet [--jobs N] [--cache-dir DIR] [--config
   --cache-dir DIR   persistent artifact cache (default: in-memory only)
   --configs LIST    comma-separated config axis out of
                     pattern-O0,opt-no-regalloc,verified,opt-full (default verified)
-  --level L         deprecated alias for --configs with one entry
   --machines LIST   comma-separated machine axis out of mpc755,tiny-caches
                     (default mpc755)
   --nodes N         sweep only the first N suite nodes (default: all 26)
@@ -99,11 +103,7 @@ const USAGE: &str = "usage: compile_fleet [--jobs N] [--cache-dir DIR] [--config
                     SOCK instead of compiling locally; the served digests
                     are bit-identical to a solo run's (excludes --search,
                     --jobs and --cache-dir — those configure the server,
-                    not the client)
-
-environment overrides (used when the corresponding flag is absent):
-  VERICOMP_JOBS       default for --jobs
-  VERICOMP_CACHE_DIR  default for --cache-dir";
+                    not the client)";
 
 fn parse_level(s: &str) -> Option<OptLevel> {
     OptLevel::all().into_iter().find(|l| l.to_string() == s)
@@ -155,8 +155,8 @@ fn parse_args() -> Result<Args, String> {
                 args.cache_dir = Some(value("--cache-dir")?);
                 cache_dir_set = true;
             }
-            "--configs" | "--level" => {
-                for v in value(&flag)?.split(',') {
+            "--configs" => {
+                for v in value("--configs")?.split(',') {
                     args.configs.push(
                         parse_level(v).ok_or_else(|| format!("unknown config `{v}`\n{USAGE}"))?,
                     );
@@ -218,21 +218,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
     }
-    // env overrides fill in unset flags
-    if !jobs_set {
-        if let Ok(v) = std::env::var("VERICOMP_JOBS") {
-            args.jobs = v
-                .parse()
-                .map_err(|_| "VERICOMP_JOBS needs a number".to_string())?;
-        }
-    }
-    if args.cache_dir.is_none() {
-        if let Ok(v) = std::env::var("VERICOMP_CACHE_DIR") {
-            if !v.is_empty() {
-                args.cache_dir = Some(v);
-            }
-        }
-    }
     if args.connect.is_some() {
         if args.search {
             return Err("--connect submits fixed sweeps; the search runs locally".to_string());
@@ -251,7 +236,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if args.search && !args.configs.is_empty() {
-        return Err("--search seeds its own config frontier; drop --configs/--level".to_string());
+        return Err("--search seeds its own config frontier; drop --configs".to_string());
     }
     if args.scenario.is_some() && args.search {
         return Err("--scenario sweeps a fixed config axis; drop --search".to_string());
@@ -282,107 +267,150 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if args.connect.is_some() {
-        return run_connected(&args);
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
+}
 
-    let mut builder = PipelineOptions::builder().jobs(args.jobs);
-    if let Some(dir) = &args.cache_dir {
-        builder = builder.cache_dir(dir);
-    }
-    let options = match builder.build() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("compile_fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let pipeline = match Pipeline::new(&options) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("compile_fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Reports a failure on stderr and yields the failing exit code.
+fn fail(error: impl std::fmt::Display) -> ExitCode {
+    eprintln!("compile_fleet: {error}");
+    ExitCode::FAILURE
+}
 
-    if args.scenario.is_some() {
-        return run_scenario(&pipeline, &args);
-    }
-
-    let mut nodes = fleet::named_suite();
-    if let Some(n) = args.nodes {
-        nodes.truncate(n);
-    }
+/// One sweep, whichever backend runs it: build the spec (fleet or
+/// scenario), run it solo or through the daemon, then print the one
+/// output shape both backends share — the cell table (fleets) or the
+/// schedulability report (scenarios), the `sweep` line, the stats, the
+/// digest, the trace/profile, and the hit-rate and feasibility gates.
+/// Apart from the `compile_fleet:` header and the timings, the output
+/// depends only on the request and on which cells the store already
+/// holds, so a served run prints what a solo run against an equally warm
+/// store prints.
+fn run(args: &Args) -> Result<(), ExitCode> {
     if args.search {
-        return run_search(&pipeline, &nodes, &args);
+        return run_search(args);
     }
-    let mut spec = SweepSpec::new().nodes(&nodes);
+    let scenario = match args.scenario {
+        Some(seed) => Some(build_scenario(args, seed).map_err(fail)?),
+        None => None,
+    };
+    let mut spec = match &scenario {
+        Some(scenario) => scenario.to_sweep_spec(),
+        None => SweepSpec::new().nodes(&fleet_nodes(args)),
+    };
     for level in &args.configs {
         spec = spec.level(*level);
     }
     for name in &args.machines {
         spec = spec.machine(name, &parse_machine(name).expect("validated at parse time"));
     }
-    println!(
-        "compile_fleet: {} nodes × {} configs × {} machines = {} cells on {} workers, cache {}",
-        nodes.len(),
-        args.configs.len(),
-        args.machines.len(),
-        spec.cell_count(),
-        pipeline.jobs(),
-        args.cache_dir.as_deref().unwrap_or("(memory)"),
-    );
-
-    let mut result = match pipeline.run_sweep(&spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("compile_fleet: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (response, trace, note) = match &args.connect {
+        Some(sock) => run_served(args, sock, &spec)?,
+        None => run_solo(args, &spec)?,
     };
 
-    println!(
-        "{:<24} {:<16} {:<12} {:>8} {:>9}  verdict",
-        "node", "config", "machine", "WCET", "source"
-    );
-    for cell in result.cells() {
-        println!(
-            "{:<24} {:<16} {:<12} {:>8} {:>9}  {}",
-            cell.unit,
-            cell.config,
-            cell.machine,
-            cell.wcet(),
-            if cell.outcome.cached {
-                "cache"
-            } else {
-                "compiled"
-            },
-            cell.outcome.artifact.verdict.describe(),
-        );
-    }
-    println!("{result}");
-    println!("{}", result.stats.render());
-    println!("fleet digest: {}", result.digest());
-    if args.reanalyze {
-        if let Err(code) = run_reanalyze(&pipeline, &mut result) {
-            return code;
+    let report = scenario.map(|scenario| {
+        scenario.check_bounds(&response.configs, &response.machines, |u, c, m| {
+            response.get(u, c, m).map(|cell| cell.wcet)
+        })
+    });
+    match &report {
+        Some(report) => {
+            print!("{}", report.render());
+            println!("sched digest: {}", report.digest());
         }
-    }
-    if let Err(code) = export_trace(result.trace(), &args, "") {
-        return code;
-    }
-
-    if let Some(min) = args.min_hit_rate {
-        if result.stats.hit_rate() < min {
-            eprintln!(
-                "compile_fleet: hit rate {:.3} below required {min:.3}",
-                result.stats.hit_rate()
+        None => {
+            println!(
+                "{:<24} {:<16} {:<12} {:>8} {:>9}  verdict",
+                "node", "config", "machine", "WCET", "source"
             );
-            return ExitCode::FAILURE;
+            for cell in &response.cells {
+                println!(
+                    "{:<24} {:<16} {:<12} {:>8} {:>9}  {}",
+                    cell.unit,
+                    cell.config,
+                    cell.machine,
+                    cell.wcet,
+                    if cell.cached { "cache" } else { "compiled" },
+                    cell.verdict.describe(),
+                );
+            }
         }
     }
-    ExitCode::SUCCESS
+    println!("{response}");
+    println!("{}", response.stats.render());
+    println!("fleet digest: {}", response.digest);
+    export_trace(&trace, args, &note)?;
+    check_hit_rate(args, &response.stats)?;
+    if let Some(report) = report {
+        if args.require_feasible && !report.feasible() {
+            return Err(fail(format_args!(
+                "{} frame verdicts over budget",
+                report.infeasible_count()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The curated fleet, cut to `--nodes`.
+fn fleet_nodes(args: &Args) -> Vec<Node> {
+    let mut nodes = fleet::named_suite();
+    if let Some(n) = args.nodes {
+        nodes.truncate(n);
+    }
+    nodes
+}
+
+/// What a backend hands the printer: the response, the span trace to
+/// export, and the note appended to the `trace:` line.
+type Run = (SweepResponse, RunTrace, String);
+
+/// The local pipeline `--jobs` / `--cache-dir` describe.
+fn local_pipeline(args: &Args) -> Result<Pipeline, ExitCode> {
+    let mut builder = PipelineOptions::builder().jobs(args.jobs);
+    if let Some(dir) = &args.cache_dir {
+        builder = builder.cache_dir(dir);
+    }
+    Pipeline::new(&builder.build().map_err(fail)?).map_err(fail)
+}
+
+/// The `compile_fleet:` header line: the sweep's shape and the backend.
+fn print_header(spec: &SweepSpec, backend: &str) {
+    println!(
+        "compile_fleet: {} units × {} configs × {} machines = {} cells {backend}",
+        spec.units().len(),
+        spec.configs().len(),
+        spec.machines().len(),
+        spec.cell_count(),
+    );
+}
+
+/// Runs the sweep in this process, then the optional `--reanalyze`
+/// audit, and projects the result to the response a daemon would send.
+/// The span trace is kept only when `--trace` / `--profile` asks for it.
+fn run_solo(args: &Args, spec: &SweepSpec) -> Result<Run, ExitCode> {
+    let pipeline = local_pipeline(args)?;
+    print_header(
+        spec,
+        &format!(
+            "on {} workers, cache {}",
+            pipeline.jobs(),
+            args.cache_dir.as_deref().unwrap_or("(memory)")
+        ),
+    );
+    let mut result = pipeline.run_sweep(spec).map_err(fail)?;
+    if args.reanalyze {
+        run_reanalyze(&pipeline, &mut result)?;
+    }
+    let trace = if args.trace.is_some() || args.profile {
+        result.trace().clone()
+    } else {
+        RunTrace::new()
+    };
+    Ok((SweepResponse::from_result(&result), trace, String::new()))
 }
 
 /// `--reanalyze`: audit the sweep through the warm session analyzer and
@@ -393,13 +421,7 @@ fn run_reanalyze(
     pipeline: &Pipeline,
     result: &mut vericomp_pipeline::SweepResult,
 ) -> Result<(), ExitCode> {
-    let audit = match pipeline.reanalyze_sweep(result) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("compile_fleet: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
+    let audit = pipeline.reanalyze_sweep(result).map_err(fail)?;
     println!(
         "reanalyze: artifacts={} functions_reused={} functions_analyzed={}",
         audit.artifacts, audit.functions_reused, audit.functions_analyzed
@@ -414,11 +436,9 @@ fn run_reanalyze(
     }
 }
 
-/// Scenario construction shared by the local and `--connect` paths:
-/// builds the seeded config, generates the scenario, prints the
-/// deterministic `scenario:` header line.
-fn build_scenario(args: &Args) -> Result<(ScenarioConfig, Scenario), String> {
-    let seed = args.scenario.expect("build_scenario needs --scenario");
+/// Generates the `--scenario SEED` scenario and prints its deterministic
+/// `scenario:` header line.
+fn build_scenario(args: &Args, seed: u64) -> Result<Scenario, String> {
     let mut builder = ScenarioConfig::builder()
         .name("cli")
         .tasks(args.scenario_tasks)
@@ -438,82 +458,10 @@ fn build_scenario(args: &Args) -> Result<(ScenarioConfig, Scenario), String> {
         scenario.units().len(),
         scenario.total_symbols(),
     );
-    Ok((config, scenario))
+    Ok(scenario)
 }
 
-/// `--scenario SEED`: generate a multi-rate scenario, sweep its
-/// deduplicated task variants through the pipeline, and join the WCET
-/// bounds back into a schedulability report. Every `scenario:` / `sched:`
-/// line and both digests are pure functions of (seed, flags, axes) — the
-/// CI smoke compares them across job counts.
-fn run_scenario(pipeline: &Pipeline, args: &Args) -> ExitCode {
-    let (_config, scenario) = match build_scenario(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("compile_fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut spec = scenario.to_sweep_spec();
-    for level in &args.configs {
-        spec = spec.level(*level);
-    }
-    for name in &args.machines {
-        spec = spec.machine(name, &parse_machine(name).expect("validated at parse time"));
-    }
-    println!(
-        "compile_fleet: {} units × {} configs × {} machines = {} cells on {} workers, cache {}",
-        scenario.units().len(),
-        args.configs.len(),
-        args.machines.len(),
-        spec.cell_count(),
-        pipeline.jobs(),
-        args.cache_dir.as_deref().unwrap_or("(memory)"),
-    );
-
-    let mut result = match pipeline.run_sweep(&spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("compile_fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", result.stats.render());
-    println!("fleet digest: {}", result.digest());
-
-    let report = scenario.check(&result);
-    print!("{}", report.render());
-    println!("sched digest: {}", report.digest());
-    if args.reanalyze {
-        if let Err(code) = run_reanalyze(pipeline, &mut result) {
-            return code;
-        }
-    }
-    if let Err(code) = export_trace(result.trace(), args, "") {
-        return code;
-    }
-
-    if let Some(min) = args.min_hit_rate {
-        if result.stats.hit_rate() < min {
-            eprintln!(
-                "compile_fleet: hit rate {:.3} below required {min:.3}",
-                result.stats.hit_rate()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    if args.require_feasible && !report.feasible() {
-        eprintln!(
-            "compile_fleet: {} frame verdicts over budget",
-            report.infeasible_count()
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// A fresh nonzero trace id for a `--connect --trace` run: wall-clock
+/// A fresh nonzero trace id for a traced `--connect` run: wall-clock
 /// nanos folded with the pid. Uniqueness only has to hold across the
 /// requests one daemon is concurrently serving — the id exists so the
 /// server can tag the spans of *this* request, not as a digest input.
@@ -526,201 +474,92 @@ fn fresh_trace_id() -> u64 {
     (nanos ^ u64::from(std::process::id()).rotate_left(32)).max(1)
 }
 
-/// `--connect SOCK`: submit the sweep (fleet or scenario) to a running
-/// `vericomp_serve` daemon and render the served response in the solo
-/// run's output shape — same per-cell table, same `fleet digest:` /
-/// `sched digest:` lines, and by the service determinism guarantee, the
-/// same digest values a local run of the identical request prints.
+/// `--connect SOCK`: submits the sweep to a running `vericomp_serve`
+/// daemon; by the service determinism guarantee the response carries the
+/// digest a solo run of the identical request computes.
 ///
 /// With `--trace FILE` or `--profile` the request carries a fresh trace
 /// id; the daemon answers with the server-side spans of exactly this
-/// request, which are shifted onto the client's epoch timeline (anchored
-/// at the request send) and merged with the client's own
-/// connection/request spans — written as one Chrome trace (client rows
-/// under pid 1, server rows under pid 2) and profiled exactly as a solo
-/// run's trace is.
-fn run_connected(args: &Args) -> ExitCode {
-    let sock = args
-        .connect
-        .as_deref()
-        .expect("run_connected needs --connect");
+/// request, which are shifted onto the client's timeline (anchored at the
+/// request send) and merged with the client's own `connect`/`request`
+/// spans into one trace — client rows under pid 1, server rows under
+/// pid 2 — profiled exactly as a solo run's trace is.
+fn run_served(args: &Args, sock: &str, spec: &SweepSpec) -> Result<Run, ExitCode> {
     let trace_id = if args.trace.is_some() || args.profile {
         fresh_trace_id()
     } else {
         0
     };
     let epoch = std::time::Instant::now();
-    let nanos_since =
-        |e: &std::time::Instant| u64::try_from(e.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let mut client_spans: Vec<Span> = Vec::new();
+    let nanos_since = || u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let mut trace = RunTrace::new();
 
-    let mut client = match Client::connect(sock) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("compile_fleet: connecting {sock}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if trace_id != 0 {
-        client_spans.push(Span::stage(
-            "connect",
-            0,
-            0,
-            nanos_since(&epoch),
-            &format!("sock={sock}"),
-        ));
-    }
-
-    let scenario = if args.scenario.is_some() {
-        match build_scenario(args) {
-            Ok((_, scenario)) => Some(scenario),
-            Err(e) => {
-                eprintln!("compile_fleet: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut client =
+        Client::connect(sock).map_err(|e| fail(format_args!("connecting {sock}: {e}")))?;
+    let connected = nanos_since();
+    print_header(spec, &format!("via daemon at {sock}"));
+    let request_start = nanos_since();
+    let response = if trace_id == 0 {
+        client.run_sweep(spec)
     } else {
-        None
-    };
+        client.run_sweep_traced(spec, trace_id)
+    }
+    .map_err(fail)?;
+    if trace_id == 0 {
+        return Ok((response, trace, String::new()));
+    }
 
-    let (mut spec, unit_count) = match &scenario {
-        Some(s) => (s.to_sweep_spec(), s.units().len()),
-        None => {
-            let mut nodes = fleet::named_suite();
-            if let Some(n) = args.nodes {
-                nodes.truncate(n);
-            }
-            let count = nodes.len();
-            (SweepSpec::new().nodes(&nodes), count)
-        }
-    };
-    for level in &args.configs {
-        spec = spec.level(*level);
+    trace.push(Span::stage(
+        "connect",
+        0,
+        0,
+        connected,
+        &format!("sock={sock}"),
+    ));
+    trace.push(Span::stage(
+        "request",
+        0,
+        request_start,
+        nanos_since().saturating_sub(request_start),
+        &format!("trace={trace_id:016x} cells={}", spec.cell_count()),
+    ));
+    for mut span in response.spans.iter().cloned() {
+        // server span timestamps are relative to the server-side sweep
+        // start; anchor them at the moment this client sent the request
+        // so both processes share one Perfetto timeline
+        span.ts_ns = span.ts_ns.saturating_add(request_start);
+        span.pid = 2;
+        trace.push(span);
     }
-    for name in &args.machines {
-        spec = spec.machine(name, &parse_machine(name).expect("validated at parse time"));
-    }
-    let spec = normalize_spec(&spec, &MachineConfig::mpc755());
-    println!(
-        "compile_fleet: {} units × {} configs × {} machines = {} cells via daemon at {sock}",
-        unit_count,
-        spec.configs().len(),
-        spec.machines().len(),
-        spec.cell_count(),
+    // the client's own `connect`/`request` spans are not profile stages,
+    // so the profile covers exactly the server's work
+    let note = format!(
+        " ({} server-side, trace id {trace_id:016x})",
+        response.spans.len()
     );
-
-    let request_start = nanos_since(&epoch);
-    let result = if trace_id == 0 {
-        client.run_sweep(&spec)
-    } else {
-        client.run_sweep_traced(&spec, trace_id)
-    };
-    let response = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("compile_fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if trace_id != 0 {
-        client_spans.push(Span::stage(
-            "request",
-            0,
-            request_start,
-            nanos_since(&epoch).saturating_sub(request_start),
-            &format!("trace={trace_id:016x} cells={}", spec.cell_count()),
-        ));
-    }
-
-    if let Some(scenario) = &scenario {
-        println!("{}", response.stats.render());
-        println!("fleet digest: {}", response.digest);
-        let report = scenario.check_bounds(&response.configs, &response.machines, |u, c, m| {
-            response.get(u, c, m).map(|cell| cell.wcet)
-        });
-        print!("{}", report.render());
-        println!("sched digest: {}", report.digest());
-        if args.require_feasible && !report.feasible() {
-            eprintln!(
-                "compile_fleet: {} frame verdicts over budget",
-                report.infeasible_count()
-            );
-            return ExitCode::FAILURE;
-        }
-    } else {
-        println!(
-            "{:<24} {:<16} {:<12} {:>8} {:>9}  verdict",
-            "node", "config", "machine", "WCET", "source"
-        );
-        for cell in &response.cells {
-            println!(
-                "{:<24} {:<16} {:<12} {:>8} {:>9}  {}",
-                cell.unit,
-                cell.config,
-                cell.machine,
-                cell.wcet,
-                if cell.cached { "cache" } else { "compiled" },
-                cell.verdict.describe(),
-            );
-        }
-        println!(
-            "sweep {} units × {} configs × {} machines = {} cells ({} run, {} cached)",
-            response.units.len(),
-            response.configs.len(),
-            response.machines.len(),
-            response.cells.len(),
-            response.stats.jobs_run,
-            response.stats.jobs_cached,
-        );
-        println!("{}", response.stats.render());
-        println!("fleet digest: {}", response.digest);
-    }
-
-    if trace_id != 0 {
-        let mut merged = RunTrace::new();
-        for span in client_spans {
-            merged.push(span);
-        }
-        let server_spans = response.spans.len();
-        for mut span in response.spans.clone() {
-            // server span timestamps are relative to the server-side sweep
-            // start; anchor them at the moment this client sent the request
-            // so both processes share one Perfetto timeline
-            span.ts_ns = span.ts_ns.saturating_add(request_start);
-            span.pid = 2;
-            merged.push(span);
-        }
-        // the client's own `connect`/`request` spans are not profile
-        // stages, so the profile covers exactly the server's work
-        let note = format!(" ({server_spans} server-side, trace id {trace_id:016x})");
-        if let Err(code) = export_trace(&merged, args, &note) {
-            return code;
-        }
-    }
-
-    if let Some(min) = args.min_hit_rate {
-        if response.stats.hit_rate() < min {
-            eprintln!(
-                "compile_fleet: hit rate {:.3} below required {min:.3}",
-                response.stats.hit_rate()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    Ok((response, trace, note))
 }
 
-/// `--trace` / `--profile` handling shared by the sweep, search and
-/// `--connect` paths: writes the Chrome trace-event JSON (`note` is
-/// appended to the `trace:` line) and prints the deterministic profile
-/// table (the CI smokes grep its `profile:` lines and compare the counter
-/// digest across job counts and against served runs).
+/// `--min-hit-rate`: fail unless the run's cache hit rate reaches it.
+fn check_hit_rate(args: &Args, stats: &PipelineStats) -> Result<(), ExitCode> {
+    match args.min_hit_rate {
+        Some(min) if stats.hit_rate() < min => Err(fail(format_args!(
+            "hit rate {:.3} below required {min:.3}",
+            stats.hit_rate()
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// `--trace` / `--profile` handling shared by the sweep and search paths:
+/// writes the Chrome trace-event JSON (`note` is appended to the `trace:`
+/// line) and prints the deterministic profile table (the CI smokes grep
+/// its `profile:` lines and compare the counter digest across job counts
+/// and against served runs).
 fn export_trace(trace: &RunTrace, args: &Args, note: &str) -> Result<(), ExitCode> {
     if let Some(path) = &args.trace {
-        if let Err(e) = std::fs::write(path, trace.to_chrome_json()) {
-            eprintln!("compile_fleet: writing {path}: {e}");
-            return Err(ExitCode::FAILURE);
-        }
+        std::fs::write(path, trace.to_chrome_json())
+            .map_err(|e| fail(format_args!("writing {path}: {e}")))?;
         println!("trace: {} spans written to {path}{note}", trace.len());
     }
     if args.profile {
@@ -733,11 +572,13 @@ fn export_trace(trace: &RunTrace, args: &Args, note: &str) -> Result<(), ExitCod
 /// Every `search:`-prefixed line is a pure function of the node set and
 /// machine — the CI smoke greps them (and the digest) and compares across
 /// job counts and cache states; hit rates and timings stay off those lines.
-fn run_search(pipeline: &Pipeline, nodes: &[vericomp_dataflow::Node], args: &Args) -> ExitCode {
+fn run_search(args: &Args) -> Result<(), ExitCode> {
+    let pipeline = local_pipeline(args)?;
+    let nodes = fleet_nodes(args);
     let machine_name = &args.machines[0];
     let machine = parse_machine(machine_name).expect("validated at parse time");
     let spec = SearchSpec::new()
-        .nodes(nodes)
+        .nodes(&nodes)
         .machine(machine_name, &machine);
     println!(
         "compile_fleet: lattice search over {} nodes on {machine_name}, {} workers, cache {}",
@@ -746,14 +587,7 @@ fn run_search(pipeline: &Pipeline, nodes: &[vericomp_dataflow::Node], args: &Arg
         args.cache_dir.as_deref().unwrap_or("(memory)"),
     );
 
-    let result = match pipeline.search_wcet(&spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("compile_fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+    let result = pipeline.search_wcet(&spec).map_err(fail)?;
     for node in &result.nodes {
         println!(
             "search: {:<24} winner {:<28} wcet {:>7}  probes {:>3}  pruned {}  gens {}",
@@ -774,18 +608,6 @@ fn run_search(pipeline: &Pipeline, nodes: &[vericomp_dataflow::Node], args: &Arg
     println!("{result}");
     println!("{}", result.stats.render());
     println!("search digest: {}", result.digest());
-    if let Err(code) = export_trace(result.trace(), args, "") {
-        return code;
-    }
-
-    if let Some(min) = args.min_hit_rate {
-        if result.stats.hit_rate() < min {
-            eprintln!(
-                "compile_fleet: hit rate {:.3} below required {min:.3}",
-                result.stats.hit_rate()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    export_trace(result.trace(), args, "")?;
+    check_hit_rate(args, &result.stats)
 }
