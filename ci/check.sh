@@ -2,7 +2,7 @@
 # The full offline gate. No network, no external crates: everything the
 # checks need ships in the workspace (see crates/testkit).
 #
-#   ci/check.sh            # fmt + build + tests + 1k-case fuzz smoke
+#   ci/check.sh            # fmt + build + tests + benchmark smoke + 1k-case fuzz smoke
 #
 # The fuzz seed is fixed so the smoke run is reproducible; the full
 # acceptance run is `--cases 10000 --seed 0xCC2011` (see README).
@@ -18,6 +18,13 @@ cargo build --workspace --release --offline
 
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
+
+# The benchmark is a package of its own (benchmark/Cargo.toml) built
+# against the workspace crates by path; its smoke test runs every workload
+# at a tiny size: interpreter vs simulator bit-exact, simulated cycles
+# within the WCET bound, exact metrics repeating from run to run.
+echo "==> benchmark package: cargo test --release --offline"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> fuzz smoke: 1000 cases, seed 0xC1, 4 workers"
 cargo run --release --offline -p vericomp-testkit --bin fuzz_pipeline -- \

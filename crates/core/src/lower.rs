@@ -765,13 +765,9 @@ mod tests {
         // There is a back edge (some block jumps to an earlier RPO block).
         let rpo = func.rpo();
         let pos: BTreeMap<_, _> = rpo.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-        let back = rpo.iter().any(|&b| {
-            func.block(b)
-                .term
-                .successors()
-                .iter()
-                .any(|s| pos[s] <= pos[&b])
-        });
+        let back = rpo
+            .iter()
+            .any(|&b| func.block(b).term.successors().any(|s| pos[&s] <= pos[&b]));
         assert!(back, "expected a back edge:\n{func}");
     }
 

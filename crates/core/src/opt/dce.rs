@@ -4,37 +4,36 @@
 //! fixpoint so that chains of now-dead producers disappear too. Stores,
 //! calls, annotations and I/O loads are never removed.
 
-use crate::liveness;
+use crate::liveness::{self, VregSet};
 use crate::rtl::Func;
 
 /// Runs DCE to a fixpoint. Returns the number of removed instructions.
 pub fn run(f: &mut Func) -> usize {
     let mut removed = 0;
+    let mut live_now = VregSet::new();
     loop {
         let live = liveness::analyze(f);
         let mut changed = false;
-        let ids: Vec<_> = f.rpo();
-        for b in ids {
-            let out = live.live_out[b.0 as usize].clone();
+        for b in f.rpo() {
             let block = f.block_mut(b);
-            let mut live_now = out;
-            for u in block.term.uses() {
+            live_now.clone_from(&live.live_out[b.0 as usize]);
+            block.term.for_each_use(|u| {
                 live_now.insert(u);
-            }
+            });
             let mut keep = Vec::with_capacity(block.insts.len());
             for inst in block.insts.drain(..).rev() {
-                let dead = inst.def().map(|d| !live_now.contains(&d)).unwrap_or(false);
+                let dead = inst.def().is_some_and(|d| !live_now.contains(d));
                 if dead && inst.is_pure() {
                     changed = true;
                     removed += 1;
                     continue;
                 }
                 if let Some(d) = inst.def() {
-                    live_now.remove(&d);
+                    live_now.remove(d);
                 }
-                for u in inst.uses() {
+                inst.for_each_use(|u| {
                     live_now.insert(u);
-                }
+                });
                 keep.push(inst);
             }
             keep.reverse();

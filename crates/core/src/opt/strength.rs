@@ -112,15 +112,12 @@ pub fn reduce(f: &mut Func) -> usize {
 pub fn fuse_fmadd(f: &mut Func) -> usize {
     // Global use counts.
     let mut uses: BTreeMap<Vreg, usize> = BTreeMap::new();
+    let mut count = |u| *uses.entry(u).or_insert(0) += 1;
     for b in &f.blocks {
         for i in &b.insts {
-            for u in i.uses() {
-                *uses.entry(u).or_insert(0) += 1;
-            }
+            i.for_each_use(&mut count);
         }
-        for u in b.term.uses() {
-            *uses.entry(u).or_insert(0) += 1;
-        }
+        b.term.for_each_use(&mut count);
     }
 
     let mut fused = 0;

@@ -11,12 +11,12 @@
 //! [`crate::validate::check_allocation`], our analog of CompCert's verified
 //! translation validation for this pass.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use vericomp_arch::reg::{Fpr, Gpr};
 
-use crate::liveness;
+use crate::liveness::{self, VregSet};
 use crate::rtl::{Addr, Func, Inst, RegClass, Vreg};
 use crate::CompileError;
 
@@ -134,25 +134,28 @@ impl Allocation {
 /// it independently.
 #[derive(Debug, Clone, Default)]
 pub struct Interference {
-    /// Adjacency sets.
-    pub edges: BTreeMap<Vreg, BTreeSet<Vreg>>,
+    /// Adjacency rows, indexed by `Vreg.0`. A row grows only as far as its
+    /// highest neighbour, so memory follows the edges.
+    pub edges: Vec<VregSet>,
     /// Virtual registers that are live across at least one call.
-    pub across_call: BTreeSet<Vreg>,
+    pub across_call: VregSet,
     /// Every virtual register that occurs in the function.
-    pub occurring: BTreeSet<Vreg>,
+    pub occurring: VregSet,
 }
 
 impl Interference {
     fn add_edge(&mut self, a: Vreg, b: Vreg) {
         if a != b {
-            self.edges.entry(a).or_default().insert(b);
-            self.edges.entry(b).or_default().insert(a);
+            self.edges[a.0 as usize].insert(b);
+            self.edges[b.0 as usize].insert(a);
         }
     }
 
     /// Whether `a` and `b` interfere.
     pub fn interferes(&self, a: Vreg, b: Vreg) -> bool {
-        self.edges.get(&a).is_some_and(|s| s.contains(&b))
+        self.edges
+            .get(a.0 as usize)
+            .is_some_and(|row| row.contains(b))
     }
 }
 
@@ -160,7 +163,12 @@ impl Interference {
 /// refinement: a move's destination does not interfere with its source).
 pub fn build_interference(f: &Func) -> Interference {
     let live = liveness::analyze(f);
-    let mut g = Interference::default();
+    let width = f.vregs.len();
+    let mut g = Interference {
+        edges: vec![VregSet::new(); width],
+        across_call: VregSet::with_width(width),
+        occurring: VregSet::with_width(width),
+    };
 
     for &p in &f.params {
         g.occurring.insert(p);
@@ -170,44 +178,45 @@ pub fn build_interference(f: &Func) -> Interference {
         for &b in &f.params[i + 1..] {
             g.add_edge(a, b);
         }
-        for &x in &live.live_in[f.entry.0 as usize] {
+        for x in &live.live_in[f.entry.0 as usize] {
             g.add_edge(a, x);
         }
     }
 
+    let mut live_now = VregSet::with_width(width);
     for bid in f.rpo() {
         let block = f.block(bid);
-        let mut live_now: BTreeSet<Vreg> = live.live_out[bid.0 as usize].clone();
-        for u in block.term.uses() {
+        live_now.clone_from(&live.live_out[bid.0 as usize]);
+        block.term.for_each_use(|u| {
             live_now.insert(u);
             g.occurring.insert(u);
-        }
+        });
         for inst in block.insts.iter().rev() {
+            let def = inst.def();
             if matches!(inst, Inst::Call { .. }) {
-                let def = inst.def();
-                for &v in &live_now {
+                for v in &live_now {
                     if Some(v) != def {
                         g.across_call.insert(v);
                     }
                 }
             }
-            if let Some(d) = inst.def() {
+            if let Some(d) = def {
                 g.occurring.insert(d);
                 let move_src = match inst {
                     Inst::MovI { src, .. } | Inst::MovF { src, .. } => Some(*src),
                     _ => None,
                 };
-                for &x in &live_now {
+                for x in &live_now {
                     if x != d && Some(x) != move_src {
                         g.add_edge(d, x);
                     }
                 }
-                live_now.remove(&d);
+                live_now.remove(d);
             }
-            for u in inst.uses() {
+            inst.for_each_use(|u| {
                 live_now.insert(u);
                 g.occurring.insert(u);
-            }
+            });
         }
     }
     g
@@ -236,66 +245,93 @@ pub fn allocate(f: &mut Func, palette: &Palette) -> Result<Allocation, CompileEr
     )))
 }
 
+/// The bit of `p` in a 64-bit mask over both register files.
+fn preg_bit(p: PReg) -> u64 {
+    match p {
+        PReg::G(r) => 1 << r.index(),
+        PReg::F(r) => 1 << (32 + r.index()),
+    }
+}
+
 /// Attempts to color; on failure returns the set of vregs to spill.
 fn try_color(
     f: &Func,
     palette: &Palette,
     g: &Interference,
-) -> Result<BTreeMap<Vreg, PReg>, BTreeSet<Vreg>> {
-    let empty = BTreeSet::new();
-    let degree = |v: Vreg, removed: &BTreeSet<Vreg>| {
-        g.edges
-            .get(&v)
-            .map(|s| s.iter().filter(|x| !removed.contains(x)).count())
-            .unwrap_or(0)
+) -> Result<BTreeMap<Vreg, PReg>, VregSet> {
+    let (k_i, k_f) = (palette.k(RegClass::I), palette.k(RegClass::F));
+    let k = |v: Vreg| match f.class_of(v) {
+        RegClass::I => k_i,
+        RegClass::F => k_f,
     };
 
-    // Simplify: repeatedly remove a low-degree node; otherwise pick a
-    // spill candidate optimistically.
-    let mut removed: BTreeSet<Vreg> = BTreeSet::new();
-    let mut stack: Vec<Vreg> = Vec::new();
-    let mut remaining: BTreeSet<Vreg> = g.occurring.clone();
-    while !remaining.is_empty() {
-        let pick_simplifiable = remaining
-            .iter()
-            .copied()
-            .find(|&v| degree(v, &removed) < palette.k(f.class_of(v)));
-        let v = pick_simplifiable.unwrap_or_else(|| {
+    // Simplify: repeatedly remove the lowest-numbered node of degree < k;
+    // otherwise pick a spill candidate optimistically. `degree` counts the
+    // remaining neighbours; degrees only fall, so `low` always holds
+    // exactly the remaining nodes of degree < k.
+    let mut degree: Vec<usize> = g.edges.iter().map(VregSet::len).collect();
+    let mut remaining = g.occurring.clone();
+    let mut low: VregSet = remaining
+        .iter()
+        .filter(|&v| degree[v.0 as usize] < k(v))
+        .collect();
+    let nodes = remaining.len();
+    let mut stack: Vec<Vreg> = Vec::with_capacity(nodes);
+    for _ in 0..nodes {
+        let v = low.pop_first().unwrap_or_else(|| {
             // optimistic spill candidate: maximal degree, lowest index tiebreak
-            *remaining
+            remaining
                 .iter()
-                .max_by_key(|&&v| (degree(v, &removed), std::cmp::Reverse(v.0)))
+                .max_by_key(|&v| (degree[v.0 as usize], std::cmp::Reverse(v.0)))
                 .expect("remaining not empty")
         });
-        remaining.remove(&v);
-        removed.insert(v);
+        remaining.remove(v);
         stack.push(v);
+        for x in &g.edges[v.0 as usize] {
+            if remaining.contains(x) {
+                degree[x.0 as usize] -= 1;
+                if degree[x.0 as usize] < k(x) {
+                    low.insert(x);
+                }
+            }
+        }
     }
 
-    // Select: pop and color.
-    let mut colors: BTreeMap<Vreg, PReg> = BTreeMap::new();
-    let mut spills: BTreeSet<Vreg> = BTreeSet::new();
+    // Select: pop and color, reading neighbour colors from a dense table.
+    let palettes = [
+        [
+            palette.colors(RegClass::I, false),
+            palette.colors(RegClass::I, true),
+        ],
+        [
+            palette.colors(RegClass::F, false),
+            palette.colors(RegClass::F, true),
+        ],
+    ];
+    let mut colors: Vec<Option<PReg>> = vec![None; g.edges.len()];
+    let mut spills = VregSet::new();
     while let Some(v) = stack.pop() {
-        let neighbours = g.edges.get(&v).unwrap_or(&empty);
-        let taken: BTreeSet<PReg> = neighbours
+        let taken = g.edges[v.0 as usize]
             .iter()
-            .filter_map(|n| colors.get(n).copied())
-            .collect();
-        let choice = palette
-            .colors(f.class_of(v), g.across_call.contains(&v))
-            .into_iter()
-            .find(|c| !taken.contains(c));
-        match choice {
-            Some(c) => {
-                colors.insert(v, c);
-            }
+            .filter_map(|n| colors[n.0 as usize])
+            .fold(0, |mask, p| mask | preg_bit(p));
+        let class = usize::from(f.class_of(v) == RegClass::F);
+        let across = usize::from(g.across_call.contains(v));
+        match palettes[class][across]
+            .iter()
+            .find(|&&c| taken & preg_bit(c) == 0)
+        {
+            Some(&c) => colors[v.0 as usize] = Some(c),
             None => {
                 spills.insert(v);
             }
         }
     }
     if spills.is_empty() {
-        Ok(colors)
+        Ok(g.occurring
+            .iter()
+            .map(|v| (v, colors[v.0 as usize].expect("every node colored")))
+            .collect())
     } else {
         Err(spills)
     }
@@ -303,9 +339,9 @@ fn try_color(
 
 /// Rewrites spilled vregs into per-occurrence temporaries staged through
 /// fresh stack slots.
-fn rewrite_spills(f: &mut Func, spills: &BTreeSet<Vreg>) {
+fn rewrite_spills(f: &mut Func, spills: &VregSet) {
     let mut slot_of = BTreeMap::new();
-    for &v in spills {
+    for v in spills {
         let class = f.class_of(v);
         slot_of.insert(v, f.new_slot(class, "spill"));
     }
@@ -327,7 +363,7 @@ fn rewrite_spills(f: &mut Func, spills: &BTreeSet<Vreg>) {
         .params
         .iter()
         .copied()
-        .filter(|p| spills.contains(p))
+        .filter(|&p| spills.contains(p))
         .collect();
 
     let nblocks = f.blocks.len();
@@ -445,8 +481,9 @@ mod tests {
         let mut f = high_pressure(6);
         let alloc = allocate(&mut f, &Palette::full()).unwrap();
         let g = build_interference(&f);
-        for (&a, neigh) in &g.edges {
-            for &b in neigh {
+        for (a, neigh) in g.edges.iter().enumerate() {
+            let a = Vreg(a as u32);
+            for b in neigh {
                 assert_ne!(alloc.preg(a), alloc.preg(b), "{a} and {b} interfere");
             }
         }
@@ -483,9 +520,9 @@ mod tests {
         let alloc = allocate(&mut f, &Palette::full()).unwrap();
         // final graph colorable and disjoint
         let g = build_interference(&f);
-        for (&a, neigh) in &g.edges {
-            for &b in neigh {
-                assert_ne!(alloc.preg(a), alloc.preg(b));
+        for (a, neigh) in g.edges.iter().enumerate() {
+            for b in neigh {
+                assert_ne!(alloc.preg(Vreg(a as u32)), alloc.preg(b));
             }
         }
         assert!(

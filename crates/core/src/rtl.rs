@@ -362,29 +362,37 @@ impl Inst {
         }
     }
 
-    /// The registers this instruction reads, in order.
-    pub fn uses(&self) -> Vec<Vreg> {
+    /// Calls `f` on every register this instruction reads, in order
+    /// (addressing-mode index registers and annotation arguments included).
+    pub fn for_each_use(&self, mut f: impl FnMut(Vreg)) {
         match self {
-            Inst::ImmI { .. } | Inst::ImmF { .. } => vec![],
-            Inst::MovI { src, .. } | Inst::MovF { src, .. } => vec![*src],
-            Inst::UnI { a, .. } | Inst::UnF { a, .. } | Inst::BinIImm { a, .. } => vec![*a],
-            Inst::BinI { a, b, .. } | Inst::BinF { a, b, .. } => vec![*a, *b],
-            Inst::MaddF { a, b, c, .. } => vec![*a, *b, *c],
-            Inst::Itof { src, .. } | Inst::Ftoi { src, .. } => vec![*src],
-            Inst::Load { addr, .. } => addr.index_vreg().into_iter().collect(),
-            Inst::Store { src, addr } => {
-                let mut v = vec![*src];
-                v.extend(addr.index_vreg());
-                v
+            Inst::ImmI { .. } | Inst::ImmF { .. } => {}
+            Inst::MovI { src, .. } | Inst::MovF { src, .. } => f(*src),
+            Inst::UnI { a, .. } | Inst::UnF { a, .. } | Inst::BinIImm { a, .. } => f(*a),
+            Inst::BinI { a, b, .. } | Inst::BinF { a, b, .. } => {
+                f(*a);
+                f(*b);
             }
-            Inst::Call { args, .. } => args.clone(),
-            Inst::Annot { args, .. } => args
-                .iter()
-                .flat_map(|a| match a {
-                    AnnotArg::Reg(v) => vec![*v],
-                    AnnotArg::Mem(addr, _) => addr.index_vreg().into_iter().collect(),
-                })
-                .collect(),
+            Inst::MaddF { a, b, c, .. } => {
+                f(*a);
+                f(*b);
+                f(*c);
+            }
+            Inst::Itof { src, .. } | Inst::Ftoi { src, .. } => f(*src),
+            Inst::Load { addr, .. } => addr.index_vreg().into_iter().for_each(f),
+            Inst::Store { src, addr } => {
+                f(*src);
+                addr.index_vreg().into_iter().for_each(f);
+            }
+            Inst::Call { args, .. } => args.iter().copied().for_each(f),
+            Inst::Annot { args, .. } => {
+                for a in args {
+                    match a {
+                        AnnotArg::Reg(v) => f(*v),
+                        AnnotArg::Mem(addr, _) => addr.index_vreg().into_iter().for_each(&mut f),
+                    }
+                }
+            }
         }
     }
 
@@ -552,23 +560,26 @@ pub enum Term {
 
 impl Term {
     /// Successor blocks, in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Term::Goto(b) => vec![*b],
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match self {
+            Term::Goto(b) => (Some(*b), None),
             Term::BrI { then_, else_, .. }
             | Term::BrIImm { then_, else_, .. }
-            | Term::BrF { then_, else_, .. } => vec![*then_, *else_],
-            Term::Ret(_) => vec![],
-        }
+            | Term::BrF { then_, else_, .. } => (Some(*then_), Some(*else_)),
+            Term::Ret(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
-    /// The registers the terminator reads.
-    pub fn uses(&self) -> Vec<Vreg> {
+    /// Calls `f` on every register the terminator reads, in order.
+    pub fn for_each_use(&self, mut f: impl FnMut(Vreg)) {
         match self {
-            Term::Goto(_) => vec![],
-            Term::BrI { a, b, .. } | Term::BrF { a, b, .. } => vec![*a, *b],
-            Term::BrIImm { a, .. } => vec![*a],
-            Term::Ret(v) => v.iter().copied().collect(),
+            Term::Goto(_) | Term::Ret(None) => {}
+            Term::BrI { a, b, .. } | Term::BrF { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            Term::BrIImm { a, .. } | Term::Ret(Some(a)) => f(*a),
         }
     }
 
@@ -683,9 +694,7 @@ impl Func {
         let mut stack = vec![(self.entry, 0usize)];
         visited[self.entry.0 as usize] = true;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let succs = self.block(b).term.successors();
-            if *i < succs.len() {
-                let s = succs[*i];
+            if let Some(s) = self.block(b).term.successors().nth(*i) {
                 *i += 1;
                 if !visited[s.0 as usize] {
                     visited[s.0 as usize] = true;
@@ -797,8 +806,13 @@ mod tests {
             a,
             b,
         };
+        let uses = |i: &Inst| {
+            let mut v = Vec::new();
+            i.for_each_use(|u| v.push(u));
+            v
+        };
         assert_eq!(i.def(), Some(d));
-        assert_eq!(i.uses(), vec![a, b]);
+        assert_eq!(uses(&i), vec![a, b]);
         let st = Inst::Store {
             src: a,
             addr: Addr::GlobalIndex {
@@ -808,7 +822,7 @@ mod tests {
             },
         };
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![a, b]);
+        assert_eq!(uses(&st), vec![a, b]);
         assert!(!st.is_pure());
         let io = Inst::Load {
             dst: d,

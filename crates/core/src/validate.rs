@@ -26,7 +26,7 @@ use std::fmt;
 
 use vericomp_arch::inst::{Inst as MInst, Reg};
 
-use crate::liveness;
+use crate::liveness::{self, VregSet};
 use crate::regalloc::{Allocation, PReg};
 use crate::rtl::{Func, Inst, Term, Vreg};
 
@@ -145,26 +145,38 @@ fn callee_saved(p: PReg) -> bool {
 /// The first [`ValidationError`] found.
 pub fn check_allocation(f: &Func, alloc: &Allocation) -> Result<(), ValidationError> {
     let live = liveness::analyze(f);
+    let width = f.vregs.len();
 
     // Totality, class and reservation checks.
-    let mut occurring: BTreeSet<Vreg> = f.params.iter().copied().collect();
+    let mut occurring: VregSet = f.params.iter().copied().collect();
     for b in f.rpo() {
         let block = f.block(b);
         for inst in &block.insts {
-            occurring.extend(inst.uses());
+            inst.for_each_use(|u| {
+                occurring.insert(u);
+            });
             occurring.extend(inst.def());
         }
-        occurring.extend(block.term.uses());
+        block.term.for_each_use(|u| {
+            occurring.insert(u);
+        });
     }
-    for &v in &occurring {
-        match alloc.map.get(&v) {
+    // The allocation, read once into a table indexed by `Vreg.0`.
+    let mut table: Vec<Option<PReg>> = vec![None; width];
+    for (&v, &p) in &alloc.map {
+        if let Some(slot) = table.get_mut(v.0 as usize) {
+            *slot = Some(p);
+        }
+    }
+    for v in &occurring {
+        match table.get(v.0 as usize).copied().flatten() {
             None => {
                 return Err(ValidationError::AllocMissing {
                     func: f.name.clone(),
                     vreg: v,
                 })
             }
-            Some(&p) => {
+            Some(p) => {
                 if p.class() != f.class_of(v) {
                     return Err(ValidationError::AllocMissing {
                         func: f.name.clone(),
@@ -180,59 +192,69 @@ pub fn check_allocation(f: &Func, alloc: &Allocation) -> Result<(), ValidationEr
             }
         }
     }
+    // Every live register occurs, so from here on every lookup succeeds.
+    let preg = |v: Vreg| table[v.0 as usize].expect("assignment checked above");
 
     let conflict = |d: Vreg, x: Vreg| ValidationError::AllocConflict {
         func: f.name.clone(),
         a: d,
         b: x,
-        preg: alloc.preg(d).to_string(),
+        preg: preg(d).to_string(),
     };
 
     // Entry: parameters are defined simultaneously; they must be mutually
     // disjoint and disjoint from anything live at entry.
     for (i, &a) in f.params.iter().enumerate() {
         for &b in f.params.iter().skip(i + 1) {
-            if alloc.preg(a) == alloc.preg(b) {
+            if preg(a) == preg(b) {
                 return Err(conflict(a, b));
             }
         }
-        for &x in &live.live_in[f.entry.0 as usize] {
-            if x != a && alloc.preg(a) == alloc.preg(x) {
+        for x in &live.live_in[f.entry.0 as usize] {
+            if x != a && preg(a) == preg(x) {
                 return Err(conflict(a, x));
             }
         }
     }
 
     // Per-definition-point disjointness.
+    let mut live_now = VregSet::with_width(width);
     for b in f.rpo() {
         let block = f.block(b);
-        let mut live_now: BTreeSet<Vreg> = live.live_out[b.0 as usize].clone();
-        live_now.extend(block.term.uses());
+        live_now.clone_from(&live.live_out[b.0 as usize]);
+        block.term.for_each_use(|u| {
+            live_now.insert(u);
+        });
         for inst in block.insts.iter().rev() {
+            let def = inst.def();
             if matches!(inst, Inst::Call { .. }) {
-                let def = inst.def();
-                for &v in &live_now {
-                    if Some(v) != def && !callee_saved(alloc.preg(v)) {
-                        return Err(ValidationError::AllocCallClobber {
-                            func: f.name.clone(),
-                            vreg: v,
-                        });
-                    }
+                if let Some(v) = live_now
+                    .iter()
+                    .find(|&v| Some(v) != def && !callee_saved(preg(v)))
+                {
+                    return Err(ValidationError::AllocCallClobber {
+                        func: f.name.clone(),
+                        vreg: v,
+                    });
                 }
             }
-            if let Some(d) = inst.def() {
+            if let Some(d) = def {
                 let move_src = match inst {
                     Inst::MovI { src, .. } | Inst::MovF { src, .. } => Some(*src),
                     _ => None,
                 };
-                for &x in &live_now {
-                    if x != d && Some(x) != move_src && alloc.preg(d) == alloc.preg(x) {
-                        return Err(conflict(d, x));
-                    }
+                let pd = preg(d);
+                if let Some(x) = live_now
+                    .iter()
+                    .find(|&x| x != d && Some(x) != move_src && preg(x) == pd)
+                {
+                    return Err(conflict(d, x));
                 }
-                live_now.remove(&d);
+                live_now.remove(d);
             }
-            live_now.extend(inst.uses());
+            inst.for_each_use(|u| {
+                live_now.insert(u);
+            });
         }
     }
     Ok(())
@@ -277,7 +299,7 @@ pub fn check_tunnel(before: &Func, after: &Func) -> Result<(), ValidationError> 
             _ => a == b,
         }
     }
-    for (i, (bb, ab)) in before.blocks.iter().zip(&after.blocks).enumerate() {
+    for (bb, ab) in before.blocks.iter().zip(&after.blocks) {
         if bb.insts.len() != ab.insts.len()
             || !bb
                 .insts
@@ -289,7 +311,6 @@ pub fn check_tunnel(before: &Func, after: &Func) -> Result<(), ValidationError> 
                 func: before.name.clone(),
             });
         }
-        let _ = i;
         let ok = match (&bb.term, &ab.term) {
             (Term::Goto(s), Term::Goto(t)) => chain(*s).contains(t),
             (Term::Ret(a), Term::Ret(b)) => a == b,
@@ -378,21 +399,20 @@ pub fn check_tunnel(before: &Func, after: &Func) -> Result<(), ValidationError> 
 }
 
 /// Dependence test between two machine instructions at original positions
-/// `i < j`.
-/// Dependence test used by both the scheduler and its validator.
+/// `i < j`, used by both the scheduler and its validator.
 pub(crate) fn depends(a: &MInst, b: &MInst) -> bool {
     let barrier = |i: &MInst| matches!(i, MInst::Bl { .. } | MInst::Annot { .. });
     if barrier(a) || barrier(b) {
         return true;
     }
-    let defs_a: BTreeSet<Reg> = a.defs().into_iter().collect();
-    let uses_a: BTreeSet<Reg> = a.uses().into_iter().collect();
-    let defs_b: BTreeSet<Reg> = b.defs().into_iter().collect();
-    let uses_b: BTreeSet<Reg> = b.uses().into_iter().collect();
+    let (def_a, def_b) = (a.def(), b.def());
+    let (uses_a, na) = a.uses_array();
+    let (uses_b, nb) = b.uses_array();
+    let reads = |uses: &[Reg], def: Option<Reg>| def.is_some_and(|d| uses.contains(&d));
     // RAW / WAR / WAW
-    if defs_a.intersection(&uses_b).next().is_some()
-        || uses_a.intersection(&defs_b).next().is_some()
-        || defs_a.intersection(&defs_b).next().is_some()
+    if reads(&uses_b[..usize::from(nb)], def_a)
+        || reads(&uses_a[..usize::from(na)], def_b)
+        || (def_a.is_some() && def_a == def_b)
     {
         return true;
     }
@@ -415,7 +435,6 @@ pub fn check_schedule(original: &[MInst], scheduled: &[MInst]) -> Result<(), Val
         return Err(ValidationError::ScheduleNotPermutation);
     }
     let mut matched = vec![false; original.len()];
-    let mut placed: Vec<usize> = Vec::with_capacity(original.len());
     for (si, s) in scheduled.iter().enumerate() {
         // earliest unmatched original occurrence of this instruction
         let oi = original
@@ -430,7 +449,6 @@ pub fn check_schedule(original: &[MInst], scheduled: &[MInst]) -> Result<(), Val
             }
         }
         matched[oi] = true;
-        placed.push(oi);
     }
     Ok(())
 }
@@ -496,6 +514,93 @@ mod tests {
     }
 
     #[test]
+    fn rejects_value_left_in_a_volatile_register_across_a_call() {
+        // v = 7; r = call h(); r = r + v; ret r — v lives across the call
+        let mut f = two_live_func();
+        let (v, r) = (Vreg(0), Vreg(2));
+        f.blocks[0].insts = vec![
+            Inst::ImmI { dst: v, value: 7 },
+            Inst::Call {
+                dst: Some(r),
+                callee: "h".into(),
+                args: vec![],
+            },
+            Inst::BinI {
+                op: IBin::Add,
+                dst: r,
+                a: r,
+                b: v,
+            },
+        ];
+        let mut alloc = allocate(&mut f, &Palette::full()).unwrap();
+        check_allocation(&f, &alloc).unwrap();
+        // r10 is volatile and holds nothing else
+        alloc.map.insert(v, PReg::G(Gpr::new(10)));
+        assert_eq!(
+            check_allocation(&f, &alloc),
+            Err(ValidationError::AllocCallClobber {
+                func: "t".into(),
+                vreg: v,
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_entry_conflicts_between_params_and_live_ins() {
+        // t(p, q) { t = p + q; s = t + u; ret s } with `u` never defined:
+        // p, q and u are all defined at entry, and no later definition
+        // point sees two of them live, so only the entry check can tell
+        let mut f = Func {
+            name: "t".into(),
+            params: vec![],
+            ret: Some(RegClass::I),
+            vregs: vec![],
+            slots: vec![],
+            blocks: vec![],
+            entry: BlockId(0),
+        };
+        let [p, q, u, t, s] = [(); 5].map(|()| f.new_vreg(RegClass::I));
+        f.params = vec![p, q];
+        f.entry = f.new_block();
+        f.blocks[0] = Block {
+            insts: vec![
+                Inst::BinI {
+                    op: IBin::Add,
+                    dst: t,
+                    a: p,
+                    b: q,
+                },
+                Inst::BinI {
+                    op: IBin::Add,
+                    dst: s,
+                    a: t,
+                    b: u,
+                },
+            ],
+            term: Term::Ret(Some(s)),
+        };
+        let alloc = allocate(&mut f, &Palette::full()).unwrap();
+        check_allocation(&f, &alloc).unwrap();
+        let entry_conflict = |b: Vreg| {
+            let mut bad = alloc.clone();
+            bad.map.insert(b, alloc.preg(p));
+            check_allocation(&f, &bad)
+        };
+        let expected = |b: Vreg| {
+            Err(ValidationError::AllocConflict {
+                func: "t".into(),
+                a: p,
+                b,
+                preg: alloc.preg(p).to_string(),
+            })
+        };
+        // two parameters in one register
+        assert_eq!(entry_conflict(q), expected(q));
+        // a parameter and a live-in register in one register
+        assert_eq!(entry_conflict(u), expected(u));
+    }
+
+    #[test]
     fn rejects_reserved_register() {
         let mut f = two_live_func();
         let mut alloc = allocate(&mut f, &Palette::full()).unwrap();
@@ -558,6 +663,161 @@ mod tests {
         // a bogus retarget is rejected
         before.blocks[1].term = Term::Ret(None); // chain broken
         assert!(check_tunnel(&before, &after).is_err());
+    }
+
+    /// The dependence test's defining truth table, on ordered register
+    /// sets: RAW, WAR or WAW through any register, or two memory accesses
+    /// that are not both loads; calls and annotation markers are barriers.
+    fn depends_by_sets(a: &MInst, b: &MInst) -> bool {
+        if [a, b]
+            .iter()
+            .any(|i| matches!(i, MInst::Bl { .. } | MInst::Annot { .. }))
+        {
+            return true;
+        }
+        let set = |regs: Vec<Reg>| regs.into_iter().collect::<BTreeSet<Reg>>();
+        let (defs_a, uses_a) = (set(a.defs()), set(a.uses()));
+        let (defs_b, uses_b) = (set(b.defs()), set(b.uses()));
+        if !defs_a.is_disjoint(&uses_b)
+            || !uses_a.is_disjoint(&defs_b)
+            || !defs_a.is_disjoint(&defs_b)
+        {
+            return true;
+        }
+        match (a.mem_access(), b.mem_access()) {
+            (Some(ma), Some(mb)) => !(ma.is_load() && mb.is_load()),
+            _ => false,
+        }
+    }
+
+    /// Every opcode over a small register pool, so that operand pairs
+    /// collide often: `r0` as a zero base and as a real register, `stwu`'s
+    /// base write-back, two CR fields, LR through `bl`/`mtlr`/`mflr`/`blr`.
+    fn machine_catalogue() -> Vec<MInst> {
+        use vericomp_arch::inst::Cond;
+        use vericomp_arch::reg::Cr;
+        use MInst as M;
+        let gs = [Gpr::R0, Gpr::new(3), Gpr::new(4)];
+        let fs = [Fpr::new(1), Fpr::new(2)];
+        let crs = [Cr::new(0), Cr::new(1)];
+        let mut c = vec![
+            M::B { target: 0 },
+            M::Bl { target: 0 },
+            M::Blr,
+            M::Annot { id: 0 },
+            M::Nop,
+        ];
+        for &rd in &gs {
+            c.push(M::Mflr { rd });
+            c.push(M::Mtlr { rs: rd });
+            for &ra in &gs {
+                c.extend([
+                    M::Addi { rd, ra, imm: 1 },
+                    M::Addis { rd, ra, imm: 1 },
+                    M::Mulli { rd, ra, imm: 3 },
+                    M::Andi { rd, ra, imm: 1 },
+                    M::Ori { rd, ra, imm: 1 },
+                    M::Xori { rd, ra, imm: 1 },
+                    M::Neg { rd, ra },
+                    M::Srawi { rd, ra, sh: 1 },
+                    M::Rlwinm {
+                        rd,
+                        ra,
+                        sh: 1,
+                        mb: 0,
+                        me: 30,
+                    },
+                    M::Lwz { rd, d: 8, ra },
+                    M::Stw { rs: rd, d: 8, ra },
+                    M::Stwu { rs: rd, d: -16, ra },
+                ]);
+                for &rb in &gs {
+                    c.extend([
+                        M::Add { rd, ra, rb },
+                        M::Subf { rd, ra, rb },
+                        M::Mullw { rd, ra, rb },
+                        M::Divw { rd, ra, rb },
+                        M::Divwu { rd, ra, rb },
+                        M::And { rd, ra, rb },
+                        M::Or { rd, ra, rb },
+                        M::Xor { rd, ra, rb },
+                        M::Slw { rd, ra, rb },
+                        M::Srw { rd, ra, rb },
+                        M::Sraw { rd, ra, rb },
+                        M::Lwzx { rd, ra, rb },
+                        M::Stwx { rs: rd, ra, rb },
+                    ]);
+                }
+            }
+            for &fd in &fs {
+                c.extend([M::Itof { fd, ra: rd }, M::Ftoi { rd, fa: fd }]);
+                for &ra in &gs {
+                    c.extend([
+                        M::Lfd { fd, d: 8, ra },
+                        M::Stfd { fs: fd, d: 8, ra },
+                        M::Lfdx { fd, ra, rb: rd },
+                        M::Stfdx { fs: fd, ra, rb: rd },
+                    ]);
+                }
+            }
+        }
+        for &fd in &fs {
+            for &fa in &fs {
+                c.extend([M::Fneg { fd, fa }, M::Fabs { fd, fa }, M::Fmr { fd, fa }]);
+                for &fb in &fs {
+                    c.extend([
+                        M::Fadd { fd, fa, fb },
+                        M::Fsub { fd, fa, fb },
+                        M::Fmul { fd, fa, fc: fb },
+                        M::Fdiv { fd, fa, fb },
+                        M::Fmadd {
+                            fd,
+                            fa,
+                            fc: fb,
+                            fb: fa,
+                        },
+                    ]);
+                }
+            }
+        }
+        for &cr in &crs {
+            c.push(M::Bc {
+                cond: Cond::Eq,
+                cr,
+                target: 0,
+            });
+            for &ra in &gs {
+                c.push(M::Cmpwi { cr, ra, imm: 0 });
+                for &rb in &gs {
+                    c.push(M::Cmpw { cr, ra, rb });
+                }
+            }
+            for &fa in &fs {
+                for &fb in &fs {
+                    c.push(M::Fcmpu { cr, fa, fb });
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn depends_matches_the_register_set_definition_on_every_pair() {
+        let catalogue = machine_catalogue();
+        let opcodes: BTreeSet<String> = catalogue
+            .iter()
+            .map(|i| format!("{:?}", std::mem::discriminant(i)))
+            .collect();
+        assert_eq!(opcodes.len(), 50, "the catalogue covers every opcode");
+        let mut outcomes = [0usize; 2];
+        for a in &catalogue {
+            for b in &catalogue {
+                let expected = depends_by_sets(a, b);
+                assert_eq!(depends(a, b), expected, "{a:?} then {b:?}");
+                outcomes[usize::from(expected)] += 1;
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
     }
 
     #[test]

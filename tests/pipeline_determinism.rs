@@ -194,6 +194,46 @@ fn lattice_search_is_bit_identical_across_job_counts_and_vs_serial() {
     }
 }
 
+/// Exact backend output, pinned: the sweep digest of the 26-node suite at
+/// all four configurations on both machines, under the unit, config and
+/// machine labels of `compile_fleet --configs
+/// pattern-O0,opt-no-regalloc,verified,opt-full --machines
+/// mpc755,tiny-caches`. It covers every cell's encoded text, annotation
+/// table and WCET report, so any change in what the backend emits moves it.
+#[test]
+fn suite_sweep_digest_is_pinned() {
+    let nodes = fleet::named_suite();
+    let spec = SweepSpec::new()
+        .nodes(&nodes)
+        .levels(OptLevel::all())
+        .machine("mpc755", &MachineConfig::mpc755())
+        .machine("tiny-caches", &MachineConfig::tiny_caches());
+    assert_eq!(spec.cell_count(), 26 * 4 * 2);
+    let result = pipeline_with_jobs(2).run_sweep(&spec).expect("sweep");
+    assert_eq!(
+        result.digest().to_string(),
+        "a2c80da6dee5c249fe83360ad23531f3",
+        "backend output changed"
+    );
+}
+
+/// The lattice search's digest over the first four suite nodes on mpc755,
+/// pinned as `compile_fleet --search --nodes 4` prints it: every probe's
+/// lattice point and bound, the pruning decisions and the winners.
+#[test]
+fn suite_search_digest_is_pinned() {
+    let nodes: Vec<_> = fleet::named_suite().into_iter().take(4).collect();
+    let spec = SearchSpec::new()
+        .nodes(&nodes)
+        .machine("mpc755", &MachineConfig::mpc755());
+    let result = pipeline_with_jobs(2).search_wcet(&spec).expect("search");
+    assert_eq!(
+        result.digest().to_string(),
+        "bde3ded89cd384d256dcd5c2d7863424",
+        "search trace changed"
+    );
+}
+
 #[test]
 fn trace_profile_counters_are_deterministic_across_job_counts() {
     // span *times* vary run to run, but the span/stage/pass *counts* are a
