@@ -2,7 +2,7 @@
 # The full offline gate. No network, no external crates: everything the
 # checks need ships in the workspace (see crates/testkit).
 #
-#   ci/check.sh            # fmt + build + tests + benchmark smoke + 1k-case fuzz smoke
+#   ci/check.sh            # fmt + clippy + build + tests + benchmark smoke + 1k-case fuzz smoke
 #
 # The fuzz seed is fixed so the smoke run is reproducible; the full
 # acceptance run is `--cases 10000 --seed 0xCC2011` (see README).
@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+
+echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
@@ -119,6 +122,15 @@ for stage in queue-wait cache-lookup compile validate analyze store; do
         exit 1
     fi
 done
+# ...record one queue wait per cell, i.e. one per cache lookup...
+queue_waits=$(awk '$2 == "stage" && $3 == "queue-wait" { print $4 }' \
+    target/vericomp-ci-trace.txt)
+lookups=$(awk '$2 == "stage" && $3 == "cache-lookup" { print $4 }' \
+    target/vericomp-ci-trace.txt)
+if [ -z "$queue_waits" ] || [ "$queue_waits" != "$lookups" ]; then
+    echo "trace smoke FAILED: ${queue_waits:-?} queue-wait spans for ${lookups:-?} cache lookups" >&2
+    exit 1
+fi
 # ...and its counter digest must not depend on the job count
 profile_digest=$(grep '^profile: counter digest:' target/vericomp-ci-trace.txt)
 serial_profile_digest=$(grep '^profile: counter digest:' \

@@ -6,8 +6,8 @@
 //! *throughput* part of the adoption story. This crate turns the repo's
 //! node → binary → WCET pipeline into schedulable, cacheable jobs:
 //!
-//! * [`pool`] — a std-only work-stealing thread pool and a
-//!   dependency-aware [`JobGraph`], no external crates;
+//! * [`pool`] — a std-only [`ThreadPool`]: persistent workers taking
+//!   tasks from one FIFO queue, no external crates;
 //! * [`hash`] — stable 128-bit content digests ([`Digest`]);
 //! * [`store`] — the content-addressed [`ArtifactStore`]: compiled
 //!   binaries, translation-validator verdicts and WCET reports keyed by
@@ -18,8 +18,8 @@
 //!   `compile_fleet` binary lives in the root `vericomp` crate, where it
 //!   can also reach the testkit scenario suite);
 //! * [`sweep`] — the first-class compile request: a [`SweepSpec`] matrix
-//!   of (units × configs × machines) that [`Pipeline::run_sweep`] shards
-//!   across the pool with full cross-cell cache reuse, returning a
+//!   of (units × configs × machines) that [`Pipeline::run_sweep`] runs as
+//!   one pool task per cell with full cross-cell cache reuse, returning a
 //!   [`SweepResult`] with indexed lookup and per-axis aggregation;
 //! * [`search`] — the closed-loop optimizer on top of the sweeps:
 //!   [`Pipeline::search_wcet`] runs a deterministic, dominance-pruned
@@ -27,7 +27,7 @@
 //!   generation as one batched sweep so re-search after an edit replays
 //!   from cache, with `validators: true` pinned on every probe;
 //! * [`trace`] — structured run telemetry: every sweep and search records
-//!   per-job stage spans, nested per-pass spans and search provenance
+//!   per-cell stage spans, nested per-pass spans and search provenance
 //!   events into a [`RunTrace`], exportable as Chrome trace-event JSON
 //!   (Perfetto-loadable) or a deterministic text [`Profile`];
 //! * [`proto`] / [`server`] / [`client`] — the compile service: a
@@ -92,7 +92,7 @@ pub mod trace;
 pub use client::{Client, ClientError};
 pub use hash::{Digest, Hasher};
 pub use metrics::{bucket_index, bucket_upper, Histogram, Registry, HIST_BUCKETS};
-pub use pool::{JobGraph, JobId, ThreadPool};
+pub use pool::ThreadPool;
 pub use proto::{
     cells_digest, frame_text, normalize_spec, read_frame, CellSummary, ProtoError, Request,
     Response, ServerStats, SweepResponse, WireSweep, WireUnit, MAX_BLOB_BYTES, PROTO_MINOR,
@@ -114,4 +114,4 @@ pub use store::{
     Verdict, FORMAT_VERSION,
 };
 pub use sweep::{ReanalysisAudit, SweepCell, SweepResult, SweepSpec, SweepUnit};
-pub use trace::{Profile, ProfileRow, RunTrace, Span, SpanKind, TraceSink, STAGE_NAMES};
+pub use trace::{Profile, ProfileRow, RunTrace, Span, SpanKind, STAGE_NAMES};

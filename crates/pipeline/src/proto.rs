@@ -1470,7 +1470,7 @@ mod tests {
             assert_eq!(machine_from_fields(&text).expect("parses"), m);
         }
         assert!(machine_from_fields("1 2 3").is_err());
-        assert!(machine_from_fields(&"x ".repeat(24).trim_end()).is_err());
+        assert!(machine_from_fields("x ".repeat(24).trim_end()).is_err());
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! The compilation service: schedulable, cacheable compile→analyze jobs.
 //!
-//! A [`Pipeline`] owns a work-stealing [`ThreadPool`](crate::pool::ThreadPool)
-//! and an [`ArtifactStore`]. Work arrives as the cells of a
-//! [`SweepSpec`](crate::sweep::SweepSpec) — (unit, config, machine)
-//! triples — and each cell becomes a two-stage chain in a [`JobGraph`]: a
-//! *compile* job (cache lookup, then compile + translation-validate on a
-//! miss) feeding an *analyze* job (WCET analysis + cache insert). Chains
-//! of different cells are independent, so the stages of separate cells
-//! overlap freely while each cell's stages stay ordered.
+//! A [`Pipeline`] owns a [`ThreadPool`] and an [`ArtifactStore`]. Work
+//! arrives as the cells of a [`SweepSpec`](crate::sweep::SweepSpec) —
+//! (unit, config, machine) triples — and each cell becomes **one** pool
+//! task: cache lookup, then on a miss compile + translation-validate,
+//! WCET-analyze and store. Cells are independent, so they run in any
+//! order on any worker; the results come back in cell order.
 //!
 //! **Incrementality falls out of content addressing**: there is no
 //! explicit dirty-bit protocol. A changed node changes its generated
@@ -20,19 +18,18 @@
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vericomp_arch::MachineConfig;
 use vericomp_core::{CompileError, Compiler, OptLevel, PassConfig};
 use vericomp_wcet::AnalysisError;
 
-use crate::hash::Digest;
-use crate::pool::{JobGraph, ThreadPool};
+use crate::pool::ThreadPool;
 use crate::stats::{saturating_nanos, PipelineStats};
 use crate::store::{artifact_key, Artifact, ArtifactStore, Verdict};
 use crate::sweep::{SweepCell, SweepUnit};
-use crate::trace::{RunTrace, Span, TraceSink};
+use crate::trace::{RunTrace, Span};
 
 /// Configuration of a [`Pipeline`].
 #[derive(Debug, Clone)]
@@ -164,8 +161,9 @@ pub struct UnitOutcome {
     pub artifact: Arc<Artifact>,
 }
 
-/// Errors of a pipeline run. The first failing unit wins; the run still
-/// drains (no job is left queued).
+/// Errors of a pipeline run. Every cell still runs to completion; the
+/// first failing cell in sweep (flattening) order wins, whatever the job
+/// count.
 #[derive(Debug)]
 pub enum PipelineError {
     /// A unit failed to compile (including translation-validator
@@ -292,23 +290,7 @@ impl Pipeline {
         machines: &[(String, MachineConfig)],
         epoch: Instant,
     ) -> Result<(Vec<SweepCell>, PipelineStats, RunTrace), PipelineError> {
-        enum Stage1 {
-            Hit(Arc<Artifact>),
-            Fresh(Digest, vericomp_arch::Program),
-            Failed,
-        }
-
-        /// Observer buffering (name, start, took) per compiled unit; the
-        /// offsets are rebased onto the compile span after the fact.
-        struct PassTimes(Vec<(&'static str, Duration, Duration)>);
-        impl vericomp_core::PassObserver for PassTimes {
-            fn pass(&mut self, name: &'static str, start: Duration, took: Duration) {
-                self.0.push((name, start, took));
-            }
-        }
-
         let submitted = Instant::now();
-        let since_epoch = move |at: Instant| saturating_nanos(at.saturating_duration_since(epoch));
         let (nc, nm) = (configs.len(), machines.len());
         let n = units.len() * nc * nm;
         // flat cell index → (unit, config, machine) axis positions
@@ -316,227 +298,38 @@ impl Pipeline {
         // the cells of a unit share it: the AST, canonical text (the
         // cache-key material) and entry are never copied per cell
         let shared: Vec<Arc<SweepUnit>> = units.iter().cloned().map(Arc::new).collect();
-        // one span sink per cell, the only telemetry collector: each sink
-        // is touched only by its own cell's two (strictly ordered) jobs,
-        // so collection is contention-free, and the cell's stats are
-        // derived from its spans once the job set completes
-        let sinks: Arc<Vec<TraceSink>> = Arc::new((0..n).map(|_| TraceSink::new()).collect());
-        let slots: Arc<Vec<Mutex<Option<(Stage1, Instant)>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let outcomes: Arc<Vec<Mutex<Option<UnitOutcome>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let first_error: Arc<Mutex<Option<PipelineError>>> = Arc::new(Mutex::new(None));
-
-        let mut graph = JobGraph::new();
-        for i in 0..n {
-            let (u, c, m) = coords(i);
-            let unit = Arc::clone(&shared[u]);
-            let (label, passes) = (configs[c].0.clone(), configs[c].1);
-            let machine = machines[m].1.clone();
-            let detail = format!("unit={} config={label}", unit.name);
-            let store = Arc::clone(&self.store);
-            let sinks1 = Arc::clone(&sinks);
-            let slots1 = Arc::clone(&slots);
-            let errs1 = Arc::clone(&first_error);
-            let unit1 = Arc::clone(&unit);
-            let detail1 = detail.clone();
-            // Stage 1: cache lookup, compile + validate on a miss. The
-            // machine digest is part of `key`, so cells targeting
-            // different machines never alias in the store.
-            let compile = graph.add(&[], move || {
-                let job = i as u32;
-                let job_start = Instant::now();
-                sinks1[i].push(Span::stage(
-                    "queue-wait",
-                    job,
-                    since_epoch(submitted),
-                    saturating_nanos(job_start.saturating_duration_since(submitted)),
-                    &detail1,
-                ));
-                // the memoized canonical text *is* the key material: no
-                // per-cell pretty-print on either the hit or miss path
-                let key = artifact_key(unit1.canonical(), &unit1.entry, &passes, &machine);
-                let t = Instant::now();
-                let hit = store.lookup(key, &machine);
-                let looked = t.elapsed();
-                sinks1[i].push(Span::stage(
-                    "cache-lookup",
-                    job,
-                    since_epoch(t),
-                    saturating_nanos(looked),
-                    &detail1,
-                ));
-                let stage = match hit {
-                    Some(artifact) => Stage1::Hit(artifact),
-                    None => {
-                        let t = Instant::now();
-                        let mut pass_times = PassTimes(Vec::new());
-                        let compiled = Compiler::with_config(OptLevel::Verified, machine)
-                            .compile_with_passes_observed(
-                                &unit1.source,
-                                &unit1.entry,
-                                &passes,
-                                &mut pass_times,
-                            );
-                        let took = t.elapsed();
-                        let base = since_epoch(t);
-                        sinks1[i].push(Span::stage(
-                            "compile",
-                            job,
-                            base,
-                            saturating_nanos(took),
-                            &detail1,
-                        ));
-                        for (name, start, dur) in pass_times.0 {
-                            sinks1[i].push(Span::pass(
-                                name,
-                                job,
-                                base.saturating_add(saturating_nanos(start)),
-                                saturating_nanos(dur),
-                                &detail1,
-                            ));
-                        }
-                        match compiled {
-                            Ok(program) => Stage1::Fresh(key, program),
-                            Err(error) => {
-                                errs1.lock().expect("error lock").get_or_insert(
-                                    PipelineError::Compile {
-                                        unit: unit1.name.clone(),
-                                        error,
-                                    },
-                                );
-                                Stage1::Failed
-                            }
-                        }
-                    }
+        let tasks = (0..n)
+            .map(|i| {
+                let (u, c, m) = coords(i);
+                let cell = CellJob {
+                    job: i as u32,
+                    unit: Arc::clone(&shared[u]),
+                    label: configs[c].0.clone(),
+                    passes: configs[c].1,
+                    machine: machines[m].1.clone(),
+                    store: Arc::clone(&self.store),
+                    analyzer: Arc::clone(&self.analyzer),
+                    submitted,
+                    epoch,
                 };
-                *slots1[i].lock().expect("slot lock") = Some((stage, Instant::now()));
-            });
-            let sinks2 = Arc::clone(&sinks);
-            let slots2 = Arc::clone(&slots);
-            let outcomes2 = Arc::clone(&outcomes);
-            let errs2 = Arc::clone(&first_error);
-            let store2 = Arc::clone(&self.store);
-            let analyzer2 = Arc::clone(&self.analyzer);
-            // Stage 2: WCET analysis + cache insert (fresh units only).
-            // Insertion happens strictly after stage 1 succeeded, i.e.
-            // after the translation validators accepted the compilation.
-            graph.add(&[compile], move || {
-                let job = i as u32;
-                let (stage, stage1_done) = slots2[i]
-                    .lock()
-                    .expect("slot lock")
-                    .take()
-                    .expect("stage 1 ran");
-                let job_start = Instant::now();
-                sinks2[i].push(Span::stage(
-                    "queue-wait",
-                    job,
-                    since_epoch(stage1_done),
-                    saturating_nanos(job_start.saturating_duration_since(stage1_done)),
-                    &detail,
-                ));
-                let outcome = match stage {
-                    Stage1::Failed => return,
-                    Stage1::Hit(artifact) => UnitOutcome {
-                        cached: true,
-                        artifact,
-                    },
-                    Stage1::Fresh(key, program) => {
-                        let t = Instant::now();
-                        let analyzed = analyzer2
-                            .analyze(&vericomp_wcet::AnalysisRequest::new(&program, &unit.entry));
-                        let took = t.elapsed();
-                        let base = since_epoch(t);
-                        sinks2[i].push(Span::stage(
-                            "analyze",
-                            job,
-                            base,
-                            saturating_nanos(took),
-                            &detail,
-                        ));
-                        let report = match analyzed {
-                            Ok(analysis) => {
-                                // one provenance event per function body the
-                                // session analyzer ran its fixpoints on, and
-                                // one per body replayed from the fact cache
-                                for _ in 0..analysis.functions_analyzed {
-                                    sinks2[i].push(Span::event(
-                                        "analyze:fixpoint",
-                                        job,
-                                        base,
-                                        &detail,
-                                    ));
-                                }
-                                for _ in 0..analysis.functions_reused {
-                                    sinks2[i].push(Span::event(
-                                        "analyze:reuse",
-                                        job,
-                                        base,
-                                        &detail,
-                                    ));
-                                }
-                                analysis.into_report()
-                            }
-                            Err(error) => {
-                                errs2.lock().expect("error lock").get_or_insert(
-                                    PipelineError::Analyze {
-                                        unit: unit.name.clone(),
-                                        error,
-                                    },
-                                );
-                                return;
-                            }
-                        };
-                        let artifact = Artifact {
-                            key,
-                            entry: unit.entry.clone(),
-                            label,
-                            program,
-                            verdict: Verdict::from_passes(&passes),
-                            report,
-                        };
-                        let t = Instant::now();
-                        let inserted = store2.insert(artifact);
-                        let took = t.elapsed();
-                        sinks2[i].push(Span::stage(
-                            "store",
-                            job,
-                            since_epoch(t),
-                            saturating_nanos(took),
-                            &detail,
-                        ));
-                        match inserted {
-                            Ok(artifact) => UnitOutcome {
-                                cached: false,
-                                artifact,
-                            },
-                            Err(error) => {
-                                errs2
-                                    .lock()
-                                    .expect("error lock")
-                                    .get_or_insert(PipelineError::Cache(error));
-                                return;
-                            }
-                        }
-                    }
-                };
-                *outcomes2[i].lock().expect("outcome lock") = Some(outcome);
-            });
-        }
-        graph.run(&self.pool);
-
-        if let Some(error) = first_error.lock().expect("error lock").take() {
-            return Err(error);
-        }
+                Box::new(move || {
+                    let mut spans = Vec::new();
+                    let outcome = cell.run(&mut spans);
+                    (outcome, spans)
+                }) as Box<dyn FnOnce() -> CellRun + Send>
+            })
+            .collect();
+        let ran = self.pool.run_all(tasks);
         let wall = submitted.elapsed();
+
         let mut aggregate = PipelineStats::default();
         let mut trace = RunTrace::new();
         let mut cells = Vec::with_capacity(n);
-        // drain the sinks in cell order: span order becomes (cell index,
-        // recording order), a pure function of the work
-        for (i, (slot, sink)) in outcomes.iter().zip(sinks.iter()).enumerate() {
-            let spans = sink.take();
+        // results arrive in cell order: the error is the first failing
+        // cell's, and span order is (cell index, recording order) — both
+        // pure functions of the work
+        for (i, (outcome, spans)) in ran.into_iter().enumerate() {
+            let outcome = outcome?;
             let stats = PipelineStats::from_spans(&spans);
             aggregate.merge(&stats);
             for span in spans {
@@ -547,11 +340,7 @@ impl Pipeline {
                 unit: units[u].name.clone(),
                 config: configs[c].0.clone(),
                 machine: machines[m].0.clone(),
-                outcome: slot
-                    .lock()
-                    .expect("outcome lock")
-                    .take()
-                    .expect("every unit succeeded"),
+                outcome,
                 stats,
             });
         }
@@ -559,6 +348,136 @@ impl Pipeline {
         // aggregate reports the real end-to-end clock
         aggregate.wall_ns = saturating_nanos(wall);
         Ok((cells, aggregate, trace))
+    }
+}
+
+/// What one cell's pool task returns: its outcome and its spans, in
+/// recording order.
+type CellRun = (Result<UnitOutcome, PipelineError>, Vec<Span>);
+
+/// One sweep cell's work, moved onto a pool worker.
+struct CellJob {
+    /// The cell's flat index (the span `job` field).
+    job: u32,
+    unit: Arc<SweepUnit>,
+    label: String,
+    passes: PassConfig,
+    machine: MachineConfig,
+    store: Arc<ArtifactStore>,
+    analyzer: Arc<vericomp_wcet::Analyzer>,
+    /// When the sweep was queued; the cell's queue wait starts here.
+    submitted: Instant,
+    /// The instant every span timestamp is relative to.
+    epoch: Instant,
+}
+
+impl CellJob {
+    /// Runs the cell and records its spans, in order, into `spans`: queue
+    /// wait and cache lookup, then on a miss compile (with its pass
+    /// spans), analyze (with its fixpoint and reuse events) and store.
+    /// The machine digest is part of the key, so cells targeting
+    /// different machines never alias in the store, and the store inserts
+    /// only after the validators accepted and the analysis succeeded.
+    fn run(self, spans: &mut Vec<Span>) -> Result<UnitOutcome, PipelineError> {
+        let job = self.job;
+        let detail = format!("unit={} config={}", self.unit.name, self.label);
+        let since_epoch = |at: Instant| saturating_nanos(at.saturating_duration_since(self.epoch));
+        let stage = |name: &str, at: Instant, took: Duration| {
+            Span::stage(name, job, since_epoch(at), saturating_nanos(took), &detail)
+        };
+        spans.push(stage(
+            "queue-wait",
+            self.submitted,
+            self.submitted.elapsed(),
+        ));
+        // the memoized canonical text *is* the key material: no per-cell
+        // pretty-print on either the hit or miss path
+        let key = artifact_key(
+            self.unit.canonical(),
+            &self.unit.entry,
+            &self.passes,
+            &self.machine,
+        );
+        let t = Instant::now();
+        let hit = self.store.lookup(key, &self.machine);
+        spans.push(stage("cache-lookup", t, t.elapsed()));
+        if let Some(artifact) = hit {
+            return Ok(UnitOutcome {
+                cached: true,
+                artifact,
+            });
+        }
+
+        let t = Instant::now();
+        let mut pass_times = PassTimes(Vec::new());
+        let compiled = Compiler::with_config(OptLevel::Verified, self.machine)
+            .compile_with_passes_observed(
+                &self.unit.source,
+                &self.unit.entry,
+                &self.passes,
+                &mut pass_times,
+            );
+        spans.push(stage("compile", t, t.elapsed()));
+        let base = since_epoch(t);
+        for (name, start, took) in pass_times.0 {
+            spans.push(Span::pass(
+                name,
+                job,
+                base.saturating_add(saturating_nanos(start)),
+                saturating_nanos(took),
+                &detail,
+            ));
+        }
+        let program = compiled.map_err(|error| PipelineError::Compile {
+            unit: self.unit.name.clone(),
+            error,
+        })?;
+
+        let t = Instant::now();
+        let analyzed = self.analyzer.analyze(&vericomp_wcet::AnalysisRequest::new(
+            &program,
+            &self.unit.entry,
+        ));
+        spans.push(stage("analyze", t, t.elapsed()));
+        let analysis = analyzed.map_err(|error| PipelineError::Analyze {
+            unit: self.unit.name.clone(),
+            error,
+        })?;
+        // one provenance event per function body the session analyzer ran
+        // its fixpoints on, and one per body replayed from the fact cache
+        let base = since_epoch(t);
+        for _ in 0..analysis.functions_analyzed {
+            spans.push(Span::event("analyze:fixpoint", job, base, &detail));
+        }
+        for _ in 0..analysis.functions_reused {
+            spans.push(Span::event("analyze:reuse", job, base, &detail));
+        }
+
+        let artifact = Artifact {
+            key,
+            entry: self.unit.entry.clone(),
+            label: self.label,
+            program,
+            verdict: Verdict::from_passes(&self.passes),
+            report: analysis.into_report(),
+        };
+        let t = Instant::now();
+        let inserted = self.store.insert(artifact);
+        spans.push(stage("store", t, t.elapsed()));
+        Ok(UnitOutcome {
+            cached: false,
+            artifact: inserted.map_err(PipelineError::Cache)?,
+        })
+    }
+}
+
+/// Observer buffering (name, start, took) per compiled unit; the offsets
+/// are rebased onto the compile span after the fact.
+struct PassTimes(Vec<(&'static str, Duration, Duration)>);
+
+impl vericomp_core::PassObserver for PassTimes {
+    fn pass(&mut self, name: &'static str, start: Duration, took: Duration) {
+        self.0.push((name, start, took));
     }
 }
 
@@ -670,6 +589,68 @@ mod tests {
         let err = pipeline.run_sweep(&spec).expect_err("must fail");
         assert!(matches!(err, PipelineError::Compile { .. }));
         assert_eq!(pipeline.store().resident(), 0);
+    }
+
+    /// Every cell runs to completion and the sweep returns the first
+    /// failing cell in flattening order, not the first failure in time:
+    /// `u3` fails fast at compile time, yet `u1`'s slower analysis
+    /// failure wins at every job count.
+    #[test]
+    fn sweep_error_is_the_first_failing_cell_in_sweep_order() {
+        use crate::sweep::{SweepSpec, SweepUnit};
+
+        // `n` is an unannotated global: the loop has no bound witness
+        let unbounded = vericomp_minic::parse::parse(
+            "int n; void step() { int i; i = 0; while (i < n) { i = (i + 1); } }",
+        )
+        .expect("parses");
+        let alone = Pipeline::in_memory()
+            .run_sweep(&SweepSpec::new().unit(SweepUnit::from_source(
+                "u1",
+                unbounded.clone(),
+                "step",
+            )))
+            .expect_err("unbounded loop");
+        assert!(
+            matches!(
+                alone,
+                PipelineError::Analyze {
+                    error: AnalysisError::UnboundedLoop { .. },
+                    ..
+                }
+            ),
+            "{alone}"
+        );
+
+        let good = suite_prefix(3);
+        let from_node = |name: &str, node: &Node| {
+            SweepUnit::from_source(name, node.to_minic(), node.step_name())
+        };
+        let spec = SweepSpec::new()
+            .unit(from_node("u0", &good[0]))
+            .unit(SweepUnit::from_source("u1", unbounded, "step"))
+            .unit(from_node("u2", &good[1]))
+            .unit(SweepUnit::from_source(
+                "u3",
+                good[2].to_minic(),
+                "no_such_entry",
+            ))
+            .unit(from_node("u4", &good[2]));
+        for jobs in [1, 2, 8] {
+            for _ in 0..20 {
+                let options = PipelineOptions::builder()
+                    .jobs(jobs)
+                    .build()
+                    .expect("valid options");
+                let pipeline = Pipeline::new(&options).expect("in-memory pipeline");
+                let err = pipeline.run_sweep(&spec).expect_err("two cells fail");
+                assert!(
+                    matches!(&err, PipelineError::Analyze { unit, .. } if unit == "u1"),
+                    "jobs {jobs}: {err}"
+                );
+                assert_eq!(pipeline.store().resident(), 3, "jobs {jobs}");
+            }
+        }
     }
 
     #[test]

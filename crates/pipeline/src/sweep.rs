@@ -7,9 +7,9 @@
 //! used to hand-roll that loop around `compile_units`, duplicating cache
 //! keys, stats handling and determinism tie-breaks. A [`SweepSpec`] names
 //! the three axes once; [`Pipeline::run_sweep`] flattens the cross product
-//! into one sharded job set for the work-stealing pool and returns a
-//! [`SweepResult`] with indexed lookup (`&result[("node", "config",
-//! "machine")]`), per-axis aggregation and per-cell [`PipelineStats`].
+//! into one pool task per cell and returns a [`SweepResult`] with indexed
+//! lookup (`&result[("node", "config", "machine")]`), per-axis
+//! aggregation and per-cell [`PipelineStats`].
 //!
 //! **Key space.** Every cell's artifact key already covers all three axes
 //! — the generated source (unit), the ten `PassConfig` flags (config) and
@@ -550,9 +550,9 @@ impl Index<(&str, &str, &str)> for SweepResult {
 
 impl Pipeline {
     /// Runs a sweep: flattens the (units × configs × machines) cross
-    /// product into one sharded job set on the work-stealing pool, serving
-    /// every previously-seen cell from the artifact cache (the key already
-    /// separates all three axes). Cells come back in flattening order
+    /// product into one pool task per cell, serving every previously-seen
+    /// cell from the artifact cache (the key already separates all three
+    /// axes). Cells come back in flattening order
     /// regardless of scheduling, so equal specs yield equal
     /// [`SweepResult::digest`]s at any job count.
     ///

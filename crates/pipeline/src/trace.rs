@@ -7,9 +7,10 @@
 //! `compile` (via the
 //! [`PassObserver`](vericomp_core::PassObserver) hook in `vericomp-core`),
 //! and provenance [`SpanKind::Event`]s from the lattice search (generation
-//! boundaries, flag flips, admissions, prunings). Collection is one
-//! contention-free [`TraceSink`] per cell, merged into a [`RunTrace`] at
-//! the end of the run.
+//! boundaries, flag flips, admissions, prunings). Each cell's pool task
+//! records its spans into a plain `Vec<Span>` and returns it with the
+//! cell's outcome; the sweep engine appends them, in cell order, to one
+//! [`RunTrace`].
 //!
 //! Two export formats:
 //!
@@ -24,7 +25,6 @@
 //!   so a separate stage interval would overlap the pass spans).
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use crate::hash::{Digest, Hasher};
 
@@ -143,37 +143,6 @@ impl Span {
             pid: 1,
             detail: detail.to_owned(),
         }
-    }
-}
-
-/// Per-cell span collector — the pipeline's only per-cell telemetry; the
-/// cell's [`PipelineStats`](crate::stats::PipelineStats) are derived from
-/// its drained spans. The mutex is contention-free by
-/// construction: each cell's sink is touched only by that cell's own two
-/// jobs, which the job graph orders strictly (stage 2 depends on stage 1),
-/// so the lock is never contended — it exists to satisfy `Sync`, not to
-/// arbitrate.
-#[derive(Debug, Default)]
-pub struct TraceSink {
-    spans: Mutex<Vec<Span>>,
-}
-
-impl TraceSink {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> TraceSink {
-        TraceSink::default()
-    }
-
-    /// Records one span.
-    pub fn push(&self, span: Span) {
-        self.spans.lock().expect("trace sink lock").push(span);
-    }
-
-    /// Drains the recorded spans, in recording order.
-    #[must_use]
-    pub fn take(&self) -> Vec<Span> {
-        std::mem::take(&mut *self.spans.lock().expect("trace sink lock"))
     }
 }
 
@@ -677,16 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn sink_drains_in_recording_order_and_merge_chains_traces() {
-        let sink = TraceSink::new();
-        sink.push(Span::stage("compile", 3, 10, 5, ""));
-        sink.push(Span::stage("analyze", 3, 20, 5, ""));
-        let spans = sink.take();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "compile");
-        assert_eq!(spans[1].name, "analyze");
-        assert!(sink.take().is_empty(), "take drains");
-
+    fn merge_chains_traces() {
         let mut a = RunTrace::new();
         a.push(Span::stage("compile", 0, 0, 1, ""));
         let mut b = RunTrace::new();

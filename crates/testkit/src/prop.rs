@@ -117,8 +117,11 @@ fn parse_seed(s: &str) -> Option<u64> {
 /// explicit AST shrinkers.
 pub struct Gen<T> {
     sample: Rc<dyn Fn(&mut Rng) -> T>,
-    shrink: Rc<dyn Fn(&T) -> Vec<T>>,
+    shrink: Shrinker<T>,
 }
+
+/// A shared shrink function: the strictly simpler candidates of a value.
+type Shrinker<T> = Rc<dyn Fn(&T) -> Vec<T>>;
 
 impl<T> Clone for Gen<T> {
     fn clone(&self) -> Self {
@@ -636,7 +639,7 @@ mod tests {
         for i in 0..64 {
             let seed = mix(1234, i);
             let v = gens::any_u64().sample(&mut Rng::seed_from_u64(seed));
-            if v % 3 == 0 {
+            if v.is_multiple_of(3) {
                 failing = Some((seed, v));
                 break;
             }

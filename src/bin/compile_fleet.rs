@@ -8,11 +8,11 @@
 //! ```
 //!
 //! Compiles every requested cell of the (nodes × configs × machines) sweep
-//! matrix on the work-stealing pool, serving unchanged cells from the
-//! content-addressed artifact cache, then prints per-cell WCET bounds, the
-//! run's [`vericomp_pipeline::PipelineStats`] and the sweep output digest
-//! (bit-identical runs print identical digests — the CI smoke compares
-//! them across job counts and cache states).
+//! matrix on the worker pool, one task per cell, serving unchanged cells
+//! from the content-addressed artifact cache, then prints per-cell WCET
+//! bounds, the run's [`vericomp_pipeline::PipelineStats`] and the sweep
+//! output digest (bit-identical runs print identical digests — the CI
+//! smoke compares them across job counts and cache states).
 //!
 //! With `--scenario SEED` the node axis comes from the testkit scenario
 //! suite instead of the curated fleet: a generated multi-rate cyclic

@@ -60,7 +60,7 @@ const USAGE: &str = "usage: vericomp_serve --socket PATH [--jobs N] [--cache-dir
   --shutdown PATH   ask a running daemon to drain and stop, then exit";
 
 enum Mode {
-    Serve(ServerOptions),
+    Serve(Box<ServerOptions>),
     StatsOf(String),
     MetricsOf(String),
     RecorderOf(String),
@@ -185,7 +185,7 @@ fn parse_args() -> Result<Mode, String> {
     if let Some(cap) = recorder_cap {
         options.recorder_cap = cap;
     }
-    Ok(Mode::Serve(options))
+    Ok(Mode::Serve(Box::new(options)))
 }
 
 fn main() -> ExitCode {
