@@ -2,7 +2,8 @@
 # The full offline gate. No network, no external crates: everything the
 # checks need ships in the workspace (see crates/testkit).
 #
-#   ci/check.sh            # fmt + clippy + build + tests + benchmark smoke + 1k-case fuzz smoke
+#   ci/check.sh            # fmt + clippy + build + results diff + tests + benchmark smoke
+#                          # + 1k-case fuzz smoke + pipeline/daemon smokes + daemon bench
 #
 # The fuzz seed is fixed so the smoke run is reproducible; the full
 # acceptance run is `--cases 10000 --seed 0xCC2011` (see README).
@@ -18,6 +19,19 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
+
+# each paper bin (E1-E5) is deterministic: its stdout is the committed
+# capture, byte for byte
+echo "==> docs/results: each paper bin prints its capture"
+for bin in table1 figure2 ablation annotations listings; do
+    cargo run --release --offline --quiet -p vericomp-bench --bin "$bin" \
+        > "target/vericomp-ci-results-$bin.txt"
+    if ! cmp -s "target/vericomp-ci-results-$bin.txt" "docs/results/$bin.txt"; then
+        echo "docs/results FAILED: --bin $bin differs from docs/results/$bin.txt" >&2
+        diff "docs/results/$bin.txt" "target/vericomp-ci-results-$bin.txt" >&2 || true
+        exit 1
+    fi
+done
 
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
@@ -522,9 +536,13 @@ assert len(final["counter_digest"]) == 32
 print("telemetry smoke: registry persisted at shutdown")
 EOF
 
-echo "==> daemon bench: E10 soak, recorder overhead < 3%, latency in BENCH_daemon.json"
+echo "==> daemon bench: E10 soak pins + warm audit, served == jobs 1, recorder overhead < 3%"
 cargo bench --offline -p vericomp-bench --bench daemon \
     | tee target/vericomp-ci-bench-daemon.txt
+if ! grep -q '^daemon: E10 pinned ' target/vericomp-ci-bench-daemon.txt; then
+    echo "daemon bench FAILED: no E10 pinned line (scale checks not exercised)" >&2
+    exit 1
+fi
 if ! grep -q '^daemon: recorder overhead on warm soak' \
         target/vericomp-ci-bench-daemon.txt; then
     echo "daemon bench FAILED: no recorder-overhead line (gate not exercised)" >&2

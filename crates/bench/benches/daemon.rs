@@ -16,9 +16,9 @@
 //! * `batch4/serial_client` — the identical four specs one after another
 //!   on a single connection, the unbatched baseline.
 //!
-//! The soak: the E10 5 000-task scenario (10k+ units) through the
-//! daemon, digest-checked against a solo `run_sweep` of the same spec,
-//! then replayed warm (asserted 100% hits, **zero unit bodies
+//! The soak: the E10 5 000-task scenario (12 692 units) through the
+//! daemon, digest-checked against a solo `run_sweep` of the same spec on
+//! one worker, then replayed warm (asserted 100% hits, **zero unit bodies
 //! uploaded** — the v2 protocol resolves every unit from the parse
 //! cache by digest) and warm again from a *fresh* connection that has
 //! to negotiate `have`/`need` first (also zero uploads). The daemon's
@@ -28,6 +28,11 @@
 //! and the full metrics registry (per-request latency, batch-size and
 //! queue-depth histograms with p50/p90/p99, plus its counter digest)
 //! rides under the `metrics` note.
+//!
+//! The solo soak also carries the E10 scale checks: its sweep and sched
+//! digests equal the pins below, its derived frame budgets are feasible,
+//! and a warm `reanalyze_sweep` of every artifact runs no fixpoint and
+//! finds no mismatch (the `daemon: E10 pinned` line).
 //!
 //! Acceptance bars asserted below, each measured within this run: the
 //! warm served request is at least 5x faster than the cold one, the
@@ -43,9 +48,17 @@ use vericomp_arch::MachineConfig;
 use vericomp_bench::pipeline::dirty_node;
 use vericomp_core::OptLevel;
 use vericomp_dataflow::fleet;
-use vericomp_pipeline::{normalize_spec, Client, Pipeline, Server, ServerOptions, SweepSpec};
+use vericomp_pipeline::{
+    normalize_spec, Client, Pipeline, PipelineOptions, Server, ServerOptions, SweepSpec,
+};
 use vericomp_testkit::bench::Bench;
 use vericomp_testkit::scenario::{Scenario, ScenarioConfig};
+
+/// The E10 soak's sweep and sched digests as the dense per-block
+/// analyzer (no sharing, no fact cache) first produced them; every
+/// analyzer since reproduces both bit for bit.
+const E10_SWEEP_DIGEST: &str = "d1154ee1b405f0868553bbaa2dd0946f";
+const E10_SCHED_DIGEST: &str = "6915d79ae126aaf8a63818514ede155e";
 
 fn soak_config() -> ScenarioConfig {
     ScenarioConfig::builder()
@@ -139,9 +152,44 @@ fn main() {
     let units = scenario.units().len();
     assert!(units >= 10_000, "soak workload shrank to {units} units");
     let soak_spec = normalize_spec(&scenario.to_sweep_spec(), &MachineConfig::mpc755());
-    let solo_soak = Pipeline::in_memory()
-        .run_sweep(&soak_spec)
-        .expect("solo soak");
+    // one worker here against the server's default, so "served == solo"
+    // also shows the digest does not depend on the job count at scale
+    let solo_pipeline = Pipeline::new(
+        &PipelineOptions::builder()
+            .jobs(1)
+            .build()
+            .expect("valid options"),
+    )
+    .expect("in-memory pipeline");
+    let mut solo_soak = solo_pipeline.run_sweep(&soak_spec).expect("solo soak");
+    let sched = scenario.check(&solo_soak);
+    assert_eq!(
+        solo_soak.digest().to_string(),
+        E10_SWEEP_DIGEST,
+        "E10 sweep digest moved"
+    );
+    assert_eq!(
+        sched.digest().to_string(),
+        E10_SCHED_DIGEST,
+        "E10 sched digest moved"
+    );
+    assert!(sched.feasible(), "derived budgets must fit at scale");
+    // every artifact re-derived through the session analyzer that just
+    // ran the sweep: all of it must replay from the fact cache
+    let t = Instant::now();
+    let audit = solo_pipeline
+        .reanalyze_sweep(&mut solo_soak)
+        .expect("reanalyzes");
+    let audit_ms = t.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(audit.functions_analyzed, 0, "warm audit re-ran fixpoints");
+    assert!(audit.mismatches.is_empty(), "{:?}", audit.mismatches);
+    drop(solo_pipeline);
+    println!(
+        "daemon: E10 pinned sweep digest {E10_SWEEP_DIGEST} sched digest {E10_SCHED_DIGEST} \
+         at jobs 1, budgets feasible, warm audit of {} artifacts in {audit_ms:.0} ms: \
+         0 fixpoints, 0 mismatches",
+        audit.artifacts
+    );
     let t = Instant::now();
     let served_soak = client.run_sweep(&soak_spec).expect("soak request");
     let soak_ms = t.elapsed().as_secs_f64() * 1e3;

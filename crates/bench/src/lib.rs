@@ -9,8 +9,12 @@
 //! | E5 | ablation of compiler design choices | [`ablation`] |
 //! | E6 | parallel/cached fleet compilation throughput | [`pipeline`] |
 //!
-//! Each module computes structured results; the `bin` targets and criterion
-//! benches print the same rows/series the paper reports.
+//! Each module computes structured results, and its `bin` target
+//! (`--bin table1`, `figure2`, `listings`, `annotations`, `ablation`)
+//! prints the rows/series the paper reports. The two timing benches are
+//! `pipeline`, which prints E6 and checks the E6, E8 and E9 bars, and
+//! `daemon`, which times the compile service (E11) and runs the E10 soak.
+//! Speed across commits is judged by the repository benchmark.
 
 pub mod ablation;
 pub mod annotations;

@@ -57,19 +57,6 @@ impl Table1 {
 /// Panics if a generated node fails to compile or run (generation is
 /// correct by construction; a panic indicates a toolchain bug).
 pub fn run_fleet(nodes: usize, steps: u32) -> Table1 {
-    run_fleet_with(&Pipeline::in_memory(), nodes, steps)
-}
-
-/// [`run_fleet`] with compilation going through a caller-provided
-/// pipeline: the node × configuration compile/analyze units overlap on the
-/// pool, then the measurement activations run serially (the simulator is
-/// stateful).
-///
-/// # Panics
-///
-/// Panics if a generated node fails to compile or run (generation is
-/// correct by construction; a panic indicates a toolchain bug).
-pub fn run_fleet_with(pipeline: &Pipeline, nodes: usize, steps: u32) -> Table1 {
     let fleet = fleet::random_fleet(&FleetConfig {
         nodes,
         ..FleetConfig::default()
@@ -83,7 +70,7 @@ pub fn run_fleet_with(pipeline: &Pipeline, nodes: usize, steps: u32) -> Table1 {
     // the pipeline's machine (the measurement below runs serially — the
     // simulator is stateful)
     let spec = SweepSpec::new().nodes(fleet.iter()).levels(crate::LEVELS);
-    let sweep = pipeline
+    let sweep = Pipeline::in_memory()
         .run_sweep(&spec)
         .unwrap_or_else(|e| panic!("table1 pipeline: {e}"));
     let machine = sweep.machine_labels()[0].clone();

@@ -100,8 +100,8 @@ pub use proto::{
 };
 pub use recorder::{FlightRecorder, RecorderEvent, DEFAULT_RECORDER_CAP};
 pub use search::{
-    bits_config, config_bits, describe_bits, NodeSearch, ProbedConfig, PrunedFlag, SearchResult,
-    SearchSpec, LATTICE_FLAGS, LATTICE_SIZE,
+    bits_config, config_bits, describe_bits, wcet_driven_candidates, NodeSearch, ProbedConfig,
+    PrunedFlag, SearchResult, SearchSpec, LATTICE_FLAGS, LATTICE_SIZE,
 };
 pub use server::{Server, ServerOptions};
 pub use service::{

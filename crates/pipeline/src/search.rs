@@ -156,6 +156,61 @@ pub fn describe_bits(bits: u16) -> String {
     label
 }
 
+/// The candidate pass selections the WCET-driven drivers evaluate —
+/// and, since the lattice search, the drivers' **seed frontier**: the
+/// verified baseline, each full-optimizer extra probed in isolation
+/// (`tunnel` included — the verified preset already enables it, so its
+/// single-extra candidate shares the baseline's lattice point and is
+/// reported at the baseline's bound), and the validated full
+/// optimizer.
+#[must_use]
+pub fn wcet_driven_candidates() -> [(&'static str, PassConfig); 6] {
+    let verified = PassConfig::for_level(OptLevel::Verified);
+    let full = PassConfig::for_level(OptLevel::OptFull);
+    [
+        ("verified", verified),
+        (
+            "verified+tunnel",
+            PassConfig {
+                tunnel: true,
+                validators: true,
+                ..verified
+            },
+        ),
+        (
+            "verified+sda",
+            PassConfig {
+                sda: true,
+                validators: true,
+                ..verified
+            },
+        ),
+        (
+            "verified+sched",
+            PassConfig {
+                schedule: true,
+                validators: true,
+                ..verified
+            },
+        ),
+        (
+            "verified+strength",
+            PassConfig {
+                strength: true,
+                validators: true,
+                ..verified
+            },
+        ),
+        (
+            "opt-full(validated)",
+            PassConfig {
+                validators: true,
+                ..full
+            },
+        ),
+    ]
+}
+
 /// The search request: which units to optimize, from which seed frontier,
 /// on which machine, under which budget.
 #[derive(Debug, Clone)]
@@ -286,7 +341,7 @@ impl SearchSpec {
 }
 
 /// One probed lattice point of a node's search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbedConfig {
     /// Display label (a seed's given label, or the canonical
     /// [`describe_bits`] name for expanded configs).
@@ -908,6 +963,26 @@ mod tests {
         assert!(warm.stats.hit_rate() > 0.99);
         // hit rates differ between the runs, the digest must not care
         assert!(cold.stats.hit_rate() < warm.stats.hit_rate());
+    }
+
+    #[test]
+    fn one_node_edit_researches_only_that_node() {
+        let suite = fleet::named_suite();
+        let pipeline = Pipeline::in_memory();
+        let cold = pipeline
+            .search_wcet(&SearchSpec::new().nodes(&suite[..3]))
+            .expect("cold search");
+        let mut edited = suite[..3].to_vec();
+        edited[0] = suite[3].clone();
+        let warm = pipeline
+            .search_wcet(&SearchSpec::new().nodes(&edited))
+            .expect("re-search");
+        assert_eq!(warm.nodes[0].stats.jobs_cached, 0, "the new node hit");
+        for (old, new) in cold.nodes[1..].iter().zip(&warm.nodes[1..]) {
+            assert_eq!(new.stats.jobs_run, 0, "{}: clean node compiled", new.unit);
+            assert_eq!(new.winner, old.winner, "{}: winner moved", new.unit);
+            assert_eq!(new.probed, old.probed, "{}: probes moved", new.unit);
+        }
     }
 
     #[test]

@@ -774,6 +774,26 @@ mod tests {
         for cell in widened.column("opt-full", "default") {
             assert!(!cell.outcome.cached);
         }
+
+        // widen the machine axis with a machine unlike every column so
+        // far: every old cell replays, only the new column runs
+        let machines = wide
+            .clone()
+            .machine("default", &MachineConfig::mpc755())
+            .machine("slow-mem", &slow_mem());
+        let widened = pipeline.run_sweep(&machines).expect("new machine");
+        assert_eq!(widened.stats.jobs_cached, 6);
+        assert_eq!(widened.stats.jobs_run, 6);
+        for cell in widened.cells() {
+            assert_eq!(cell.outcome.cached, cell.machine == "default");
+        }
+
+        // a machine equal to an existing column under a new label runs
+        // nothing: keys cover machine fields, not labels
+        let relabeled = machines.machine("slow-mem-again", &slow_mem());
+        let widened = pipeline.run_sweep(&relabeled).expect("relabeled machine");
+        assert_eq!(widened.stats.jobs_cached, 18);
+        assert_eq!(widened.stats.jobs_run, 0);
     }
 
     #[test]

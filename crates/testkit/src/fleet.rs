@@ -209,8 +209,7 @@ pub fn random_fleet(cfg: &FleetConfig) -> Vec<Node> {
 }
 
 /// A digest of every node's generated source, in fleet order — the value
-/// the golden-digest test pins, and what benches/scenarios use to assert a
-/// workload hasn't silently shifted.
+/// the golden-digest test pins, so a workload cannot silently shift.
 #[must_use]
 pub fn fleet_digest(nodes: &[Node]) -> Digest {
     let mut h = Hasher::new();

@@ -70,11 +70,13 @@ pub mod harness {
     use std::fmt;
 
     use crate::arch::Program;
-    use crate::core::{CompileError, Compiler, OptLevel, PassConfig};
+    use crate::core::{CompileError, Compiler, OptLevel};
     use crate::dataflow::Node;
     use crate::mach::{AnnotEvent, AnnotValue, Simulator};
     use crate::minic::interp::{Interp, TraceEvent, Value};
     use crate::wcet::AnalysisError;
+
+    pub use crate::pipeline::search::wcet_driven_candidates;
 
     /// Compiles a dataflow node with the given compiler configuration.
     ///
@@ -223,61 +225,6 @@ pub mod harness {
         let node = result.nodes.into_iter().next().expect("one unit searched");
         let report = candidate_report(&node);
         Ok((node.artifact.program.clone(), report))
-    }
-
-    /// The candidate pass selections the WCET-driven drivers evaluate —
-    /// and, since the lattice search, the drivers' **seed frontier**: the
-    /// verified baseline, each full-optimizer extra probed in isolation
-    /// (`tunnel` included — the verified preset already enables it, so its
-    /// single-extra candidate shares the baseline's lattice point and is
-    /// reported at the baseline's bound), and the validated full
-    /// optimizer.
-    #[must_use]
-    pub fn wcet_driven_candidates() -> [(&'static str, PassConfig); 6] {
-        let verified = PassConfig::for_level(OptLevel::Verified);
-        let full = PassConfig::for_level(OptLevel::OptFull);
-        [
-            ("verified", verified),
-            (
-                "verified+tunnel",
-                PassConfig {
-                    tunnel: true,
-                    validators: true,
-                    ..verified
-                },
-            ),
-            (
-                "verified+sda",
-                PassConfig {
-                    sda: true,
-                    validators: true,
-                    ..verified
-                },
-            ),
-            (
-                "verified+sched",
-                PassConfig {
-                    schedule: true,
-                    validators: true,
-                    ..verified
-                },
-            ),
-            (
-                "verified+strength",
-                PassConfig {
-                    strength: true,
-                    validators: true,
-                    ..verified
-                },
-            ),
-            (
-                "opt-full(validated)",
-                PassConfig {
-                    validators: true,
-                    ..full
-                },
-            ),
-        ]
     }
 
     /// Error of [`compile_application_parallel`].

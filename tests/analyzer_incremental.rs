@@ -2,7 +2,9 @@
 //! fleet, a warm [`Analyzer`] session must (a) re-derive bounds
 //! bit-identical to a from-scratch session on the mutated fleet, and
 //! (b) serve every *untouched* function from its fact cache — zero fresh
-//! fixpoints, at least one cache replay per unchanged program.
+//! fixpoints, at least one cache replay per unchanged program. A program
+//! relinked for another machine is a changed program too: its facts must
+//! re-key, or a bound for the wrong memory latency would replay.
 
 use vericomp::core::OptLevel;
 use vericomp::harness;
@@ -165,4 +167,40 @@ fn warm_session_replays_an_unchanged_fleet_without_any_fixpoint() {
         analyzed_after_cold,
         "warm pass grew the fresh-analysis counter"
     );
+}
+
+#[test]
+fn a_changed_machine_rekeys_only_that_programs_facts() {
+    let programs: Vec<_> = vericomp::dataflow::fleet::named_suite()
+        .iter()
+        .map(|n| harness::compile_node(n, OptLevel::Verified).expect("compiles"))
+        .collect();
+    let session = Analyzer::default();
+    for p in &programs {
+        session
+            .analyze(&AnalysisRequest::new(p, "step"))
+            .expect("analyzes");
+    }
+
+    // facts computed for one memory latency must never bound another
+    let mut relinked = programs[0].clone();
+    relinked.config.mem_latency += 1;
+    let a = session
+        .analyze(&AnalysisRequest::new(&relinked, "step"))
+        .expect("analyzes");
+    assert!(
+        a.functions_analyzed >= 1,
+        "a new machine replayed old facts"
+    );
+    let fresh = Analyzer::default()
+        .analyze(&AnalysisRequest::new(&relinked, "step"))
+        .expect("analyzes");
+    assert_eq!(a.into_report(), fresh.into_report());
+
+    for (i, p) in programs.iter().enumerate().skip(1) {
+        let a = session
+            .analyze(&AnalysisRequest::new(p, "step"))
+            .expect("analyzes");
+        assert_eq!(a.functions_analyzed, 0, "program {i} re-ran a fixpoint");
+    }
 }
