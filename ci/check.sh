@@ -63,6 +63,26 @@ if [ "$cold_digest" != "$warm_digest" ]; then
     exit 1
 fi
 
+echo "==> corrupt-cache smoke: a malformed verdict line in every .vcart is a miss, not a crash"
+sed -i 's/^verdict .*/& extra=1/' "$CACHE_DIR"/*.vcart
+if ! cargo run --release --offline -p vericomp --bin compile_fleet -- \
+        --cache-dir "$CACHE_DIR" > target/vericomp-ci-corrupt.txt; then
+    echo "corrupt-cache smoke FAILED: compile_fleet exited non-zero" >&2
+    exit 1
+fi
+cat target/vericomp-ci-corrupt.txt
+corrupt_digest=$(grep '^fleet digest:' target/vericomp-ci-corrupt.txt)
+if [ "$corrupt_digest" != "$cold_digest" ]; then
+    echo "corrupt-cache smoke FAILED: rebuild over a corrupt cache changed the digest" >&2
+    echo "  cold:    $cold_digest" >&2
+    echo "  corrupt: $corrupt_digest" >&2
+    exit 1
+fi
+if ! grep -q '(26 run, 0 cached)' target/vericomp-ci-corrupt.txt; then
+    echo "corrupt-cache smoke FAILED: a corrupt artifact was replayed" >&2
+    exit 1
+fi
+
 echo "==> sweep smoke: 2 nodes x 3 configs x 2 machines, parallel == jobs 1"
 cargo run --release --offline -p vericomp --bin compile_fleet -- \
     --nodes 2 --configs pattern-O0,verified,opt-full --machines mpc755,tiny-caches \
@@ -260,7 +280,7 @@ echo "==> daemon smoke: shared bounded store, two clients, eviction, clean shutd
 DAEMON_SOCK=target/vericomp-ci-daemon.sock
 rm -f "$DAEMON_SOCK"
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
-    --socket "$DAEMON_SOCK" --shards 4 --store-bytes 120000 \
+    --socket "$DAEMON_SOCK" --store-bytes 120000 \
     > target/vericomp-ci-daemon.txt 2>&1 &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do

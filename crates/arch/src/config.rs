@@ -88,7 +88,57 @@ pub struct MachineConfig {
     pub branch_penalty: u32,
 }
 
+/// Every field of the machine model, in digest order: the one list that
+/// [`MachineConfig::fields`] reads and [`MachineConfig::from_fields`]
+/// writes. The artifact store's machine digest, the compile service's
+/// wire encoding and the WCET analyzer's fact keys all go through it.
+const FIELDS: [fn(&mut MachineConfig) -> &mut u32; MachineConfig::FIELD_COUNT] = [
+    |m| &mut m.icache.size_bytes,
+    |m| &mut m.icache.ways,
+    |m| &mut m.icache.line_bytes,
+    |m| &mut m.dcache.size_bytes,
+    |m| &mut m.dcache.ways,
+    |m| &mut m.dcache.line_bytes,
+    |m| &mut m.mem_latency,
+    |m| &mut m.fetch_latency,
+    |m| &mut m.io_latency,
+    |m| &mut m.text_base,
+    |m| &mut m.data_base,
+    |m| &mut m.stack_top,
+    |m| &mut m.io_base,
+    |m| &mut m.io_size,
+    |m| &mut m.lat_int,
+    |m| &mut m.lat_mul,
+    |m| &mut m.lat_div,
+    |m| &mut m.lat_fp,
+    |m| &mut m.lat_fmadd,
+    |m| &mut m.lat_fdiv,
+    |m| &mut m.lat_fmove,
+    |m| &mut m.lat_conv,
+    |m| &mut m.lat_load,
+    |m| &mut m.branch_penalty,
+];
+
 impl MachineConfig {
+    /// Number of `u32` fields in a machine model.
+    pub const FIELD_COUNT: usize = 24;
+
+    /// Every field, in digest order.
+    pub fn fields(&self) -> [u32; MachineConfig::FIELD_COUNT] {
+        let mut m = self.clone();
+        FIELDS.map(|field| *field(&mut m))
+    }
+
+    /// The machine model with these fields, in [`fields`](Self::fields)
+    /// order.
+    pub fn from_fields(values: [u32; MachineConfig::FIELD_COUNT]) -> MachineConfig {
+        let mut m = MachineConfig::mpc755();
+        for (field, value) in FIELDS.iter().zip(values) {
+            *field(&mut m) = value;
+        }
+        m
+    }
+
     /// The MPC755-like default configuration used throughout the experiments.
     pub fn mpc755() -> Self {
         MachineConfig {
@@ -205,6 +255,14 @@ mod tests {
         assert_eq!(c.set_of(0x40), 2);
         // addresses one cache-size apart map to the same set
         assert_eq!(c.set_of(0x1000), c.set_of(0x1000 + 128 * 32));
+    }
+
+    #[test]
+    fn field_table_covers_every_field_once() {
+        // distinct values survive a round trip only if no two entries of
+        // the table alias one field
+        let values: [u32; MachineConfig::FIELD_COUNT] = std::array::from_fn(|i| i as u32 + 1);
+        assert_eq!(MachineConfig::from_fields(values).fields(), values);
     }
 
     #[test]

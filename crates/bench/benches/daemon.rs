@@ -1,9 +1,9 @@
 //! E11 — the compile service: client latency and batching throughput
 //! against a live `vericomp-serve` daemon. Emits `BENCH_daemon.json`.
 //!
-//! One in-process server (4 shards, unbounded store) serves every regime
-//! over its Unix socket, exactly the deployment shape of
-//! `vericomp_serve` + `compile_fleet --connect`:
+//! One in-process server with the default options (one unbounded store)
+//! serves every regime over its Unix socket, exactly the deployment shape
+//! of `vericomp_serve` + `compile_fleet --connect`:
 //!
 //! * `fleet26/cold_client` — one-shot (recorded in the `latency` note):
 //!   first request of the 26-node suite against an empty store, the full

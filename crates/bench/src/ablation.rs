@@ -97,7 +97,7 @@ pub fn run() -> Ablation {
     ];
 
     // the whole study is one sweep: suite × every variant as the config
-    // axis, sharded across the pool with cross-variant cache reuse
+    // axis, spread across the pool with cross-variant cache reuse
     let mut spec = SweepSpec::new().nodes(&suite);
     for (name, passes) in &variants {
         spec = spec.config(name, passes);

@@ -180,7 +180,42 @@ pub struct PassConfig {
     pub validators: bool,
 }
 
+/// The ten flags in key order: the one list that [`PassConfig::flags`]
+/// reads and [`PassConfig::from_flags`] writes. The artifact cache key,
+/// the compile service's wire bits and the search lattice's coordinates
+/// (the first nine; `validators` is last) all go through it.
+const FLAGS: [fn(&mut PassConfig) -> &mut bool; PassConfig::FLAG_COUNT] = [
+    |p| &mut p.mem2reg,
+    |p| &mut p.constprop,
+    |p| &mut p.cse,
+    |p| &mut p.dce,
+    |p| &mut p.tunnel,
+    |p| &mut p.strength,
+    |p| &mut p.schedule,
+    |p| &mut p.sda,
+    |p| &mut p.full_palette,
+    |p| &mut p.validators,
+];
+
 impl PassConfig {
+    /// Number of flags in a pass selection.
+    pub const FLAG_COUNT: usize = 10;
+
+    /// Every flag, in key order.
+    pub fn flags(mut self) -> [bool; PassConfig::FLAG_COUNT] {
+        FLAGS.map(|flag| *flag(&mut self))
+    }
+
+    /// The pass selection with these flags, in [`flags`](Self::flags)
+    /// order.
+    pub fn from_flags(values: [bool; PassConfig::FLAG_COUNT]) -> PassConfig {
+        let mut p = PassConfig::for_level(OptLevel::PatternO0);
+        for (flag, value) in FLAGS.iter().zip(values) {
+            *flag(&mut p) = value;
+        }
+        p
+    }
+
     /// The preset corresponding to a standard configuration.
     pub fn for_level(level: OptLevel) -> PassConfig {
         match level {
@@ -481,6 +516,16 @@ mod observer_tests {
                     Expr::binop(Binop::AddF, Expr::var("in1"), Expr::var("in2")),
                 )],
             }],
+        }
+    }
+
+    #[test]
+    fn flag_table_covers_every_flag_once() {
+        // one flag on at a time survives a round trip only if no two
+        // entries of the table alias one field
+        for i in 0..PassConfig::FLAG_COUNT {
+            let one_hot: [bool; PassConfig::FLAG_COUNT] = std::array::from_fn(|j| j == i);
+            assert_eq!(PassConfig::from_flags(one_hot).flags(), one_hot);
         }
     }
 

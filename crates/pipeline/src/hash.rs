@@ -5,14 +5,15 @@
 //! text, entry point, pass selection, machine configuration, toolchain
 //! generation stamps). The digest must therefore be stable across
 //! processes, platforms and toolchain versions — `std::hash` promises none
-//! of that, so a 128-bit FNV-1a is implemented here. 128 bits keeps the
-//! collision probability for any realistic artifact population (billions)
-//! negligible, and the function is trivially deterministic.
+//! of that, so every digest is a 128-bit FNV-1a: the WCET analyzer's
+//! [`Fingerprint`](vericomp_wcet::share::Fingerprint), re-exported here as
+//! [`Hasher`]. 128 bits keeps the collision probability for any realistic
+//! artifact population (billions) negligible, and the function is
+//! trivially deterministic.
 
 use std::fmt;
 
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+pub use vericomp_wcet::share::Fingerprint as Hasher;
 
 /// A 128-bit content digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,86 +43,9 @@ impl fmt::Display for Digest {
     }
 }
 
-/// Incremental FNV-1a/128 hasher with length-prefixed field framing, so
-/// `("ab", "c")` and `("a", "bc")` hash differently.
-#[derive(Debug, Clone)]
-pub struct Hasher {
-    state: u128,
-}
-
-impl Default for Hasher {
-    fn default() -> Self {
-        Hasher::new()
-    }
-}
-
-impl Hasher {
-    /// A fresh hasher at the FNV offset basis.
-    #[must_use]
-    pub fn new() -> Hasher {
-        Hasher {
-            state: FNV128_OFFSET,
-        }
-    }
-
-    /// Absorbs raw bytes (no framing).
-    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(FNV128_PRIME);
-        }
-        self
-    }
-
-    /// Absorbs a `u32` (little-endian).
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Absorbs a `u64` (little-endian).
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Absorbs a boolean as one byte.
-    pub fn bool(&mut self, v: bool) -> &mut Self {
-        self.bytes(&[u8::from(v)])
-    }
-
-    /// Absorbs a string with a length prefix.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes())
-    }
-
-    /// The final digest.
-    #[must_use]
-    pub fn finish(&self) -> Digest {
-        Digest(self.state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn digest_is_stable() {
-        // Pinned value: changing the hash function invalidates every cache
-        // on disk, which must be a deliberate FORMAT_VERSION bump instead.
-        let mut h = Hasher::new();
-        h.str("vericomp").u32(2011).bool(true);
-        assert_eq!(h.finish().to_hex(), "71f879af8427691b9529c65bd1957e1b");
-    }
-
-    #[test]
-    fn framing_distinguishes_field_splits() {
-        let mut a = Hasher::new();
-        a.str("ab").str("c");
-        let mut b = Hasher::new();
-        b.str("a").str("bc");
-        assert_ne!(a.finish(), b.finish());
-    }
 
     #[test]
     fn hex_roundtrip() {

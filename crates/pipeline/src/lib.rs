@@ -34,7 +34,7 @@
 //!   content-negotiated `.vcart`-style wire protocol over a Unix socket
 //!   (units travel by [`source_digest`] through a `have`/`need`
 //!   exchange; bodies and the big sweep payload ride in length-prefixed
-//!   blobs), a long-lived [`Server`] daemon owning one warm sharded
+//!   blobs), a long-lived [`Server`] daemon owning one warm
 //!   [`ArtifactStore`] (size-bounded, deterministic eviction) plus a
 //!   bounded digest-addressed parse cache — each distinct unit parses
 //!   once per digest across requests, batches and clients — and the

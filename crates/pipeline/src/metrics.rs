@@ -243,7 +243,7 @@ impl Registry {
         for (name, hist) in self.histograms.lock().expect("metrics lock").iter() {
             h.str("hist").str(name).u64(hist.count());
         }
-        h.finish()
+        Digest(h.finish())
     }
 
     /// The aligned text table, one `metrics:`-prefixed line per entry

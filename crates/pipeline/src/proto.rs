@@ -73,13 +73,12 @@ use std::fmt;
 use std::io::{self, BufRead, Read};
 use std::sync::Arc;
 
-use vericomp_arch::config::CacheConfig;
 use vericomp_arch::MachineConfig;
 use vericomp_core::PassConfig;
 
 use crate::hash::Digest;
 use crate::stats::PipelineStats;
-use crate::store::{machine_fields, pass_flags, source_digest, Verdict};
+use crate::store::{source_digest, Verdict};
 pub use crate::sweep::normalize_spec;
 use crate::sweep::{sweep_digest, SweepCell, SweepResult, SweepSpec};
 use crate::trace::{Span, SpanKind};
@@ -310,7 +309,7 @@ fn check_header(line: Option<&str>, word: &str) -> Result<(), ProtoError> {
 /// `PassConfig` as ten `0`/`1` characters in cache-key order.
 #[must_use]
 pub fn passes_to_bits(p: &PassConfig) -> String {
-    pass_flags(p)
+    p.flags()
         .iter()
         .map(|&b| if b { '1' } else { '0' })
         .collect()
@@ -326,27 +325,20 @@ pub fn passes_from_bits(bits: &str) -> Result<PassConfig, ProtoError> {
             _ => err(format!("bad pass bit `{c}`")),
         })
         .collect::<Result<_, _>>()?;
-    if b.len() != 10 {
-        return err(format!("expected 10 pass bits, got {}", b.len()));
-    }
-    Ok(PassConfig {
-        mem2reg: b[0],
-        constprop: b[1],
-        cse: b[2],
-        dce: b[3],
-        tunnel: b[4],
-        strength: b[5],
-        schedule: b[6],
-        sda: b[7],
-        full_palette: b[8],
-        validators: b[9],
-    })
+    let flags = b.try_into().map_err(|b: Vec<bool>| {
+        ProtoError(format!(
+            "expected {} pass bits, got {}",
+            PassConfig::FLAG_COUNT,
+            b.len()
+        ))
+    })?;
+    Ok(PassConfig::from_flags(flags))
 }
 
 /// `MachineConfig` as 24 space-separated `u32`s in `machine_digest` order.
 #[must_use]
 pub fn machine_to_fields(m: &MachineConfig) -> String {
-    machine_fields(m)
+    m.fields()
         .iter()
         .map(u32::to_string)
         .collect::<Vec<_>>()
@@ -362,39 +354,14 @@ pub fn machine_from_fields(text: &str) -> Result<MachineConfig, ProtoError> {
                 .map_err(|_| ProtoError(format!("bad machine field `{w}`")))
         })
         .collect::<Result<_, _>>()?;
-    if f.len() != 24 {
-        return err(format!("expected 24 machine fields, got {}", f.len()));
-    }
-    Ok(MachineConfig {
-        icache: CacheConfig {
-            size_bytes: f[0],
-            ways: f[1],
-            line_bytes: f[2],
-        },
-        dcache: CacheConfig {
-            size_bytes: f[3],
-            ways: f[4],
-            line_bytes: f[5],
-        },
-        mem_latency: f[6],
-        fetch_latency: f[7],
-        io_latency: f[8],
-        text_base: f[9],
-        data_base: f[10],
-        stack_top: f[11],
-        io_base: f[12],
-        io_size: f[13],
-        lat_int: f[14],
-        lat_mul: f[15],
-        lat_div: f[16],
-        lat_fp: f[17],
-        lat_fmadd: f[18],
-        lat_fdiv: f[19],
-        lat_fmove: f[20],
-        lat_conv: f[21],
-        lat_load: f[22],
-        branch_penalty: f[23],
-    })
+    let fields = f.try_into().map_err(|f: Vec<u32>| {
+        ProtoError(format!(
+            "expected {} machine fields, got {}",
+            MachineConfig::FIELD_COUNT,
+            f.len()
+        ))
+    })?;
+    Ok(MachineConfig::from_fields(fields))
 }
 
 // ---------------------------------------------------------------------------
@@ -833,8 +800,6 @@ pub struct ServerStats {
     pub resident: u64,
     /// Store resident bytes at snapshot time.
     pub store_bytes: u64,
-    /// Store shard count.
-    pub shards: u64,
     /// Requests queued at snapshot time.
     pub queue_depth: u64,
     /// Peak queued requests observed.
@@ -933,8 +898,8 @@ impl ServerStats {
         );
         let _ = writeln!(
             s,
-            "server: store resident {} bytes {} shards {} evictions {}",
-            self.resident, self.store_bytes, self.shards, self.evictions,
+            "server: store resident {} bytes {} evictions {}",
+            self.resident, self.store_bytes, self.evictions,
         );
         let _ = writeln!(
             s,
@@ -1013,7 +978,7 @@ impl ServerStats {
         out
     }
 
-    fn fields(&self) -> [(&'static str, u64); 30] {
+    fn fields(&self) -> [(&'static str, u64); 29] {
         [
             ("requests", self.requests),
             ("batches", self.batches),
@@ -1023,7 +988,6 @@ impl ServerStats {
             ("evictions", self.evictions),
             ("resident", self.resident),
             ("store_bytes", self.store_bytes),
-            ("shards", self.shards),
             ("queue_depth", self.queue_depth),
             ("queue_peak", self.queue_peak),
             ("deferred", self.deferred),
@@ -1058,7 +1022,6 @@ impl ServerStats {
             "evictions" => &mut self.evictions,
             "resident" => &mut self.resident,
             "store_bytes" => &mut self.store_bytes,
-            "shards" => &mut self.shards,
             "queue_depth" => &mut self.queue_depth,
             "queue_peak" => &mut self.queue_peak,
             "deferred" => &mut self.deferred,
@@ -1233,8 +1196,13 @@ fn decode_sweep_payload(payload: &str) -> Result<SweepResponse, ProtoError> {
     let nu = count()?;
     let nc = count()?;
     let nm = count()?;
+    let ncells = nu
+        .checked_mul(nc)
+        .and_then(|n| n.checked_mul(nm))
+        .ok_or_else(|| ProtoError(format!("sweep axes {nu} × {nc} × {nm} overflow")))?;
+    // the counts are untrusted: preallocate no more than a sane bound
     let mut axis = |kind: &str, n: usize| -> Result<Vec<String>, ProtoError> {
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let line = lines
                 .next()
@@ -1250,7 +1218,7 @@ fn decode_sweep_payload(payload: &str) -> Result<SweepResponse, ProtoError> {
     let units = axis("unit", nu)?;
     let configs = axis("config", nc)?;
     let machines = axis("machine", nm)?;
-    let mut cells = Vec::with_capacity(nu * nc * nm);
+    let mut cells = Vec::with_capacity(ncells.min(1 << 16));
     let mut spans = Vec::new();
     let mut stats = PipelineStats::default();
     let mut digest = None;
@@ -1335,12 +1303,8 @@ fn decode_sweep_payload(payload: &str) -> Result<SweepResponse, ProtoError> {
             _ => return err(format!("unknown payload tag `{tag}`")),
         }
     }
-    if cells.len() != nu * nc * nm {
-        return err(format!(
-            "expected {} cells, got {}",
-            nu * nc * nm,
-            cells.len()
-        ));
+    if cells.len() != ncells {
+        return err(format!("expected {ncells} cells, got {}", cells.len()));
     }
     let response = SweepResponse {
         units,
@@ -1626,7 +1590,6 @@ mod tests {
             evictions: 5,
             resident: 37,
             store_bytes: 123_456,
-            shards: 4,
             queue_depth: 1,
             queue_peak: 6,
             deferred: 2,
@@ -1726,6 +1689,16 @@ mod tests {
         assert!(decode_request(&doc).is_err());
         assert!(decode_response("vericomp-response 2\nsweep\nblob 4\nxyzw\nend\n").is_err());
         assert!(decode_response("vericomp-response 2\nneed 3\ndigest zz\nend\n").is_err());
+        // axis counts past any real sweep: neither preallocated nor
+        // multiplied into an overflow
+        for axes in ["1000000000000000000 1 1", "4294967296 4294967296 16"] {
+            let payload = format!("axes {axes}\ndigest {}", cells_digest(&[]));
+            let doc = format!(
+                "vericomp-response 2\nsweep\nblob {}\n{payload}\nend\n",
+                payload.len()
+            );
+            assert!(decode_response(&doc).is_err(), "axes {axes}");
+        }
         // whitespace in labels rejected at encode time
         let spec = SweepSpec::new()
             .level(OptLevel::Verified)

@@ -63,9 +63,9 @@ use crate::store::Artifact;
 use crate::sweep::{SweepSpec, SweepUnit};
 use crate::trace::{RunTrace, Span};
 
-/// The tunable pass flags of the lattice, in canonical bit order.
-/// `validators` is **not** part of the lattice — it is pinned `true` on
-/// every probe.
+/// The tunable pass flags of the lattice, in canonical bit order: the
+/// first nine of [`PassConfig::flags`]. `validators`, the last flag, is
+/// **not** part of the lattice — it is pinned `true` on every probe.
 pub const LATTICE_FLAGS: [&str; 9] = [
     "mem2reg",
     "constprop",
@@ -86,18 +86,7 @@ pub const LATTICE_SIZE: usize = 1 << LATTICE_FLAGS.len();
 /// [`LATTICE_FLAGS`] entry. `validators` does not participate.
 #[must_use]
 pub fn config_bits(passes: &PassConfig) -> u16 {
-    let flags = [
-        passes.mem2reg,
-        passes.constprop,
-        passes.cse,
-        passes.dce,
-        passes.tunnel,
-        passes.strength,
-        passes.schedule,
-        passes.sda,
-        passes.full_palette,
-    ];
-    flags
+    passes.flags()[..LATTICE_FLAGS.len()]
         .iter()
         .enumerate()
         .fold(0u16, |acc, (i, &on)| acc | (u16::from(on) << i))
@@ -107,19 +96,9 @@ pub fn config_bits(passes: &PassConfig) -> u16 {
 /// pinned `true` (the search invariant).
 #[must_use]
 pub fn bits_config(bits: u16) -> PassConfig {
-    let on = |i: usize| bits & (1 << i) != 0;
-    PassConfig {
-        mem2reg: on(0),
-        constprop: on(1),
-        cse: on(2),
-        dce: on(3),
-        tunnel: on(4),
-        strength: on(5),
-        schedule: on(6),
-        sda: on(7),
-        full_palette: on(8),
-        validators: true,
-    }
+    PassConfig::from_flags(std::array::from_fn(|i| {
+        i >= LATTICE_FLAGS.len() || bits & (1 << i) != 0
+    }))
 }
 
 /// A human-readable label for lattice coordinates, relative to the nearer
@@ -476,7 +455,7 @@ impl SearchResult {
                 h.str(d.flag).u32(d.trials).u32(d.generation);
             }
         }
-        h.finish()
+        Digest(h.finish())
     }
 }
 

@@ -1,4 +1,4 @@
-//! The compile-as-a-service daemon: one warm, sharded, evicting
+//! The compile-as-a-service daemon: one warm, bounded, evicting
 //! [`ArtifactStore`] serving many concurrent clients.
 //!
 //! **Architecture.** One acceptor thread takes connections on a Unix
@@ -23,12 +23,12 @@
 //! merged result using the request's own axis labels, which makes the
 //! response digest **bit-identical to a solo `run_sweep`** of the same
 //! request — the property the determinism gates assert across job
-//! counts, shard counts, restarts and eviction.
+//! counts, restarts and eviction.
 //!
 //! **Fairness and admission.** The batcher cycles over clients in
 //! arrival order (rotating the starting client each batch) and admits
 //! one request per client per cycle until the in-flight cell budget
-//! (`max_inflight_cells`) is spent; at least one request is always
+//! (4096 cells) is spent; at least one request is always
 //! admitted so an oversized sweep cannot wedge the queue. Whatever
 //! remains queued is counted as a deferral and leads the next batch.
 //!
@@ -47,8 +47,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use vericomp_arch::MachineConfig;
-
 use crate::metrics::Registry;
 use crate::proto::{
     cells_digest, decode_request, encode_response, frame_text, machine_to_fields, passes_to_bits,
@@ -61,6 +59,10 @@ use crate::store::{ArtifactStore, ParsedUnit, StoreConfig};
 use crate::sweep::{SweepResult, SweepSpec, SweepUnit};
 use crate::trace::Span;
 
+/// Admission bound: the most sweep cells one batch admits (beyond the
+/// first request, which is always admitted).
+const MAX_INFLIGHT_CELLS: usize = 4096;
+
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
@@ -70,14 +72,8 @@ pub struct ServerOptions {
     pub jobs: usize,
     /// `.vcart` persistence directory of the store (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
-    /// Store shard count.
-    pub shards: usize,
     /// Store resident-byte bound (`None` = unbounded, no eviction).
     pub max_bytes: Option<u64>,
-    /// Parse-cache resident-byte bound (`None` = unbounded).
-    pub parse_bytes: Option<u64>,
-    /// Admission bound: max sweep cells in flight per batch.
-    pub max_inflight_cells: usize,
     /// Hit-rate SLO in thousandths (`900` = 0.900); `0` disables the line.
     pub slo_per_mille: u64,
     /// p99 per-request wall-latency SLO in nanoseconds; `0` disables it.
@@ -85,36 +81,26 @@ pub struct ServerOptions {
     /// Whether the flight recorder runs (`--no-recorder` disables it;
     /// the `recorder-dump` request is then refused with an error).
     pub recorder: bool,
-    /// Flight-recorder ring capacity in events.
-    pub recorder_cap: usize,
     /// Persist the metrics registry JSON here at clean shutdown.
     pub metrics_json: Option<PathBuf>,
-    /// Default target machine of the shared pipeline (requests always
-    /// carry explicit machines; this only parameterizes the pipeline).
-    pub machine: MachineConfig,
 }
 
 impl ServerOptions {
-    /// Defaults: machine parallelism, memory-only store, 4 shards,
-    /// unbounded artifacts, 64 MiB parse cache, 4096-cell admission,
-    /// 0.900 SLO (no p99 SLO), flight recorder on at
-    /// [`DEFAULT_RECORDER_CAP`] events, MPC755.
+    /// Defaults: machine parallelism, memory-only store, unbounded
+    /// artifacts, 0.900 SLO (no p99 SLO), flight recorder on. The parse
+    /// cache is always [`StoreConfig::DEFAULT_PARSE_BYTES`] and the
+    /// recorder ring [`DEFAULT_RECORDER_CAP`] events.
     #[must_use]
     pub fn new(socket: impl Into<PathBuf>) -> ServerOptions {
         ServerOptions {
             socket: socket.into(),
             jobs: 0,
             cache_dir: None,
-            shards: 4,
             max_bytes: None,
-            parse_bytes: Some(StoreConfig::DEFAULT_PARSE_BYTES),
-            max_inflight_cells: 4096,
             slo_per_mille: 900,
             slo_p99_ns: 0,
             recorder: true,
-            recorder_cap: DEFAULT_RECORDER_CAP,
             metrics_json: None,
-            machine: MachineConfig::mpc755(),
         }
     }
 }
@@ -190,7 +176,6 @@ impl Shared {
             evictions: self.store.evictions(),
             resident: self.store.resident() as u64,
             store_bytes: self.store.len_bytes(),
-            shards: self.store.shard_count() as u64,
             queue_depth: self.queue.lock().expect("queue lock").items.len() as u64,
             queue_peak: reg.gauge("queue_peak"),
             deferred: reg.gauge("deferred"),
@@ -229,7 +214,6 @@ pub struct Server {
     listener: UnixListener,
     pipeline: Pipeline,
     shared: Arc<Shared>,
-    max_inflight_cells: usize,
     metrics_json: Option<PathBuf>,
 }
 
@@ -239,7 +223,6 @@ impl std::fmt::Debug for Server {
             .field("socket", &self.shared.socket)
             .field("jobs", &self.pipeline.jobs())
             .field("store", &self.shared.store)
-            .field("max_inflight_cells", &self.max_inflight_cells)
             .finish()
     }
 }
@@ -253,13 +236,11 @@ impl Server {
     pub fn new(options: &ServerOptions) -> io::Result<Server> {
         let store = Arc::new(ArtifactStore::with_config(StoreConfig {
             dir: options.cache_dir.clone(),
-            shards: options.shards,
             max_bytes: options.max_bytes,
-            parse_bytes: options.parse_bytes,
+            ..StoreConfig::default()
         })?);
         let pipeline_options = PipelineOptions::builder()
             .jobs(options.jobs)
-            .machine(options.machine.clone())
             .build()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let pipeline = Pipeline::with_store(&pipeline_options, Arc::clone(&store));
@@ -276,14 +257,13 @@ impl Server {
                 registry: Registry::new(),
                 recorder: options
                     .recorder
-                    .then(|| FlightRecorder::new(options.recorder_cap)),
+                    .then(|| FlightRecorder::new(DEFAULT_RECORDER_CAP)),
                 next_request: AtomicU64::new(0),
                 store,
                 socket: options.socket.clone(),
                 slo_per_mille: options.slo_per_mille,
                 slo_p99_ns: options.slo_p99_ns,
             }),
-            max_inflight_cells: options.max_inflight_cells.max(1),
             metrics_json: options.metrics_json.clone(),
         })
     }
@@ -353,7 +333,7 @@ impl Server {
         q.cursor = q.cursor.wrapping_add(1);
 
         let mut selected = Vec::new();
-        let mut budget = self.max_inflight_cells;
+        let mut budget = MAX_INFLIGHT_CELLS;
         'cycles: loop {
             let mut advanced = false;
             for &client in &clients {
@@ -809,6 +789,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::proto::normalize_spec;
+    use vericomp_arch::MachineConfig;
     use vericomp_core::OptLevel;
     use vericomp_dataflow::fleet;
 
@@ -1029,9 +1010,7 @@ mod tests {
     #[test]
     fn concurrent_overlapping_clients_batch_and_stay_deterministic() {
         let socket = socket_path("server-overlap");
-        let mut options = ServerOptions::new(&socket);
-        options.shards = 4;
-        let server = Server::new(&options).expect("binds");
+        let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
         let handle = thread::spawn(move || server.run().expect("serves"));
 
         // overlapping unit ranges: cells 2..4 are shared between clients

@@ -229,7 +229,7 @@ impl Pipeline {
     }
 
     /// Builds a pipeline over a caller-owned store. The daemon uses this
-    /// to run every batch against its one warm, sharded store;
+    /// to run every batch against its one warm, bounded store;
     /// `options.cache_dir` is ignored (the store decides persistence).
     #[must_use]
     pub fn with_store(options: &PipelineOptions, store: Arc<ArtifactStore>) -> Pipeline {

@@ -29,7 +29,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use vericomp_arch::program::{
     AnnotationEntry, ArgLoc, DataValue, ElemTy, FuncSym, GlobalSym, Program,
@@ -47,62 +47,14 @@ use crate::hash::{Digest, Hasher};
 /// hitting.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// The 24 `u32` fields of a machine model, in digest order — the one
-/// list [`machine_digest`] hashes and the wire protocol encodes.
-pub(crate) fn machine_fields(m: &MachineConfig) -> [u32; 24] {
-    [
-        m.icache.size_bytes,
-        m.icache.ways,
-        m.icache.line_bytes,
-        m.dcache.size_bytes,
-        m.dcache.ways,
-        m.dcache.line_bytes,
-        m.mem_latency,
-        m.fetch_latency,
-        m.io_latency,
-        m.text_base,
-        m.data_base,
-        m.stack_top,
-        m.io_base,
-        m.io_size,
-        m.lat_int,
-        m.lat_mul,
-        m.lat_div,
-        m.lat_fp,
-        m.lat_fmadd,
-        m.lat_fdiv,
-        m.lat_fmove,
-        m.lat_conv,
-        m.lat_load,
-        m.branch_penalty,
-    ]
-}
-
-/// The ten `PassConfig` flags, in cache-key order — the one list
-/// [`artifact_key`] hashes and the wire protocol encodes.
-pub(crate) fn pass_flags(p: &PassConfig) -> [bool; 10] {
-    [
-        p.mem2reg,
-        p.constprop,
-        p.cse,
-        p.dce,
-        p.tunnel,
-        p.strength,
-        p.schedule,
-        p.sda,
-        p.full_palette,
-        p.validators,
-    ]
-}
-
 /// Digest of a machine configuration (every field).
 #[must_use]
 pub fn machine_digest(config: &MachineConfig) -> Digest {
     let mut h = Hasher::new();
-    for field in machine_fields(config) {
+    for field in config.fields() {
         h.u32(field);
     }
-    h.finish()
+    Digest(h.finish())
 }
 
 /// The content-addressed cache key of one compilation unit.
@@ -123,12 +75,12 @@ pub fn artifact_key(
         .u32(vericomp_dataflow::SYMBOL_LIBRARY_VERSION)
         .str(source)
         .str(entry);
-    for flag in pass_flags(passes) {
+    for flag in passes.flags() {
         h.bool(flag);
     }
     let machine = machine_digest(config);
     h.u64(machine.0 as u64).u64((machine.0 >> 64) as u64);
-    h.finish()
+    Digest(h.finish())
 }
 
 /// The content identity of one canonical (pretty-printed) MiniC source
@@ -142,7 +94,7 @@ pub fn artifact_key(
 pub fn source_digest(canonical: &str) -> Digest {
     let mut h = Hasher::new();
     h.str(canonical);
-    h.finish()
+    Digest(h.finish())
 }
 
 /// One parse-cache entry: the canonical source text and the AST parsed
@@ -253,23 +205,19 @@ impl Artifact {
         for (name, w) in &self.report.callees {
             h.str(name).u64(*w);
         }
-        h.finish()
+        Digest(h.finish())
     }
 }
 
 /// Construction parameters of an [`ArtifactStore`].
 ///
-/// The defaults reproduce the historical store exactly: one shard, no
-/// size bound, no persistence.
+/// The defaults give a memory-only store with no artifact bound and a
+/// [`DEFAULT_PARSE_BYTES`](StoreConfig::DEFAULT_PARSE_BYTES) parse cache.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Cache directory for `.vcart` persistence (`None` = memory only).
     pub dir: Option<PathBuf>,
-    /// Number of shards the key space is split into (clamped to ≥ 1).
-    /// Shard selection uses the top byte of the key digest, so a uniform
-    /// content-addressed key population spreads evenly.
-    pub shards: usize,
-    /// Total resident-byte bound across all shards (`None` = unbounded).
+    /// Resident-byte bound of the artifact map (`None` = unbounded).
     /// Enforced by [`ArtifactStore::enforce_bounds`], not inline on
     /// insert — callers pick the batch boundaries at which eviction may
     /// run, which keeps eviction order deterministic under concurrency.
@@ -290,74 +238,118 @@ impl Default for StoreConfig {
     fn default() -> StoreConfig {
         StoreConfig {
             dir: None,
-            shards: 1,
             max_bytes: None,
             parse_bytes: Some(StoreConfig::DEFAULT_PARSE_BYTES),
         }
     }
 }
 
-/// One resident artifact plus its accounting metadata.
-struct Entry {
-    artifact: Arc<Artifact>,
-    /// Size in the `.vcart` encoding ([`Artifact::encoded_len`]).
+/// One resident value plus its accounting metadata.
+struct Entry<V> {
+    value: V,
+    /// Accounted size: the `.vcart` encoding for an artifact
+    /// ([`Artifact::encoded_len`]), the canonical text for a parsed unit.
     bytes: u64,
-    /// Epoch stamp of the last touch (lookup hit or insert). All touches
-    /// within one batch carry the same stamp, so eviction order is
-    /// invariant to thread interleaving inside the batch.
+    /// Epoch stamp of the last touch (hit or insert). All touches within
+    /// one batch carry the same stamp, so eviction order is invariant to
+    /// thread interleaving inside the batch.
     stamp: u64,
 }
 
-#[derive(Default)]
-struct ShardMap {
-    entries: BTreeMap<u128, Entry>,
+/// The store's one cache mechanism: a digest-keyed, byte-counted,
+/// epoch-stamped map with deterministic eviction. The artifact map and
+/// the parse cache are two instances, each with its own byte bound and
+/// eviction counter.
+struct BoundedMap<V> {
+    entries: BTreeMap<u128, Entry<V>>,
     bytes: u64,
+    max_bytes: Option<u64>,
+    evictions: u64,
 }
 
-/// One resident parse-cache entry plus its accounting metadata. Same
-/// stamp discipline as artifact [`Entry`]s — the parse cache shares the
-/// store's batch epoch, so its eviction order is deterministic too.
-struct ParseEntry {
-    unit: ParsedUnit,
-    /// Accounted size: the canonical text length (AST size rides along).
-    bytes: u64,
-    stamp: u64,
+impl<V> BoundedMap<V> {
+    fn new(max_bytes: Option<u64>) -> BoundedMap<V> {
+        BoundedMap {
+            entries: BTreeMap::new(),
+            bytes: 0,
+            max_bytes,
+            evictions: 0,
+        }
+    }
+
+    /// The value under `key`, stamped with `epoch` on a hit (a hit is a
+    /// touch — entries in active use survive eviction pressure).
+    fn touch(&mut self, key: u128, epoch: u64) -> Option<&V> {
+        self.entries.get_mut(&key).map(|e| {
+            e.stamp = epoch;
+            &e.value
+        })
+    }
+
+    /// Inserts `value` under `key`, stamped with `epoch`. Replacing a
+    /// resident key swaps its bytes, never double-counts them.
+    fn insert(&mut self, key: u128, value: V, bytes: u64, epoch: u64) {
+        let entry = Entry {
+            value,
+            bytes,
+            stamp: epoch,
+        };
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.bytes -= old.bytes;
+        }
+        self.bytes += bytes;
+    }
+
+    /// Evicts entries in ascending `(stamp, key)` order — least-recent
+    /// batch first, key order breaking ties — until the map fits its
+    /// bound, and returns the evicted keys. The order is a pure function
+    /// of the resident set and its stamps, so the post-eviction contents
+    /// are reproducible. A no-op without a bound.
+    fn evict(&mut self) -> Vec<u128> {
+        let Some(max_bytes) = self.max_bytes.filter(|&max| self.bytes > max) else {
+            return Vec::new();
+        };
+        let mut order: Vec<(u64, u128)> = self.entries.iter().map(|(k, e)| (e.stamp, *k)).collect();
+        order.sort_unstable();
+        let mut evicted = Vec::new();
+        for (_, key) in order {
+            if self.bytes <= max_bytes {
+                break;
+            }
+            let entry = self.entries.remove(&key).expect("victim resident");
+            self.bytes -= entry.bytes;
+            evicted.push(key);
+        }
+        self.evictions += evicted.len() as u64;
+        evicted
+    }
 }
 
-#[derive(Default)]
-struct ParseShard {
-    entries: BTreeMap<u128, ParseEntry>,
-    bytes: u64,
-}
-
-/// The artifact store: sharded in-memory maps, optionally backed by a
-/// cache directory so repeated runs are warm, optionally size-bounded
-/// with deterministic LRU-style eviction.
+/// The artifact store: an in-memory artifact map, optionally backed by a
+/// cache directory so repeated runs are warm, plus the parse cache. Both
+/// maps are optionally size-bounded with deterministic LRU-style
+/// eviction.
 pub struct ArtifactStore {
     dir: Option<PathBuf>,
-    shards: Vec<Mutex<ShardMap>>,
-    max_bytes: Option<u64>,
-    /// Digest-addressed parsed-source cache (the daemon's "parse once
-    /// per digest" store), sharded like the artifact maps and stamped by
-    /// the same epoch.
-    parse_shards: Vec<Mutex<ParseShard>>,
-    parse_max_bytes: Option<u64>,
+    /// Resident artifacts by [`artifact_key`].
+    artifacts: Mutex<BoundedMap<Arc<Artifact>>>,
+    /// Parsed sources by [`source_digest`] — the daemon's "parse once per
+    /// digest" cache, stamped by the same epoch as the artifacts.
+    parsed: Mutex<BoundedMap<ParsedUnit>>,
     /// Batch-granular logical clock: callers advance it once per batch
     /// (the daemon does so before every `run_sweep`), and every touch in
     /// between is stamped with the same value.
     epoch: AtomicU64,
-    evictions: AtomicU64,
-    parse_evictions: AtomicU64,
 }
 
 impl fmt::Debug for ArtifactStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let artifacts = self.artifacts();
         f.debug_struct("ArtifactStore")
             .field("dir", &self.dir)
-            .field("shards", &self.shards.len())
-            .field("entries", &self.resident())
-            .field("bytes", &self.len_bytes())
-            .field("max_bytes", &self.max_bytes)
+            .field("entries", &artifacts.entries.len())
+            .field("bytes", &artifacts.bytes)
+            .field("max_bytes", &artifacts.max_bytes)
             .finish()
     }
 }
@@ -390,21 +382,24 @@ impl ArtifactStore {
         if let Some(dir) = &config.dir {
             fs::create_dir_all(dir)?;
         }
-        let shards = config.shards.max(1);
         Ok(ArtifactStore {
             dir: config.dir,
-            shards: (0..shards)
-                .map(|_| Mutex::new(ShardMap::default()))
-                .collect(),
-            max_bytes: config.max_bytes,
-            parse_shards: (0..shards)
-                .map(|_| Mutex::new(ParseShard::default()))
-                .collect(),
-            parse_max_bytes: config.parse_bytes,
+            artifacts: Mutex::new(BoundedMap::new(config.max_bytes)),
+            parsed: Mutex::new(BoundedMap::new(config.parse_bytes)),
             epoch: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            parse_evictions: AtomicU64::new(0),
         })
+    }
+
+    fn artifacts(&self) -> MutexGuard<'_, BoundedMap<Arc<Artifact>>> {
+        self.artifacts.lock().expect("store lock")
+    }
+
+    fn parsed(&self) -> MutexGuard<'_, BoundedMap<ParsedUnit>> {
+        self.parsed.lock().expect("parse lock")
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
     }
 
     /// The backing directory, if persistent.
@@ -413,40 +408,22 @@ impl ArtifactStore {
         self.dir.as_deref()
     }
 
-    /// Number of shards the key space is split into.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configured resident-byte bound, if any.
-    #[must_use]
-    pub fn max_bytes(&self) -> Option<u64> {
-        self.max_bytes
-    }
-
     /// Number of artifacts currently resident in memory.
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("store lock").entries.len())
-            .sum()
+        self.artifacts().entries.len()
     }
 
     /// Total resident size in `.vcart`-encoded bytes.
     #[must_use]
     pub fn len_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("store lock").bytes)
-            .sum()
+        self.artifacts().bytes
     }
 
-    /// Number of entries evicted over the store's lifetime.
+    /// Number of artifacts evicted over the store's lifetime.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.artifacts().evictions
     }
 
     /// Advances the batch epoch. Call at a batch boundary (e.g. before
@@ -458,110 +435,48 @@ impl ArtifactStore {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A digest of the resident key set, independent of shard count and
-    /// of the order entries were touched within any batch. Two stores
-    /// that hold the same artifacts agree, whatever their layout.
+    /// A digest of the resident key set, independent of the order
+    /// entries were touched within any batch. Two stores that hold the
+    /// same artifacts agree.
     #[must_use]
     pub fn store_digest(&self) -> Digest {
-        let mut keys: Vec<u128> = Vec::with_capacity(self.resident());
-        for shard in &self.shards {
-            keys.extend(shard.lock().expect("store lock").entries.keys().copied());
-        }
-        keys.sort_unstable();
+        let artifacts = self.artifacts();
         let mut h = Hasher::new();
-        h.u64(keys.len() as u64);
-        for k in keys {
+        h.u64(artifacts.entries.len() as u64);
+        for &k in artifacts.entries.keys() {
             h.u64(k as u64).u64((k >> 64) as u64);
         }
-        h.finish()
+        Digest(h.finish())
     }
 
-    /// Evicts entries until every shard fits its share of `max_bytes`
-    /// (total bound divided evenly across shards). Within a shard the
-    /// eviction order is ascending `(stamp, key)` — least-recent batch
-    /// first, key order breaking ties — which is a pure function of the
-    /// resident set and its stamps, so the post-eviction store digest is
-    /// reproducible. Evicted entries also lose their `.vcart` file (a
-    /// later request recompiles, and the determinism gates prove it
-    /// recompiles to the identical digest). Returns the number evicted;
-    /// a no-op without a configured bound.
+    /// Evicts until both maps fit their bounds, each in ascending
+    /// `(stamp, key)` order. Evicted artifacts also lose their `.vcart`
+    /// file (a later request recompiles, and the determinism gates prove
+    /// it recompiles to the identical digest); the parse cache is purely
+    /// in-memory and counted separately, so
+    /// [`evictions`](ArtifactStore::evictions) keeps meaning artifact
+    /// evictions only. Returns the number of artifacts evicted.
     pub fn enforce_bounds(&self) -> u64 {
-        let evicted = self.enforce_artifact_bounds();
-        self.enforce_parse_bounds();
-        evicted
-    }
-
-    fn enforce_artifact_bounds(&self) -> u64 {
-        let Some(max_bytes) = self.max_bytes else {
-            return 0;
-        };
-        let budget = max_bytes / self.shards.len() as u64;
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut map = shard.lock().expect("store lock");
-            while map.bytes > budget && !map.entries.is_empty() {
-                let victim = map
-                    .entries
-                    .iter()
-                    .min_by_key(|(key, e)| (e.stamp, **key))
-                    .map(|(key, _)| *key)
-                    .expect("non-empty shard");
-                let entry = map.entries.remove(&victim).expect("victim resident");
-                map.bytes -= entry.bytes;
-                if let Some(path) = self.path_of(Digest(victim)) {
+        let evicted = {
+            let mut artifacts = self.artifacts();
+            let victims = artifacts.evict();
+            for &key in &victims {
+                if let Some(path) = self.path_of(Digest(key)) {
                     let _ = fs::remove_file(path);
                 }
-                evicted += 1;
             }
-        }
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        evicted
-    }
-
-    /// Same ascending `(stamp, key)` discipline for the parse cache.
-    /// Purely in-memory — nothing on disk to clean up — and counted
-    /// separately: [`evictions`](ArtifactStore::evictions) keeps meaning
-    /// artifact evictions only.
-    fn enforce_parse_bounds(&self) -> u64 {
-        let Some(max_bytes) = self.parse_max_bytes else {
-            return 0;
+            victims.len() as u64
         };
-        let budget = max_bytes / self.parse_shards.len() as u64;
-        let mut evicted = 0;
-        for shard in &self.parse_shards {
-            let mut map = shard.lock().expect("parse lock");
-            while map.bytes > budget && !map.entries.is_empty() {
-                let victim = map
-                    .entries
-                    .iter()
-                    .min_by_key(|(key, e)| (e.stamp, **key))
-                    .map(|(key, _)| *key)
-                    .expect("non-empty shard");
-                let entry = map.entries.remove(&victim).expect("victim resident");
-                map.bytes -= entry.bytes;
-                evicted += 1;
-            }
-        }
-        self.parse_evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.parsed().evict();
         evicted
     }
 
-    fn parse_shard_of(&self, digest: Digest) -> &Mutex<ParseShard> {
-        let idx = ((digest.0 >> 120) as usize) % self.parse_shards.len();
-        &self.parse_shards[idx]
-    }
-
-    /// Looks a parsed unit up by source digest, stamping the entry with
-    /// the current epoch on a hit (a parse hit is a touch — entries in
-    /// active use survive eviction pressure).
+    /// Looks a parsed unit up by source digest, stamping it with the
+    /// current epoch on a hit.
     #[must_use]
     pub fn parse_lookup(&self, digest: Digest) -> Option<ParsedUnit> {
-        let mut map = self.parse_shard_of(digest).lock().expect("parse lock");
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        map.entries.get_mut(&digest.0).map(|e| {
-            e.stamp = epoch;
-            e.unit.clone()
-        })
+        let epoch = self.epoch();
+        self.parsed().touch(digest.0, epoch).cloned()
     }
 
     /// Whether a source digest is resident, stamping it on a hit — the
@@ -571,15 +486,8 @@ impl ArtifactStore {
     /// re-upload path covers that).
     #[must_use]
     pub fn parse_contains(&self, digest: Digest) -> bool {
-        let mut map = self.parse_shard_of(digest).lock().expect("parse lock");
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        match map.entries.get_mut(&digest.0) {
-            Some(e) => {
-                e.stamp = epoch;
-                true
-            }
-            None => false,
-        }
+        let epoch = self.epoch();
+        self.parsed().touch(digest.0, epoch).is_some()
     }
 
     /// Inserts a parsed unit under its source digest. The caller must
@@ -589,48 +497,26 @@ impl ArtifactStore {
     pub fn parse_insert(&self, digest: Digest, unit: ParsedUnit) {
         debug_assert_eq!(digest, source_digest(&unit.canonical));
         let bytes = unit.canonical.len() as u64;
-        let mut map = self.parse_shard_of(digest).lock().expect("parse lock");
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        match map.entries.insert(
-            digest.0,
-            ParseEntry {
-                unit,
-                bytes,
-                stamp: epoch,
-            },
-        ) {
-            Some(old) => map.bytes = map.bytes - old.bytes + bytes,
-            None => map.bytes += bytes,
-        }
+        let epoch = self.epoch();
+        self.parsed().insert(digest.0, unit, bytes, epoch);
     }
 
     /// Number of parsed units currently resident.
     #[must_use]
     pub fn parse_resident(&self) -> usize {
-        self.parse_shards
-            .iter()
-            .map(|s| s.lock().expect("parse lock").entries.len())
-            .sum()
+        self.parsed().entries.len()
     }
 
     /// Resident parse-cache size (canonical text bytes).
     #[must_use]
     pub fn parse_len_bytes(&self) -> u64 {
-        self.parse_shards
-            .iter()
-            .map(|s| s.lock().expect("parse lock").bytes)
-            .sum()
+        self.parsed().bytes
     }
 
     /// Parse-cache entries evicted over the store's lifetime.
     #[must_use]
     pub fn parse_evictions(&self) -> u64 {
-        self.parse_evictions.load(Ordering::Relaxed)
-    }
-
-    fn shard_of(&self, key: Digest) -> &Mutex<ShardMap> {
-        let idx = ((key.0 >> 120) as usize) % self.shards.len();
-        &self.shards[idx]
+        self.parsed().evictions
     }
 
     fn path_of(&self, key: Digest) -> Option<PathBuf> {
@@ -643,13 +529,9 @@ impl ArtifactStore {
     /// parse failure is a miss. A hit refreshes the entry's epoch stamp.
     #[must_use]
     pub fn lookup(&self, key: Digest, config: &MachineConfig) -> Option<Arc<Artifact>> {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        {
-            let mut map = self.shard_of(key).lock().expect("store lock");
-            if let Some(entry) = map.entries.get_mut(&key.0) {
-                entry.stamp = epoch;
-                return Some(Arc::clone(&entry.artifact));
-            }
+        let epoch = self.epoch();
+        if let Some(hit) = self.artifacts().touch(key.0, epoch) {
+            return Some(Arc::clone(hit));
         }
         let path = self.path_of(key)?;
         let text = fs::read_to_string(path).ok()?;
@@ -657,18 +539,9 @@ impl ArtifactStore {
         if artifact.key != key {
             return None;
         }
-        let bytes = text.len() as u64;
         let artifact = Arc::new(artifact);
-        let mut map = self.shard_of(key).lock().expect("store lock");
-        let entry = Entry {
-            artifact: Arc::clone(&artifact),
-            bytes,
-            stamp: epoch,
-        };
-        if let Some(old) = map.entries.insert(key.0, entry) {
-            map.bytes -= old.bytes;
-        }
-        map.bytes += bytes;
+        self.artifacts()
+            .insert(key.0, Arc::clone(&artifact), text.len() as u64, epoch);
         Some(artifact)
     }
 
@@ -687,21 +560,13 @@ impl ArtifactStore {
         debug_assert!(artifact.verdict.allocation_checked);
         let key = artifact.key;
         let text = encode_artifact(&artifact);
-        let bytes = text.len() as u64;
-        let epoch = self.epoch.load(Ordering::Relaxed);
         let artifact = Arc::new(artifact);
-        {
-            let mut map = self.shard_of(key).lock().expect("store lock");
-            let entry = Entry {
-                artifact: Arc::clone(&artifact),
-                bytes,
-                stamp: epoch,
-            };
-            if let Some(old) = map.entries.insert(key.0, entry) {
-                map.bytes -= old.bytes;
-            }
-            map.bytes += bytes;
-        }
+        self.artifacts().insert(
+            key.0,
+            Arc::clone(&artifact),
+            text.len() as u64,
+            self.epoch(),
+        );
         if let Some(path) = self.path_of(key) {
             // Write-then-rename keeps concurrent readers (other build
             // processes sharing the directory) away from torn files.
@@ -742,15 +607,17 @@ fn argloc_name(a: &ArgLoc) -> String {
 }
 
 fn parse_argloc(s: &str) -> Option<ArgLoc> {
-    let (tag, rest) = s.split_at(1);
+    let mut chars = s.chars();
+    let tag = chars.next()?;
+    let rest = chars.as_str();
     match tag {
-        "g" => Some(ArgLoc::Gpr(Gpr::try_new(rest.parse().ok()?)?)),
-        "f" => Some(ArgLoc::Fpr(Fpr::try_new(rest.parse().ok()?)?)),
-        "s" => {
+        'g' => Some(ArgLoc::Gpr(Gpr::try_new(rest.parse().ok()?)?)),
+        'f' => Some(ArgLoc::Fpr(Fpr::try_new(rest.parse().ok()?)?)),
+        's' => {
             let (off, e) = rest.split_once(':')?;
             Some(ArgLoc::Stack(off.parse().ok()?, parse_elem(e)?))
         }
-        "m" => {
+        'm' => {
             let (addr, e) = rest.split_once(':')?;
             Some(ArgLoc::Global(addr.parse().ok()?, parse_elem(e)?))
         }
@@ -874,16 +741,21 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
             "entry" => entry = Some(rest.to_owned()),
             "label" => label = Some(rest.to_owned()),
             "verdict" => {
-                let mut flags = [false; 3];
-                for (i, part) in rest.split(' ').enumerate() {
-                    let (_, v) = part.split_once('=')?;
-                    flags[i] = v == "1";
-                }
+                // exactly `alloc=B tunnel=B sched=B`, each B `0` or `1`
+                let mut parts = rest.split(' ');
+                let mut flag = |name: &str| match parts.next()?.strip_prefix(name)? {
+                    "=0" => Some(false),
+                    "=1" => Some(true),
+                    _ => None,
+                };
                 verdict = Some(Verdict {
-                    allocation_checked: flags[0],
-                    tunnel_validated: flags[1],
-                    schedule_validated: flags[2],
+                    allocation_checked: flag("alloc")?,
+                    tunnel_validated: flag("tunnel")?,
+                    schedule_validated: flag("sched")?,
                 });
+                if parts.next().is_some() {
+                    return None;
+                }
             }
             "wcet" => wcet = rest.parse().ok(),
             "blocks" => block_count = rest.parse().ok()?,
@@ -904,7 +776,8 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
             "sda" => sda_base = rest.parse().ok(),
             "code" => {
                 let n: usize = rest.parse().ok()?;
-                let mut words = Vec::with_capacity(n);
+                // the count is untrusted: a huge one must not preallocate
+                let mut words = Vec::with_capacity(n.min(1 << 16));
                 while words.len() < n {
                     let line = lines.next()?;
                     for w in line.split(' ') {
@@ -1087,6 +960,23 @@ mod tests {
         assert!(decode_artifact(&text, &MachineConfig::tiny_caches()).is_none());
         // garbage
         assert!(decode_artifact("not an artifact", &config).is_none());
+        // hostile lines that must be misses, not panics: a fourth verdict
+        // field, a code count too large to preallocate, and an annotation
+        // argument starting with a multi-byte character
+        let line = |tag: &str| {
+            let line = text.lines().find(|l| l.starts_with(tag)).expect("line");
+            format!("\n{line}\n")
+        };
+        let verdict = line("verdict ");
+        let code = line("code ");
+        for hostile in [
+            text.replace(&verdict, &format!("{} extra=1\n", verdict.trim_end())),
+            text.replace(&code, &format!("\ncode {}\n", usize::MAX)),
+            text.replace("\nend\n", "\nannot 1 1 \u{e9}1 | %1\nend\n"),
+        ] {
+            assert_ne!(hostile, text);
+            assert!(decode_artifact(&hostile, &config).is_none());
+        }
     }
 
     #[test]
@@ -1194,26 +1084,6 @@ mod tests {
             .expect("disk hit");
         assert_eq!(store.len_bytes(), size);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_digest_is_shard_count_invariant() {
-        let artifacts: Vec<Artifact> = (0..6).map(artifact_named).collect();
-        let mut digests = Vec::new();
-        for shards in [1usize, 4] {
-            let store = ArtifactStore::with_config(StoreConfig {
-                shards,
-                ..StoreConfig::default()
-            })
-            .expect("memory store");
-            for a in &artifacts {
-                store.insert(a.clone()).expect("inserts");
-            }
-            assert_eq!(store.shard_count(), shards);
-            assert_eq!(store.resident(), artifacts.len());
-            digests.push(store.store_digest());
-        }
-        assert_eq!(digests[0], digests[1]);
     }
 
     #[test]

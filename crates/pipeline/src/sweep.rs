@@ -326,7 +326,7 @@ pub(crate) fn sweep_digest<'a>(
         h.str(unit).str(config).str(machine);
         h.u64(output.0 as u64).u64((output.0 >> 64) as u64);
     }
-    h.finish()
+    Digest(h.finish())
 }
 
 /// One cell of a completed sweep: the three axis labels, the outcome, and

@@ -352,7 +352,7 @@ impl Profile {
             }
             h.str(row.kind.cat()).str(&row.name).u64(row.count);
         }
-        h.finish()
+        Digest(h.finish())
     }
 
     /// The store hit rate derivable from the counters: every job performs

@@ -217,7 +217,7 @@ pub fn fleet_digest(nodes: &[Node]) -> Digest {
         h.str(node.name());
         h.str(&vericomp_minic::pretty::program_to_c(&node.to_minic()));
     }
-    h.finish()
+    Digest(h.finish())
 }
 
 /// One random node drawn from the shared stream — the symbol census behind

@@ -422,7 +422,10 @@ pub fn run_case(case_seed: u64, cfg: &OracleConfig) -> Result<OracleStats, Oracl
     Ok(stats)
 }
 
-fn traces_match(
+/// Whether a machine annotation trace equals a source-level trace
+/// (formats, order, and values — `f64` compared bitwise).
+#[must_use]
+pub fn traces_match(
     machine: &[vericomp_mach::AnnotEvent],
     source: &[vericomp_minic::interp::TraceEvent],
 ) -> bool {

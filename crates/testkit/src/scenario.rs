@@ -668,7 +668,7 @@ impl Scenario {
             h.str(&unit.name);
             h.str(&vericomp_minic::pretty::program_to_c(&unit.node.to_minic()));
         }
-        h.finish()
+        Digest(h.finish())
     }
 }
 

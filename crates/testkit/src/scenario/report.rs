@@ -81,7 +81,7 @@ impl SchedReport {
                 .u64(v.budget)
                 .u64(u64::from(v.feasible()));
         }
-        h.finish()
+        Digest(h.finish())
     }
 
     /// Renders the report as grep-friendly `sched:` lines — one per

@@ -419,7 +419,9 @@ impl Analyzer {
             .then(|| Arc::new(AnnotationFile::from_program(program)));
         let words = Arc::new(program.encode_text());
         let mut fp = Fingerprint::new();
-        fp.str(&format!("{:?}", program.config));
+        for field in program.config.fields() {
+            fp.u32(field);
+        }
         fp.bool(self.options.use_annotations);
         fp.u32(program.const_pool_base);
         fp.u32(program.sda_base);

@@ -475,10 +475,12 @@ impl Worklist {
     }
 }
 
-/// 128-bit FNV-1a — the same construction (and constants) as the pipeline's
-/// artifact hasher, mirrored here because `vericomp-wcet` sits below
-/// `vericomp-pipeline` in the crate graph. Used for the per-function
-/// incremental-analysis keys.
+/// Incremental 128-bit FNV-1a with length-prefixed field framing, so
+/// `("ab", "c")` and `("a", "bc")` hash differently — the workspace's one
+/// stable content hash. It keys the analyzer's per-function facts here,
+/// and `vericomp-pipeline` re-exports it as `Hasher` for cache keys and
+/// every determinism digest, so its output must never change: a new
+/// value would invalidate every `.vcart` file on disk.
 #[derive(Debug, Clone)]
 pub struct Fingerprint {
     state: u128,
@@ -669,17 +671,20 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_matches_pipeline_constants() {
-        // pinned: the empty digest is the FNV offset basis, as in
-        // crates/pipeline/src/hash.rs
+    fn fingerprint_is_pinned_and_framed() {
+        // pinned: changing the hash function invalidates every cache on
+        // disk, which must be a deliberate store FORMAT_VERSION bump instead
         assert_eq!(Fingerprint::new().finish(), FNV_OFFSET);
         let mut h = Fingerprint::new();
-        h.str("abc").u32(7);
-        let mut h2 = Fingerprint::new();
-        h2.str("abc").u32(7);
-        assert_eq!(h.finish(), h2.finish());
-        let mut h3 = Fingerprint::new();
-        h3.str("ab").str("c");
-        assert_ne!(h.finish(), h3.finish(), "length prefix framing");
+        h.str("vericomp").u32(2011).bool(true);
+        assert_eq!(
+            format!("{:032x}", h.finish()),
+            "71f879af8427691b9529c65bd1957e1b"
+        );
+        let mut a = Fingerprint::new();
+        a.str("ab").str("c");
+        let mut b = Fingerprint::new();
+        b.str("a").str("bc");
+        assert_ne!(a.finish(), b.finish(), "length prefix framing");
     }
 }

@@ -3,14 +3,14 @@
 //! ```text
 //! # terminal 1 — start the service
 //! cargo run --release -p vericomp --bin vericomp_serve -- \
-//!     --socket target/vericomp.sock --shards 4 --store-bytes 4000000
+//!     --socket target/vericomp.sock --store-bytes 4000000
 //!
 //! # terminal 2 — any number of clients
 //! cargo run --release -p vericomp --bin compile_fleet -- \
 //!     --connect target/vericomp.sock --configs verified,opt-full
 //! ```
 //!
-//! The daemon owns one warm, sharded, size-bounded artifact store and
+//! The daemon owns one warm, size-bounded artifact store and
 //! batches concurrently arriving sweep requests into single pipeline
 //! runs. Every response digest is bit-identical to what a solo
 //! `compile_fleet` run of the same request prints — the determinism
@@ -25,23 +25,16 @@ use std::process::ExitCode;
 use vericomp_pipeline::{Client, Server, ServerOptions};
 
 const USAGE: &str = "usage: vericomp_serve --socket PATH [--jobs N] [--cache-dir DIR]
-                     [--shards N] [--store-bytes N] [--parse-bytes N]
-                     [--max-inflight-cells N] [--slo F] [--slo-p99-ms N]
-                     [--metrics-json FILE] [--no-recorder] [--recorder-cap N]
+                     [--store-bytes N] [--slo F] [--slo-p99-ms N]
+                     [--metrics-json FILE] [--no-recorder]
        vericomp_serve --stats-of PATH | --metrics-of PATH
                     | --recorder-of PATH | --shutdown PATH
   --socket PATH     Unix socket to listen on (stale files are replaced)
   --jobs N          worker threads (default: available parallelism)
   --cache-dir DIR   persistent .vcart store directory (default: memory only)
-  --shards N        store shards by digest prefix (default 4)
   --store-bytes N   resident store bound in bytes; exceeding it evicts
                     least-recent batches first, deterministically
                     (default: unbounded)
-  --parse-bytes N   parse-cache bound in bytes (canonical source text);
-                    0 empties the cache at every batch boundary, so
-                    cold clients re-upload every body (default 67108864)
-  --max-inflight-cells N
-                    admission bound: max sweep cells per batch (default 4096)
   --slo F           hit-rate SLO in 0..1 printed with the stats (default 0.9;
                     0 disables the line)
   --slo-p99-ms N    p99 per-request wall-latency SLO in milliseconds, judged
@@ -52,7 +45,6 @@ const USAGE: &str = "usage: vericomp_serve --socket PATH [--jobs N] [--cache-dir
                     shutdown
   --no-recorder     disable the flight recorder (recorder-dump requests
                     then answer with an error)
-  --recorder-cap N  flight-recorder ring capacity in events (default 4096)
   --stats-of PATH   print a running daemon's stats and exit
   --metrics-of PATH print a running daemon's metrics registry JSON and exit
   --recorder-of PATH
@@ -73,15 +65,11 @@ fn parse_args() -> Result<Mode, String> {
     let mut shutdown: Option<String> = None;
     let mut jobs = 0usize;
     let mut cache_dir: Option<String> = None;
-    let mut shards = 4usize;
     let mut max_bytes: Option<u64> = None;
-    let mut parse_bytes: Option<u64> = None;
-    let mut max_inflight = 4096usize;
     let mut slo = 0.9f64;
     let mut slo_p99_ms = 0u64;
     let mut metrics_json: Option<String> = None;
     let mut recorder = true;
-    let mut recorder_cap: Option<usize> = None;
     let mut metrics_of: Option<String> = None;
     let mut recorder_of: Option<String> = None;
 
@@ -102,29 +90,12 @@ fn parse_args() -> Result<Mode, String> {
                     .map_err(|_| "--jobs needs a number".to_string())?;
             }
             "--cache-dir" => cache_dir = Some(value("--cache-dir")?),
-            "--shards" => {
-                shards = value("--shards")?
-                    .parse()
-                    .map_err(|_| "--shards needs a number".to_string())?;
-            }
             "--store-bytes" => {
                 max_bytes = Some(
                     value("--store-bytes")?
                         .parse()
                         .map_err(|_| "--store-bytes needs a number".to_string())?,
                 );
-            }
-            "--parse-bytes" => {
-                parse_bytes = Some(
-                    value("--parse-bytes")?
-                        .parse()
-                        .map_err(|_| "--parse-bytes needs a number".to_string())?,
-                );
-            }
-            "--max-inflight-cells" => {
-                max_inflight = value("--max-inflight-cells")?
-                    .parse()
-                    .map_err(|_| "--max-inflight-cells needs a number".to_string())?;
             }
             "--slo" => {
                 slo = value("--slo")?
@@ -141,13 +112,6 @@ fn parse_args() -> Result<Mode, String> {
             }
             "--metrics-json" => metrics_json = Some(value("--metrics-json")?),
             "--no-recorder" => recorder = false,
-            "--recorder-cap" => {
-                recorder_cap = Some(
-                    value("--recorder-cap")?
-                        .parse()
-                        .map_err(|_| "--recorder-cap needs a number".to_string())?,
-                );
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
@@ -169,12 +133,7 @@ fn parse_args() -> Result<Mode, String> {
     let mut options = ServerOptions::new(socket);
     options.jobs = jobs;
     options.cache_dir = cache_dir.map(Into::into);
-    options.shards = shards;
     options.max_bytes = max_bytes;
-    if let Some(bytes) = parse_bytes {
-        options.parse_bytes = Some(bytes);
-    }
-    options.max_inflight_cells = max_inflight;
     #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
     {
         options.slo_per_mille = (slo * 1000.0).round() as u64;
@@ -182,9 +141,6 @@ fn parse_args() -> Result<Mode, String> {
     options.slo_p99_ns = slo_p99_ms.saturating_mul(1_000_000);
     options.metrics_json = metrics_json.map(Into::into);
     options.recorder = recorder;
-    if let Some(cap) = recorder_cap {
-        options.recorder_cap = cap;
-    }
     Ok(Mode::Serve(Box::new(options)))
 }
 
@@ -282,13 +238,11 @@ fn main() -> ExitCode {
                 }
             };
             println!(
-                "vericomp_serve: listening on {} ({} shards, {}, admission {} cells, cache {})",
+                "vericomp_serve: listening on {} ({}, cache {})",
                 options.socket.display(),
-                options.shards,
                 options
                     .max_bytes
                     .map_or("unbounded".to_string(), |b| format!("{b} byte bound")),
-                options.max_inflight_cells,
                 options
                     .cache_dir
                     .as_ref()

@@ -72,11 +72,12 @@ pub mod harness {
     use crate::arch::Program;
     use crate::core::{CompileError, Compiler, OptLevel};
     use crate::dataflow::Node;
-    use crate::mach::{AnnotEvent, AnnotValue, Simulator};
-    use crate::minic::interp::{Interp, TraceEvent, Value};
+    use crate::mach::Simulator;
+    use crate::minic::interp::{Interp, Value};
     use crate::wcet::AnalysisError;
 
     pub use crate::pipeline::search::wcet_driven_candidates;
+    pub use crate::testkit::oracle::traces_match;
 
     /// Compiles a dataflow node with the given compiler configuration.
     ///
@@ -353,24 +354,6 @@ pub mod harness {
         let sweep = pipeline.run_sweep(&spec)?;
         let report = scenario.check(&sweep);
         Ok(ScenarioBuild { sweep, report })
-    }
-
-    /// Whether a machine annotation trace equals a source-level trace
-    /// (formats, order, and values — `f64` compared bitwise).
-    pub fn traces_match(machine: &[AnnotEvent], source: &[TraceEvent]) -> bool {
-        machine.len() == source.len()
-            && machine.iter().zip(source).all(|(m, s)| {
-                m.format == s.format
-                    && m.values.len() == s.values.len()
-                    && m.values
-                        .iter()
-                        .zip(&s.values)
-                        .all(|(mv, sv)| match (mv, sv) {
-                            (AnnotValue::I32(a), Value::I(b)) => a == b,
-                            (AnnotValue::F64(a), Value::F(b)) => a.to_bits() == b.to_bits(),
-                            _ => false,
-                        })
-            })
     }
 
     /// A differential run of one node activation: the interpreter and the

@@ -86,7 +86,7 @@ fn fleet_build_is_bit_identical_across_job_counts_and_vs_serial() {
 #[test]
 fn sweep_matrix_is_bit_identical_across_job_counts_and_vs_serial() {
     // the full three-axis request: nodes × configs × machines, exactly
-    // what `run_sweep` shards onto the pool in one job set
+    // what `run_sweep` puts onto the pool in one job set
     let nodes: Vec<_> = fleet::named_suite().into_iter().take(4).collect();
     let slow_mem = {
         let mut m = MachineConfig::mpc755();
@@ -359,7 +359,7 @@ fn warm_replay_is_bit_identical_to_the_cold_build() {
 // ---------------------------------------------------------------------------
 // Daemon determinism gates: a sweep served by `vericomp_serve` must be
 // bit-identical to a solo `run_sweep` of the same spec — across job counts,
-// shard counts, server restarts, forced eviction, and concurrent clients.
+// server restarts, forced eviction, and concurrent clients.
 // ---------------------------------------------------------------------------
 
 use vericomp::pipeline::{normalize_spec, Client, Server, ServerOptions};
@@ -377,37 +377,36 @@ fn daemon_spec(nodes: std::ops::Range<usize>) -> SweepSpec {
 }
 
 #[test]
-fn daemon_response_is_bit_identical_to_solo_across_jobs_and_shards() {
+fn daemon_response_is_bit_identical_to_solo_across_jobs() {
     let spec = daemon_spec(0..4);
     let solo = pipeline_with_jobs(1).run_sweep(&spec).expect("solo sweep");
 
     let mut store_digests = Vec::new();
-    for (jobs, shards) in [(1usize, 1usize), (4, 1), (1, 4), (4, 8)] {
-        let socket = daemon_socket(&format!("axes-{jobs}-{shards}"));
+    for jobs in [1usize, 4] {
+        let socket = daemon_socket(&format!("axes-{jobs}"));
         let mut options = ServerOptions::new(&socket);
         options.jobs = jobs;
-        options.shards = shards;
         let server = Server::new(&options).expect("binds");
         let store = server.store().clone();
         let handle = std::thread::spawn(move || server.run().expect("serves"));
 
         let mut client = Client::connect(&socket).expect("connects");
         let served = client.run_sweep(&spec).expect("served");
-        assert!(served.verify(), "jobs={jobs} shards={shards}: bad frame");
+        assert!(served.verify(), "jobs={jobs}: bad frame");
         assert_eq!(
             served.digest,
             solo.digest(),
-            "jobs={jobs} shards={shards}: daemon digest diverges from solo"
+            "jobs={jobs}: daemon digest diverges from solo"
         );
         store_digests.push(store.store_digest());
         client.shutdown().expect("acknowledged");
         handle.join().expect("clean run");
     }
     // the resident key set is a pure function of the work: the store
-    // digest must not depend on worker count or shard layout
+    // digest must not depend on worker count
     assert!(
         store_digests.windows(2).all(|w| w[0] == w[1]),
-        "store digest varies with jobs/shards: {store_digests:?}"
+        "store digest varies with jobs: {store_digests:?}"
     );
 }
 
@@ -466,7 +465,6 @@ fn daemon_restart_mid_suite_preserves_digests() {
 fn daemon_eviction_recompiles_to_identical_digests() {
     let socket = daemon_socket("evict");
     let mut options = ServerOptions::new(&socket);
-    options.shards = 1;
     // sized to hold one six-cell sweep but not two: the second sweep
     // evicts the first's batch, the third forces recompiles
     options.max_bytes = Some(16_000);
@@ -615,30 +613,22 @@ fn metrics_digest(json: &str) -> String {
 
 /// The metrics registry obeys the repo's digest discipline: for one serial
 /// client replaying the identical request sequence, `counter_digest` is a
-/// pure function of the workload — invariant across worker counts, shard
-/// layouts, and a daemon restart (fresh lifetime, same requests). Wall
-/// latencies differ wildly across those axes; only identities and counts
-/// are hashed.
+/// pure function of the workload — invariant across worker counts and a
+/// daemon restart (fresh lifetime, same requests). Wall latencies differ
+/// wildly across those axes; only identities and counts are hashed.
 #[test]
-fn daemon_metrics_counter_digest_is_invariant_across_jobs_shards_and_restart() {
+fn daemon_metrics_counter_digest_is_invariant_across_jobs_and_restart() {
     let first = daemon_spec(0..3);
     let second = daemon_spec(0..5);
 
     let mut digests = Vec::new();
-    // (jobs, shards) axes plus a repeat of the first configuration — the
-    // repeat is the "restart" leg: a fresh memory-only lifetime serving
-    // the same requests must reproduce the digest bit for bit
-    for (tag, jobs, shards) in [
-        ("m1", 1usize, 1usize),
-        ("m2", 8, 1),
-        ("m3", 1, 4),
-        ("m4", 8, 8),
-        ("m5", 1, 1),
-    ] {
+    // a jobs axis plus a repeat of the first configuration — the repeat
+    // is the "restart" leg: a fresh memory-only lifetime serving the
+    // same requests must reproduce the digest bit for bit
+    for (tag, jobs) in [("m1", 1usize), ("m2", 8), ("m3", 1)] {
         let socket = daemon_socket(&format!("metrics-{tag}"));
         let mut options = ServerOptions::new(&socket);
         options.jobs = jobs;
-        options.shards = shards;
         let server = Server::new(&options).expect("binds");
         let handle = std::thread::spawn(move || server.run().expect("serves"));
 
@@ -652,7 +642,7 @@ fn daemon_metrics_counter_digest_is_invariant_across_jobs_shards_and_restart() {
     }
     assert!(
         digests.windows(2).all(|w| w[0].1 == w[1].1),
-        "metrics counter digest varies with jobs/shards/restart: {digests:?}"
+        "metrics counter digest varies with jobs/restart: {digests:?}"
     );
 }
 
