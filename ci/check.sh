@@ -83,6 +83,28 @@ if ! grep -q '(26 run, 0 cached)' target/vericomp-ci-corrupt.txt; then
     exit 1
 fi
 
+echo "==> corrupt-cache smoke: a function table running past the code is a miss, audit included"
+# the run above rewrote every .vcart; now every function claims 999999
+# words, which the analyzer's fact key would index the code with
+sed -i 's/^func \([0-9]*\) [0-9]* /func \1 999999 /' "$CACHE_DIR"/*.vcart
+if ! cargo run --release --offline -p vericomp --bin compile_fleet -- \
+        --cache-dir "$CACHE_DIR" --reanalyze > target/vericomp-ci-corrupt-func.txt; then
+    echo "corrupt-cache smoke FAILED: compile_fleet --reanalyze exited non-zero" >&2
+    exit 1
+fi
+cat target/vericomp-ci-corrupt-func.txt
+corrupt_func_digest=$(grep '^fleet digest:' target/vericomp-ci-corrupt-func.txt)
+if [ "$corrupt_func_digest" != "$cold_digest" ]; then
+    echo "corrupt-cache smoke FAILED: rebuild over a corrupt function table changed the digest" >&2
+    echo "  cold:    $cold_digest" >&2
+    echo "  corrupt: $corrupt_func_digest" >&2
+    exit 1
+fi
+if ! grep -q '(26 run, 0 cached)' target/vericomp-ci-corrupt-func.txt; then
+    echo "corrupt-cache smoke FAILED: an artifact with a corrupt function table was replayed" >&2
+    exit 1
+fi
+
 echo "==> sweep smoke: 2 nodes x 3 configs x 2 machines, parallel == jobs 1"
 cargo run --release --offline -p vericomp --bin compile_fleet -- \
     --nodes 2 --configs pattern-O0,verified,opt-full --machines mpc755,tiny-caches \

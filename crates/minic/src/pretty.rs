@@ -3,6 +3,12 @@
 //! Renders a program as the C translation unit a developer would review —
 //! useful for inspecting what the automatic code generator produced and for
 //! the examples that reproduce the paper's listings.
+//!
+//! The rendering is also the compile pipeline's canonical source text: it
+//! is what cache keys and source digests hash, so its bytes are pinned.
+//! Every node writes straight into the one output `String`, allocating
+//! nothing else, and [`program_to_c`] returns the text at its exact
+//! length (it is often kept for a whole run).
 
 use std::fmt::Write as _;
 
@@ -40,6 +46,23 @@ fn binop_str(op: Binop) -> &'static str {
     }
 }
 
+/// Writes `indent` levels of four-space padding.
+fn pad(indent: usize, out: &mut String) {
+    for _ in 0..indent {
+        out.push_str("    ");
+    }
+}
+
+/// Writes `items` separated by `", "`.
+fn comma_list<T>(items: &[T], out: &mut String, mut item: impl FnMut(&T, &mut String)) {
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(x, out);
+    }
+}
+
 fn expr(e: &Expr, out: &mut String) {
     match e {
         Expr::IntLit(v) => {
@@ -52,23 +75,22 @@ fn expr(e: &Expr, out: &mut String) {
                 let _ = write!(out, "{v}");
             }
         }
-        Expr::BoolLit(v) => {
-            let _ = write!(out, "{v}");
-        }
+        Expr::BoolLit(v) => out.push_str(if *v { "true" } else { "false" }),
         Expr::Var(n) => out.push_str(n),
         Expr::Index(n, i) => {
-            let _ = write!(out, "{n}[");
+            out.push_str(n);
+            out.push('[');
             expr(i, out);
             out.push(']');
         }
         Expr::Unop(op, a) => {
-            match op {
-                Unop::NegI | Unop::NegF => out.push('-'),
-                Unop::NotB => out.push('!'),
-                Unop::AbsF => out.push_str("__builtin_fabs"),
-                Unop::I2F => out.push_str("(double)"),
-                Unop::F2I => out.push_str("(int)"),
-            }
+            out.push_str(match op {
+                Unop::NegI | Unop::NegF => "-",
+                Unop::NotB => "!",
+                Unop::AbsF => "__builtin_fabs",
+                Unop::I2F => "(double)",
+                Unop::F2I => "(int)",
+            });
             out.push('(');
             expr(a, out);
             out.push(')');
@@ -76,77 +98,86 @@ fn expr(e: &Expr, out: &mut String) {
         Expr::Binop(op, a, b) => {
             out.push('(');
             expr(a, out);
-            let _ = write!(out, " {} ", binop_str(*op));
+            out.push(' ');
+            out.push_str(binop_str(*op));
+            out.push(' ');
             expr(b, out);
             out.push(')');
         }
-        Expr::Call(n, args) => {
-            let _ = write!(out, "{n}(");
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                expr(a, out);
-            }
-            out.push(')');
-        }
+        Expr::Call(n, args) => call(n, args, out),
         Expr::IoRead(port) => {
             let _ = write!(out, "__io_read({port})");
         }
     }
 }
 
+fn call(name: &str, args: &[Expr], out: &mut String) {
+    out.push_str(name);
+    out.push('(');
+    comma_list(args, out, expr);
+    out.push(')');
+}
+
+/// Writes a braced block's statements and its padded closing brace.
+fn block(body: &[Stmt], indent: usize, out: &mut String) {
+    for s in body {
+        stmt(s, indent + 1, out);
+    }
+    pad(indent, out);
+    out.push('}');
+}
+
 fn stmt(s: &Stmt, indent: usize, out: &mut String) {
-    let pad = "    ".repeat(indent);
     match s {
         Stmt::Assign(n, e) => {
-            let _ = write!(out, "{pad}{n} = ");
+            pad(indent, out);
+            out.push_str(n);
+            out.push_str(" = ");
             expr(e, out);
             out.push_str(";\n");
         }
         Stmt::StoreIndex(n, i, e) => {
-            let _ = write!(out, "{pad}{n}[");
+            pad(indent, out);
+            out.push_str(n);
+            out.push('[');
             expr(i, out);
             out.push_str("] = ");
             expr(e, out);
             out.push_str(";\n");
         }
         Stmt::If(c, then, els) => {
-            let _ = write!(out, "{pad}if (");
+            pad(indent, out);
+            out.push_str("if (");
             expr(c, out);
             out.push_str(") {\n");
-            for s in then {
-                stmt(s, indent + 1, out);
+            block(then, indent, out);
+            if !els.is_empty() {
+                out.push_str(" else {\n");
+                block(els, indent, out);
             }
-            if els.is_empty() {
-                let _ = writeln!(out, "{pad}}}");
-            } else {
-                let _ = writeln!(out, "{pad}}} else {{");
-                for s in els {
-                    stmt(s, indent + 1, out);
-                }
-                let _ = writeln!(out, "{pad}}}");
-            }
+            out.push('\n');
         }
         Stmt::While(c, body) => {
-            let _ = write!(out, "{pad}while (");
+            pad(indent, out);
+            out.push_str("while (");
             expr(c, out);
             out.push_str(") {\n");
-            for s in body {
-                stmt(s, indent + 1, out);
-            }
-            let _ = writeln!(out, "{pad}}}");
+            block(body, indent, out);
+            out.push('\n');
         }
         Stmt::Return(None) => {
-            let _ = writeln!(out, "{pad}return;");
+            pad(indent, out);
+            out.push_str("return;\n");
         }
         Stmt::Return(Some(e)) => {
-            let _ = write!(out, "{pad}return ");
+            pad(indent, out);
+            out.push_str("return ");
             expr(e, out);
             out.push_str(";\n");
         }
         Stmt::Annot(f, args) => {
-            let _ = write!(out, "{pad}__builtin_annotation({f:?}");
+            pad(indent, out);
+            let _ = write!(out, "__builtin_annotation({f:?}");
             for a in args {
                 out.push_str(", ");
                 expr(a, out);
@@ -154,87 +185,76 @@ fn stmt(s: &Stmt, indent: usize, out: &mut String) {
             out.push_str(");\n");
         }
         Stmt::IoWrite(port, e) => {
-            let _ = write!(out, "{pad}__io_write({port}, ");
+            pad(indent, out);
+            let _ = write!(out, "__io_write({port}, ");
             expr(e, out);
             out.push_str(");\n");
         }
         Stmt::CallStmt(n, args) => {
-            let _ = write!(out, "{pad}{n}(");
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                expr(a, out);
-            }
-            out.push_str(");\n");
+            pad(indent, out);
+            call(n, args, out);
+            out.push_str(";\n");
         }
     }
 }
 
+/// Writes a scalar global: `ty name;` or `ty name = init;`.
+fn scalar<T: std::fmt::Display>(ty: &str, name: &str, init: Option<T>, out: &mut String) {
+    let _ = match init {
+        Some(v) => writeln!(out, "{ty} {name} = {v};"),
+        None => writeln!(out, "{ty} {name};"),
+    };
+}
+
+/// Writes an array global: `ty name[N] = {v0, v1, ...};`.
+fn array<T: std::fmt::Display>(ty: &str, name: &str, vals: &[T], out: &mut String) {
+    let _ = write!(out, "{ty} {name}[{}] = {{", vals.len());
+    comma_list(vals, out, |v, out| {
+        let _ = write!(out, "{v}");
+    });
+    out.push_str("};\n");
+}
+
 fn global(g: &Global, out: &mut String) {
     match &g.def {
-        GlobalDef::ScalarI32(init) => {
-            let _ = match init {
-                Some(v) => writeln!(out, "int {} = {v};", g.name),
-                None => writeln!(out, "int {};", g.name),
-            };
-        }
-        GlobalDef::ScalarF64(init) => {
-            let _ = match init {
-                Some(v) => writeln!(out, "double {} = {v};", g.name),
-                None => writeln!(out, "double {};", g.name),
-            };
-        }
-        GlobalDef::ScalarBool(init) => {
-            let _ = match init {
-                Some(v) => writeln!(out, "bool {} = {v};", g.name),
-                None => writeln!(out, "bool {};", g.name),
-            };
-        }
-        GlobalDef::ArrayI32(vals) => {
-            let items: Vec<String> = vals.iter().map(|v| v.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "int {}[{}] = {{{}}};",
-                g.name,
-                vals.len(),
-                items.join(", ")
-            );
-        }
-        GlobalDef::ArrayF64(vals) => {
-            let items: Vec<String> = vals.iter().map(|v| v.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "double {}[{}] = {{{}}};",
-                g.name,
-                vals.len(),
-                items.join(", ")
-            );
-        }
+        GlobalDef::ScalarI32(init) => scalar("int", &g.name, *init, out),
+        GlobalDef::ScalarF64(init) => scalar("double", &g.name, *init, out),
+        GlobalDef::ScalarBool(init) => scalar("bool", &g.name, *init, out),
+        GlobalDef::ArrayI32(vals) => array("int", &g.name, vals, out),
+        GlobalDef::ArrayF64(vals) => array("double", &g.name, vals, out),
     }
+}
+
+fn function(f: &Function, out: &mut String) {
+    out.push_str(f.ret.map_or("void", ty_name));
+    out.push(' ');
+    out.push_str(&f.name);
+    out.push('(');
+    comma_list(&f.params, out, |(n, t), out| {
+        out.push_str(ty_name(*t));
+        out.push(' ');
+        out.push_str(n);
+    });
+    out.push_str(") {\n");
+    for (n, t) in &f.locals {
+        out.push_str("    ");
+        out.push_str(ty_name(*t));
+        out.push(' ');
+        out.push_str(n);
+        out.push_str(";\n");
+    }
+    block(&f.body, 0, out);
+    out.push('\n');
 }
 
 /// Renders one function as C.
 pub fn function_to_c(f: &Function) -> String {
     let mut out = String::new();
-    let ret = f.ret.map_or("void", ty_name);
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .map(|(n, t)| format!("{} {n}", ty_name(*t)))
-        .collect();
-    let _ = writeln!(out, "{ret} {}({}) {{", f.name, params.join(", "));
-    for (n, t) in &f.locals {
-        let _ = writeln!(out, "    {} {n};", ty_name(*t));
-    }
-    for s in &f.body {
-        stmt(s, 1, &mut out);
-    }
-    out.push_str("}\n");
+    function(f, &mut out);
     out
 }
 
-/// Renders a whole program as a C translation unit.
+/// Renders a whole program as a C translation unit, at its exact length.
 pub fn program_to_c(p: &Program) -> String {
     let mut out = String::new();
     for g in &p.globals {
@@ -247,8 +267,9 @@ pub fn program_to_c(p: &Program) -> String {
         if i > 0 {
             out.push('\n');
         }
-        out.push_str(&function_to_c(f));
+        function(f, &mut out);
     }
+    out.shrink_to_fit();
     out
 }
 

@@ -626,7 +626,8 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
 /// uploaded body exactly once and caches it, and a fresh digest without
 /// a body is an error the client answers by re-uploading — nothing
 /// reaches the batch queue unless *every* unit resolved, so a failed
-/// request never admits a partial batch.
+/// request never admits a partial batch. Each unit reuses the verified
+/// digest, so resolving renders and hashes nothing.
 fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String> {
     let mut spec = SweepSpec::new();
     for unit in &wire.units {
@@ -663,6 +664,7 @@ fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String>
             Arc::clone(&resolved.ast),
             &unit.entry,
             Arc::clone(&resolved.canonical),
+            unit.digest,
         ));
     }
     for (label, passes) in &wire.configs {

@@ -31,6 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use vericomp_arch::encode::encode;
 use vericomp_arch::program::{
     AnnotationEntry, ArgLoc, DataValue, ElemTy, FuncSym, GlobalSym, Program,
 };
@@ -182,7 +183,9 @@ impl Artifact {
     /// encoding is a pure function of the artifact.
     #[must_use]
     pub fn encoded_len(&self) -> u64 {
-        encode_artifact(self).len() as u64
+        let mut count = ByteCount(0);
+        write_artifact(self, &mut count).expect("counting bytes cannot fail");
+        count.0
     }
 
     /// A digest of the artifact's *outputs* (encoded text, annotation
@@ -559,15 +562,18 @@ impl ArtifactStore {
     pub fn insert(&self, artifact: Artifact) -> io::Result<Arc<Artifact>> {
         debug_assert!(artifact.verdict.allocation_checked);
         let key = artifact.key;
-        let text = encode_artifact(&artifact);
+        // a memory-only store accounts the encoding's length without
+        // rendering its text
+        let file = self
+            .path_of(key)
+            .map(|path| (path, encode_artifact(&artifact)));
+        let bytes = file
+            .as_ref()
+            .map_or_else(|| artifact.encoded_len(), |(_, text)| text.len() as u64);
         let artifact = Arc::new(artifact);
-        self.artifacts().insert(
-            key.0,
-            Arc::clone(&artifact),
-            text.len() as u64,
-            self.epoch(),
-        );
-        if let Some(path) = self.path_of(key) {
+        self.artifacts()
+            .insert(key.0, Arc::clone(&artifact), bytes, self.epoch());
+        if let Some((path, text)) = file {
             // Write-then-rename keeps concurrent readers (other build
             // processes sharing the directory) away from torn files.
             let tmp = path.with_extension(format!("tmp{}", std::process::id()));
@@ -597,12 +603,12 @@ fn parse_elem(s: &str) -> Option<ElemTy> {
     }
 }
 
-fn argloc_name(a: &ArgLoc) -> String {
+fn write_argloc(a: &ArgLoc, out: &mut impl fmt::Write) -> fmt::Result {
     match a {
-        ArgLoc::Gpr(r) => format!("g{}", r.index()),
-        ArgLoc::Fpr(r) => format!("f{}", r.index()),
-        ArgLoc::Stack(off, e) => format!("s{off}:{}", elem_name(*e)),
-        ArgLoc::Global(addr, e) => format!("m{addr}:{}", elem_name(*e)),
+        ArgLoc::Gpr(r) => write!(out, "g{}", r.index()),
+        ArgLoc::Fpr(r) => write!(out, "f{}", r.index()),
+        ArgLoc::Stack(off, e) => write!(out, "s{off}:{}", elem_name(*e)),
+        ArgLoc::Global(addr, e) => write!(out, "m{addr}:{}", elem_name(*e)),
     }
 }
 
@@ -628,76 +634,90 @@ fn parse_argloc(s: &str) -> Option<ArgLoc> {
 /// Serializes an artifact to the `.vcart` text format.
 #[must_use]
 pub fn encode_artifact(a: &Artifact) -> String {
-    use std::fmt::Write as _;
     let mut s = String::new();
-    let _ = writeln!(s, "vericomp-artifact {FORMAT_VERSION}");
-    let _ = writeln!(s, "key {}", a.key);
-    let _ = writeln!(s, "machine {}", machine_digest(&a.program.config));
-    let _ = writeln!(s, "entry {}", a.entry);
-    let _ = writeln!(s, "label {}", a.label);
-    let _ = writeln!(
-        s,
+    write_artifact(a, &mut s).expect("writing to a String cannot fail");
+    s
+}
+
+/// A sink that keeps nothing but the number of bytes written to it.
+struct ByteCount(u64);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len() as u64;
+        Ok(())
+    }
+}
+
+/// The one `.vcart` writer: [`encode_artifact`] runs it into a `String`,
+/// [`Artifact::encoded_len`] into a [`ByteCount`].
+fn write_artifact(a: &Artifact, out: &mut impl fmt::Write) -> fmt::Result {
+    writeln!(out, "vericomp-artifact {FORMAT_VERSION}")?;
+    writeln!(out, "key {}", a.key)?;
+    writeln!(out, "machine {}", machine_digest(&a.program.config))?;
+    writeln!(out, "entry {}", a.entry)?;
+    writeln!(out, "label {}", a.label)?;
+    writeln!(
+        out,
         "verdict alloc={} tunnel={} sched={}",
         u8::from(a.verdict.allocation_checked),
         u8::from(a.verdict.tunnel_validated),
         u8::from(a.verdict.schedule_validated),
-    );
-    let _ = writeln!(s, "wcet {}", a.report.wcet);
-    let _ = writeln!(s, "blocks {}", a.report.block_count);
+    )?;
+    writeln!(out, "wcet {}", a.report.wcet)?;
+    writeln!(out, "blocks {}", a.report.block_count)?;
     for (addr, bound) in &a.report.loop_bounds {
-        let _ = writeln!(s, "loopbound {addr} {bound}");
+        writeln!(out, "loopbound {addr} {bound}")?;
     }
     for (name, w) in &a.report.callees {
-        let _ = writeln!(s, "callee {w} {name}");
+        writeln!(out, "callee {w} {name}")?;
     }
     for (addr, cost) in &a.report.block_costs {
-        let _ = writeln!(s, "blockcost {addr} {cost}");
+        writeln!(out, "blockcost {addr} {cost}")?;
     }
-    let _ = writeln!(s, "prog-entry {}", a.program.entry);
-    let _ = writeln!(s, "constpool {}", a.program.const_pool_base);
-    let _ = writeln!(s, "sda {}", a.program.sda_base);
-    let words = a.program.encode_text();
-    let _ = writeln!(s, "code {}", words.len());
-    for chunk in words.chunks(8) {
-        let line: Vec<String> = chunk.iter().map(|w| format!("{w:08x}")).collect();
-        let _ = writeln!(s, "{}", line.join(" "));
+    writeln!(out, "prog-entry {}", a.program.entry)?;
+    writeln!(out, "constpool {}", a.program.const_pool_base)?;
+    writeln!(out, "sda {}", a.program.sda_base)?;
+    // the encoded text words, eight to a line
+    let code = &a.program.code;
+    writeln!(out, "code {}", code.len())?;
+    for (i, inst) in code.iter().enumerate() {
+        let word = encode(inst, a.program.addr_of(i));
+        let end = if i % 8 == 7 || i + 1 == code.len() {
+            '\n'
+        } else {
+            ' '
+        };
+        write!(out, "{word:08x}{end}")?;
     }
     for f in &a.program.functions {
-        let _ = writeln!(s, "func {} {} {}", f.entry, f.len_words, f.name);
+        writeln!(out, "func {} {} {}", f.entry, f.len_words, f.name)?;
     }
     for g in &a.program.globals {
-        let _ = writeln!(
-            s,
+        writeln!(
+            out,
             "globalsym {} {} {} {}",
             g.addr,
             elem_name(g.elem),
             g.len,
             g.name
-        );
+        )?;
     }
     for (addr, value) in &a.program.data {
         match value {
-            DataValue::I32(v) => {
-                let _ = writeln!(s, "data {addr} i32 {v}");
-            }
-            DataValue::F64(v) => {
-                let _ = writeln!(s, "data {addr} f64 {:016x}", v.to_bits());
-            }
+            DataValue::I32(v) => writeln!(out, "data {addr} i32 {v}")?,
+            DataValue::F64(v) => writeln!(out, "data {addr} f64 {:016x}", v.to_bits())?,
         }
     }
     for ann in &a.program.annotations {
-        let locs: Vec<String> = ann.args.iter().map(argloc_name).collect();
-        let _ = writeln!(
-            s,
-            "annot {} {} {}| {}",
-            ann.id,
-            ann.args.len(),
-            locs.iter().map(|l| format!("{l} ")).collect::<String>(),
-            ann.format
-        );
+        write!(out, "annot {} {} ", ann.id, ann.args.len())?;
+        for loc in &ann.args {
+            write_argloc(loc, out)?;
+            out.write_char(' ')?;
+        }
+        writeln!(out, "| {}", ann.format)?;
     }
-    s.push_str("end\n");
-    s
+    out.write_str("end\n")
 }
 
 /// Parses a `.vcart` document against a machine configuration. Returns
@@ -852,6 +872,15 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
     }
 
     let words = code?;
+    // every function must lie word-aligned inside the text: the analyzer
+    // indexes the code by these ranges
+    let text_words = u32::try_from(words.len()).ok()?;
+    for f in &functions {
+        let offset = f.entry.checked_sub(config.text_base)?;
+        if offset % 4 != 0 || (offset / 4).checked_add(f.len_words)? > text_words {
+            return None;
+        }
+    }
     let insts = Program::decode_text(config, &words).ok()?;
     let program = Program {
         config: config.clone(),
@@ -961,18 +990,25 @@ mod tests {
         // garbage
         assert!(decode_artifact("not an artifact", &config).is_none());
         // hostile lines that must be misses, not panics: a fourth verdict
-        // field, a code count too large to preallocate, and an annotation
-        // argument starting with a multi-byte character
+        // field, a code count too large to preallocate, an annotation
+        // argument starting with a multi-byte character, and function
+        // table entries the analyzer would index the code with (a length
+        // running past the text, an entry below it)
         let line = |tag: &str| {
             let line = text.lines().find(|l| l.starts_with(tag)).expect("line");
             format!("\n{line}\n")
         };
         let verdict = line("verdict ");
         let code = line("code ");
+        let func = line("func ");
+        let fields: Vec<&str> = func.trim().splitn(4, ' ').collect();
+        let (entry, len, name) = (fields[1], fields[2], fields[3]);
         for hostile in [
             text.replace(&verdict, &format!("{} extra=1\n", verdict.trim_end())),
             text.replace(&code, &format!("\ncode {}\n", usize::MAX)),
             text.replace("\nend\n", "\nannot 1 1 \u{e9}1 | %1\nend\n"),
+            text.replace(&func, &format!("\nfunc {entry} 999999 {name}\n")),
+            text.replace(&func, &format!("\nfunc 4 {len} {name}\n")),
         ] {
             assert_ne!(hostile, text);
             assert!(decode_artifact(&hostile, &config).is_none());
@@ -1065,6 +1101,26 @@ mod tests {
         store.insert(artifact_named(2)).expect("re-inserts");
         assert_eq!(store.resident(), 4);
         assert_eq!(store.len_bytes(), expected);
+
+        // the byte counter and the text are one writer's two sinks: they
+        // agree on every suite artifact (multi-line code, data sections,
+        // annotation tables)
+        let spec = crate::sweep::SweepSpec::new()
+            .nodes(&vericomp_dataflow::fleet::named_suite())
+            .levels([OptLevel::PatternO0, OptLevel::OptFull]);
+        let sweep = crate::service::Pipeline::in_memory()
+            .run_sweep(&spec)
+            .expect("suite compiles");
+        for cell in sweep.cells() {
+            let a = &cell.outcome.artifact;
+            assert_eq!(
+                a.encoded_len(),
+                encode_artifact(a).len() as u64,
+                "{} × {}",
+                cell.unit,
+                cell.config
+            );
+        }
     }
 
     #[test]

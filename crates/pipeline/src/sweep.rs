@@ -24,6 +24,14 @@
 //! spec produce identical digests (the determinism gates compare exactly
 //! this).
 //!
+//! **Rendering once.** A unit's canonical text — the key material — and
+//! its digest are rendered on first use and shared by every clone of the
+//! [`SweepUnit`], so building a spec costs O(1) per unit and a sweep
+//! pretty-prints and hashes each unit once, inside that unit's first cell
+//! on the pool. Labeled lookups resolve unit labels through an index the
+//! [`SweepResult`] builds once, so a schedule check over thousands of
+//! units scans no label list.
+//!
 //! ```
 //! use vericomp_core::OptLevel;
 //! use vericomp_dataflow::fleet;
@@ -42,8 +50,9 @@
 //! ```
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::Index;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use vericomp_arch::MachineConfig;
@@ -62,13 +71,17 @@ use crate::trace::{RunTrace, Span};
 /// entry point. It carries **no pass selection** — configs are their own
 /// axis.
 ///
-/// Construction pretty-prints the AST **once** and memoizes the canonical
-/// text plus its [`source_digest`]; every cell key derivation, wire
-/// negotiation and dedup downstream reuses the memo instead of
-/// re-rendering the program per cell (on a 10k-unit sweep the old
-/// per-cell `program_to_c` dominated warm-path time). The AST itself is
-/// shared by `Arc`, so cloning a unit across the cross product is
-/// pointer-cheap.
+/// Construction is O(1): it stores the AST and nothing else. The
+/// canonical text and its [`source_digest`] are rendered **on first use,
+/// shared by clones** — the first [`canonical`](Self::canonical) or
+/// [`source_digest`](Self::source_digest) call on any clone pretty-prints
+/// and hashes once, and every cell key, wire negotiation and dedup
+/// downstream reuses that memo. A solo sweep therefore renders each unit
+/// inside its first cell, on the pool; a client renders a unit when it
+/// first sends it; and the server builds units with
+/// [`from_parsed`](Self::from_parsed) from text and a digest it already
+/// verified, rendering nothing. The AST is shared by `Arc` too, so
+/// cloning a unit across the cross product is pointer-cheap.
 #[derive(Debug, Clone)]
 pub struct SweepUnit {
     /// Axis label (node or application name) — the `unit` coordinate in
@@ -78,20 +91,23 @@ pub struct SweepUnit {
     pub source: Arc<SrcProgram>,
     /// Entry-point function.
     pub entry: String,
+    rendered: Arc<OnceLock<Rendered>>,
+}
+
+/// A unit's canonical text and the digest of exactly that text.
+#[derive(Debug)]
+struct Rendered {
     canonical: Arc<String>,
     digest: Digest,
 }
 
 impl SweepUnit {
     fn from_ast(name: String, source: Arc<SrcProgram>, entry: String) -> SweepUnit {
-        let canonical = Arc::new(program_to_c(&source));
-        let digest = source_digest(&canonical);
         SweepUnit {
             name,
             source,
             entry,
-            canonical,
-            digest,
+            rendered: Arc::default(),
         }
     }
 
@@ -126,46 +142,60 @@ impl SweepUnit {
     }
 
     /// The unit axis entry for an already-parsed unit whose canonical
-    /// text is known — the server's parse cache builds specs this way,
-    /// skipping both the parse *and* the pretty-print.
+    /// text and digest are known — the server's parse cache builds specs
+    /// this way, skipping the parse, the pretty-print *and* the hash.
     ///
-    /// `canonical` must be exactly `program_to_c(&source)`; the parse
-    /// cache guarantees it by construction (it stores the text it
-    /// parsed, and parse∘pretty is identity on ASTs).
+    /// `canonical` must be exactly `program_to_c(&source)` and `digest`
+    /// its [`source_digest`]: the parse cache guarantees the first by
+    /// construction (it stores the text it parsed, and parse∘pretty is
+    /// identity on ASTs), and the wire decoder verified the second before
+    /// the entry was cached under it.
     #[must_use]
     pub fn from_parsed(
         name: &str,
         source: Arc<SrcProgram>,
         entry: &str,
         canonical: Arc<String>,
+        digest: Digest,
     ) -> SweepUnit {
         debug_assert_eq!(
             program_to_c(&source),
             *canonical,
             "canonical text out of sync with AST for unit `{name}`"
         );
-        let digest = source_digest(&canonical);
+        debug_assert_eq!(
+            source_digest(&canonical),
+            digest,
+            "digest out of sync with canonical text for unit `{name}`"
+        );
         SweepUnit {
             name: name.to_owned(),
             source,
             entry: entry.to_owned(),
-            canonical,
-            digest,
+            rendered: Arc::new(OnceLock::from(Rendered { canonical, digest })),
         }
+    }
+
+    fn rendered(&self) -> &Rendered {
+        self.rendered.get_or_init(|| {
+            let canonical = Arc::new(program_to_c(&self.source));
+            let digest = source_digest(&canonical);
+            Rendered { canonical, digest }
+        })
     }
 
     /// The canonical pretty-printed source — the exact text cell cache
     /// keys hash and the wire protocol uploads.
     #[must_use]
     pub fn canonical(&self) -> &Arc<String> {
-        &self.canonical
+        &self.rendered().canonical
     }
 
     /// [`source_digest`] of the canonical text — the unit's identity in
     /// wire negotiation and the server's parse cache.
     #[must_use]
     pub fn source_digest(&self) -> Digest {
-        self.digest
+        self.rendered().digest
     }
 }
 
@@ -359,6 +389,9 @@ impl SweepCell {
 #[derive(Debug, Clone)]
 pub struct SweepResult {
     units: Vec<String>,
+    /// Each unit label's first position on the unit axis, so labeled
+    /// lookups cost no scan of a many-thousand-unit axis.
+    unit_index: HashMap<String, usize>,
     configs: Vec<String>,
     machines: Vec<String>,
     cells: Vec<SweepCell>,
@@ -434,7 +467,7 @@ impl SweepResult {
     /// occurrence on each axis (axes are expected label-unique).
     #[must_use]
     pub fn get(&self, unit: &str, config: &str, machine: &str) -> Option<&SweepCell> {
-        let u = Self::axis_index(&self.units, unit)?;
+        let u = *self.unit_index.get(unit)?;
         let c = Self::axis_index(&self.configs, config)?;
         let m = Self::axis_index(&self.machines, machine)?;
         self.cell_at(u, c, m)
@@ -582,8 +615,14 @@ impl Pipeline {
     ) -> Result<SweepResult, PipelineError> {
         let (configs, machines) = (spec.run_configs(), spec.run_machines(self.machine()));
         let (cells, stats, trace) = self.run_cells(&spec.units, &configs, &machines, epoch)?;
+        let units: Vec<String> = spec.units.iter().map(|u| u.name.clone()).collect();
+        let mut unit_index = HashMap::with_capacity(units.len());
+        for (i, label) in units.iter().enumerate() {
+            unit_index.entry(label.clone()).or_insert(i);
+        }
         Ok(SweepResult {
-            units: spec.units.iter().map(|u| u.name.clone()).collect(),
+            units,
+            unit_index,
             configs: configs.iter().map(|(l, _)| l.clone()).collect(),
             machines: machines.iter().map(|(l, _)| l.clone()).collect(),
             cells,
@@ -893,15 +932,41 @@ mod tests {
     fn duplicate_config_labels_resolve_to_their_first_occurrence() {
         // axes are expected label-unique, but a duplicated label must not
         // corrupt the matrix: both columns compile, and labeled lookup
-        // resolves to the first occurrence in spec order
+        // resolves to the first occurrence in spec order — on the config
+        // axis, and on the unit axis, whose labels resolve through an index
         let nodes = suite_prefix(2);
         let spec = SweepSpec::new()
             .nodes(&nodes)
+            .unit(SweepUnit::from_source(
+                nodes[0].name(),
+                nodes[1].to_minic(),
+                nodes[1].step_name(),
+            ))
             .config("hot", &PassConfig::for_level(OptLevel::PatternO0))
             .config("hot", &PassConfig::for_level(OptLevel::OptFull));
         let sweep = Pipeline::in_memory().run_sweep(&spec).expect("sweep");
-        assert_eq!(sweep.cell_count(), 4);
+        assert_eq!(sweep.cell_count(), 6);
         assert_eq!(sweep.config_labels(), ["hot".to_owned(), "hot".to_owned()]);
+        assert_eq!(sweep.unit_labels()[2], nodes[0].name());
+        for c in 0..2 {
+            // the relabeled unit genuinely compiled the other body...
+            assert_ne!(
+                sweep[(0, c, 0)].outcome.artifact.output_digest(),
+                sweep[(2, c, 0)].outcome.artifact.output_digest(),
+                "duplicate unit label collapsed two distinct units"
+            );
+        }
+        // ...yet its label still resolves to the first unit
+        assert_eq!(
+            sweep
+                .get(nodes[0].name(), "hot", "default")
+                .expect("cell")
+                .outcome
+                .artifact
+                .output_digest(),
+            sweep[(0, 0, 0)].outcome.artifact.output_digest(),
+            "labeled lookup must resolve to the first unit occurrence"
+        );
 
         for (ui, node) in nodes.iter().enumerate() {
             let first = &sweep[(ui, 0, 0)];
@@ -920,6 +985,38 @@ mod tests {
                 "{}: labeled lookup must resolve to the first occurrence",
                 node.name()
             );
+        }
+    }
+
+    #[test]
+    fn units_render_once_on_first_use_and_clones_share_it() {
+        let node = &suite_prefix(1)[0];
+        let ast = node.to_minic();
+        let text = program_to_c(&ast);
+        let digest = source_digest(&text);
+        let parsed = SweepUnit::from_parsed(
+            node.name(),
+            Arc::new(vericomp_minic::parse::parse(&text).expect("parses")),
+            node.step_name(),
+            Arc::new(text.clone()),
+            digest,
+        );
+        let built = [
+            SweepUnit::from_source(node.name(), ast, node.step_name()),
+            SweepUnit::from_node(node),
+            parsed,
+        ];
+        for unit in built {
+            // a clone taken before the first render shares the memo too
+            let early = unit.clone();
+            assert_eq!(**unit.canonical(), text);
+            assert_eq!(unit.source_digest(), digest);
+            assert_eq!(program_to_c(&unit.source), text);
+            let late = unit.clone();
+            for clone in [&early, &late] {
+                assert!(Arc::ptr_eq(clone.canonical(), unit.canonical()));
+                assert_eq!(clone.source_digest(), digest);
+            }
         }
     }
 
