@@ -362,7 +362,7 @@ if [ "$warm_daemon_digest" != "$cold_daemon_digest" ]; then
     echo "daemon smoke FAILED: warm daemon rerun not bit-identical" >&2
     exit 1
 fi
-# the byte bound must have evicted least-recent batches by now
+# the byte bound must have evicted least-recent sweeps by now
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --stats-of "$DAEMON_SOCK" | tee target/vericomp-ci-daemon-stats.txt
 evictions=$(sed -n 's/^server: store .* evictions \([0-9]*\)$/\1/p' \
@@ -522,28 +522,37 @@ print(f"telemetry smoke: merged trace has {len(events)} events, "
       f"{len(server)} server-side, one trace id")
 EOF
 # mid-run admin: the metrics registry and the flight-recorder ring are
-# queryable without stopping the daemon, and both are valid JSON
+# queryable without stopping the daemon, and both are valid JSON; the
+# traced request's id tags the start and end of its own sweep
+traced_id=$(sed -n 's/^trace: .* server-side, trace id \([0-9a-f]*\))$/\1/p' \
+    target/vericomp-ci-telemetry-traced.txt)
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --metrics-of "$TELEM_SOCK" > target/vericomp-ci-telemetry-metrics.txt
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --recorder-of "$TELEM_SOCK" > target/vericomp-ci-telemetry-recorder.txt
 python3 - target/vericomp-ci-telemetry-metrics.txt \
-    target/vericomp-ci-telemetry-recorder.txt <<'EOF'
+    target/vericomp-ci-telemetry-recorder.txt "$traced_id" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
 assert m["counters"].get("requests", 0) >= 1, "no requests counted"
-assert m["counters"].get("batches", 0) >= 1, "no batches counted"
-for hist in ("request_wall_ns", "batch_cells", "queue_depth"):
+cells = m["counters"].get("jobs_run", 0) + m["counters"].get("jobs_cached", 0)
+assert cells >= 1, "no cells counted"
+for hist in ("request_wall_ns", "batch_cells"):
     h = m["histograms"].get(hist)
     assert h and h["count"] >= 1, f"histogram `{hist}` missing or empty"
     assert h["p50"] <= h["p99"], f"histogram `{hist}` quantiles disordered"
 assert len(m["counter_digest"]) == 32, "malformed metrics counter digest"
 r = json.load(open(sys.argv[2]))
 kinds = {e["kind"] for e in r["events"]}
-for kind in ("accept", "request", "batch-join", "sweep-start", "sweep-end"):
+for kind in ("accept", "request", "sweep-start", "sweep-end"):
     assert kind in kinds, f"recorder has no `{kind}` events ({sorted(kinds)})"
 traced = [e for e in r["events"] if e["trace"] != "0" * 16]
 assert traced, "the traced request never reached the flight recorder"
+trace_id = sys.argv[3]
+assert len(trace_id) == 16, f"no trace id on the traced run's `trace:` line: {trace_id!r}"
+for kind in ("sweep-start", "sweep-end"):
+    assert any(e["kind"] == kind and e["trace"] == trace_id for e in r["events"]), \
+        f"no `{kind}` event carries the traced request's id {trace_id}"
 print(f"telemetry smoke: {len(r['events'])} recorder events, "
       f"kinds {sorted(kinds)}")
 EOF
@@ -595,7 +604,7 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 notes = doc["notes"]
 metrics = notes["metrics"]
-for hist in ("request_wall_ns", "batch_cells", "queue_depth"):
+for hist in ("request_wall_ns", "batch_cells"):
     assert metrics["histograms"][hist]["count"] >= 1, f"`{hist}` empty in BENCH_daemon.json"
 server = notes["server"]
 assert server["request_p50_ns"] >= 1 and server["request_p99_ns"] >= server["request_p50_ns"], \

@@ -1,5 +1,6 @@
-//! E11 — the compile service: client latency and batching throughput
-//! against a live `vericomp-serve` daemon. Emits `BENCH_daemon.json`.
+//! E11 — the compile service: client latency and concurrent-client
+//! throughput against a live `vericomp-serve` daemon. Emits
+//! `BENCH_daemon.json`.
 //!
 //! One in-process server with the default options (one unbounded store)
 //! serves every regime over its Unix socket, exactly the deployment shape
@@ -10,11 +11,12 @@
 //!   cold path over the wire;
 //! * `fleet26/warm_client` — the same request replayed from the warm
 //!   shared store, protocol + replay cost only;
-//! * `batch4/concurrent_clients` — four clients submit overlapping
-//!   4-node specs (plus one never-seen dirty node each) at once; the
-//!   server coalesces them into batched sweeps;
+//! * `batch4/concurrent_clients` — four clients submit 4-node specs of
+//!   the warm suite (plus one never-seen dirty node each) at once; the
+//!   server runs their four sweeps one after another, each under the
+//!   sweep lock;
 //! * `batch4/serial_client` — the identical four specs one after another
-//!   on a single connection, the unbatched baseline.
+//!   on a single connection.
 //!
 //! The soak: the E10 5 000-task scenario (12 692 units) through the
 //! daemon, digest-checked against a solo `run_sweep` of the same spec on
@@ -25,8 +27,8 @@
 //! own [`ServerStats`] ride along in the summary under the `server`
 //! note, so `BENCH_daemon.json` records hit rate, evictions, wire
 //! bytes, parse-cache traffic and per-stage nanos next to the timings —
-//! and the full metrics registry (per-request latency, batch-size and
-//! queue-depth histograms with p50/p90/p99, plus its counter digest)
+//! and the full metrics registry (per-request latency and per-sweep
+//! cell-count histograms with p50/p90/p99, plus its counter digest)
 //! rides under the `metrics` note.
 //!
 //! The solo soak also carries the E10 scale checks: its sweep and sched

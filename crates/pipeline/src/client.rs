@@ -282,7 +282,8 @@ impl Client {
         }
     }
 
-    /// Asks the daemon to drain its queue and stop.
+    /// Asks the daemon to stop: it acknowledges, finishes the running
+    /// sweep, refuses later ones and exits.
     ///
     /// # Errors
     ///

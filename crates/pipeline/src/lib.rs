@@ -37,10 +37,11 @@
 //!   blobs), a long-lived [`Server`] daemon owning one warm
 //!   [`ArtifactStore`] (size-bounded, deterministic eviction) plus a
 //!   bounded digest-addressed parse cache — each distinct unit parses
-//!   once per digest across requests, batches and clients — and the
-//!   blocking [`Client`], whose warm repeat requests ship zero unit
-//!   bodies. Every served response digest is bit-identical to a solo
-//!   [`Pipeline::run_sweep`] of the same request.
+//!   once per digest across requests and clients — and the blocking
+//!   [`Client`], whose warm repeat requests ship zero unit bodies. The
+//!   daemon runs each sweep request as one [`Pipeline::run_sweep`] of
+//!   exactly that request, one at a time, so every served response is
+//!   bit-identical to a solo run of the same request.
 //!
 //! ## Correctness story
 //!

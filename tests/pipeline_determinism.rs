@@ -676,6 +676,18 @@ fn daemon_traced_sweep_returns_tagged_spans_without_changing_the_digest() {
             "traced response lacks a `{stage}` stage span"
         );
     }
+    // the flight recorder attributes the start and end of the sweep to
+    // the same trace id
+    let dump = client.recorder_dump().expect("recorder dump");
+    let trace_field = format!("\"trace\": \"{trace_id:016x}\"");
+    for kind in ["sweep-start", "sweep-end"] {
+        let kind_field = format!("\"kind\": \"{kind}\"");
+        assert!(
+            dump.lines()
+                .any(|l| l.contains(&trace_field) && l.contains(&kind_field)),
+            "no `{kind}` recorder event carries the trace id"
+        );
+    }
 
     // an untraced request on the same connection gets no spans back
     let untraced = client.run_sweep(&spec).expect("served");
