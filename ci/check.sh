@@ -105,37 +105,45 @@ if ! grep -q '(26 run, 0 cached)' target/vericomp-ci-corrupt-func.txt; then
     exit 1
 fi
 
-echo "==> sweep smoke: 2 nodes x 3 configs x 2 machines, parallel == jobs 1"
+# a unit's six cells share one compile session, so its shared passes run
+# in whichever cell gets there first: the profile counters must still
+# equal --jobs 1's
+echo "==> sweep smoke: 2 nodes x 3 configs x 2 machines, parallel == jobs 1, counters included"
 cargo run --release --offline -p vericomp --bin compile_fleet -- \
     --nodes 2 --configs pattern-O0,verified,opt-full --machines mpc755,tiny-caches \
-    | tee target/vericomp-ci-sweep.txt
+    --profile | tee target/vericomp-ci-sweep.txt
 cargo run --release --offline -p vericomp --bin compile_fleet -- \
     --nodes 2 --configs pattern-O0,verified,opt-full --machines mpc755,tiny-caches \
-    --jobs 1 | tee target/vericomp-ci-sweep-serial.txt
-sweep_digest=$(grep '^fleet digest:' target/vericomp-ci-sweep.txt)
-serial_digest=$(grep '^fleet digest:' target/vericomp-ci-sweep-serial.txt)
-if [ "$sweep_digest" != "$serial_digest" ]; then
-    echo "sweep smoke FAILED: parallel sweep not bit-identical to --jobs 1" >&2
-    echo "  parallel: $sweep_digest" >&2
-    echo "  serial:   $serial_digest" >&2
-    exit 1
-fi
+    --jobs 1 --profile | tee target/vericomp-ci-sweep-serial.txt
+for line in '^fleet digest:' '^profile: counter digest:'; do
+    sweep_digest=$(grep "$line" target/vericomp-ci-sweep.txt)
+    serial_digest=$(grep "$line" target/vericomp-ci-sweep-serial.txt)
+    if [ -z "$sweep_digest" ] || [ "$sweep_digest" != "$serial_digest" ]; then
+        echo "sweep smoke FAILED: parallel sweep not bit-identical to --jobs 1" >&2
+        echo "  parallel: ${sweep_digest:-?}" >&2
+        echo "  serial:   $serial_digest" >&2
+        exit 1
+    fi
+done
 
-echo "==> search smoke: lattice search, jobs 8 == jobs 1, warm rerun >=90% hits"
+echo "==> search smoke: lattice search, jobs 8 == jobs 1 (counters included), warm rerun >=90% hits"
 SEARCH_CACHE=target/vericomp-ci-search-cache
 rm -rf "$SEARCH_CACHE"
 cargo run --release --offline -p vericomp --bin compile_fleet -- \
-    --search --nodes 4 --jobs 8 --cache-dir "$SEARCH_CACHE" \
+    --search --nodes 4 --jobs 8 --cache-dir "$SEARCH_CACHE" --profile \
     | tee target/vericomp-ci-search.txt
 cargo run --release --offline -p vericomp --bin compile_fleet -- \
-    --search --nodes 4 --jobs 1 | tee target/vericomp-ci-search-serial.txt
-# every `search:` line (winners, bounds, probe/prune counts) and the trace
-# digest must be identical whatever the job count or cache state
-grep '^search' target/vericomp-ci-search.txt > target/vericomp-ci-search-lines.txt
-grep '^search' target/vericomp-ci-search-serial.txt \
+    --search --nodes 4 --jobs 1 --profile | tee target/vericomp-ci-search-serial.txt
+# every `search:` line (winners, bounds, probe/prune counts), the trace
+# digest and the profile counters (each generation's probes share one
+# compile session) must be identical whatever the job count or cache state
+grep '^search\|^profile: counter digest:' target/vericomp-ci-search.txt \
+    > target/vericomp-ci-search-lines.txt
+grep '^search\|^profile: counter digest:' target/vericomp-ci-search-serial.txt \
     > target/vericomp-ci-search-serial-lines.txt
-if ! cmp -s target/vericomp-ci-search-lines.txt \
-        target/vericomp-ci-search-serial-lines.txt; then
+if ! grep -q '^profile: counter digest:' target/vericomp-ci-search-lines.txt \
+        || ! cmp -s target/vericomp-ci-search-lines.txt \
+            target/vericomp-ci-search-serial-lines.txt; then
     echo "search smoke FAILED: --jobs 8 search differs from --jobs 1" >&2
     diff target/vericomp-ci-search-lines.txt \
         target/vericomp-ci-search-serial-lines.txt >&2 || true

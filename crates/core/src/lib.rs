@@ -50,6 +50,7 @@ pub mod sched;
 pub mod validate;
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use vericomp_arch::{MachineConfig, Program};
@@ -82,13 +83,15 @@ pub const PASS_NAMES: [&str; 14] = [
 
 /// Observes individual compiler passes as they run — the hook the
 /// pipeline's span tracer attaches to. `start` is the offset from the
-/// beginning of the `compile_with_passes_observed` call, `took` the pass
-/// duration; both are wall-clock and carry no determinism guarantee (the
-/// *sequence of names* per input is deterministic, the times are not).
+/// beginning of the compile call, `took` the pass duration; both are
+/// wall-clock and carry no determinism guarantee (the times vary; which
+/// passes a fresh compile reports does not).
 pub trait PassObserver {
-    /// Called once per executed pass, in execution order. `name` is one
-    /// of [`PASS_NAMES`]; per-function passes report once per function
-    /// (and `check-sched` once per scheduled block).
+    /// Called once per pass this compile call ran, in execution order.
+    /// `name` is one of [`PASS_NAMES`]; per-function passes report once
+    /// per function (and `check-sched` once per scheduled block). A
+    /// [`CompileSession`] stage that this call took from the session
+    /// instead of running it is not reported: the call that ran it was.
     fn pass(&mut self, name: &'static str, start: Duration, took: Duration);
 }
 
@@ -375,7 +378,10 @@ impl Compiler {
 
     /// [`compile_with_passes`](Compiler::compile_with_passes) with a
     /// [`PassObserver`] reporting every executed pass — the entry point
-    /// the pipeline's span tracer uses for nested per-pass spans.
+    /// the pipeline's span tracer uses for nested per-pass spans. It is
+    /// the one-cell case of a [`CompileSession`]: the same code path,
+    /// which then retains no state and clones nothing a single compile
+    /// does not need.
     ///
     /// # Errors
     ///
@@ -388,72 +394,261 @@ impl Compiler {
         passes: &PassConfig,
         obs: &mut dyn PassObserver,
     ) -> Result<Program, CompileError> {
+        Memo::new(prog.functions.len(), std::slice::from_ref(passes)).compile(
+            prog,
+            entry,
+            passes,
+            &self.config,
+            obs,
+        )
+    }
+}
+
+/// The cells of one program and entry — several pass selections, on any
+/// machines — compiled with every shared pass prefix computed once.
+///
+/// The per-function chain from `lower` to `check-alloc` is a fixed
+/// sequence of pure passes, each optional one gated by one [`PassConfig`]
+/// flag, and none of them reads the machine. So two cells hold identical
+/// RTL up to the first flag on which they differ. A session arranges the
+/// chains of the cells it is built for in a trie and keeps a function's
+/// state only where that trie branches: where two cells part, or where two
+/// cells end on the same state (one selection on two machines). The first
+/// call that needs a kept state computes it and every other caller, on any
+/// thread, waits for it, so each trie node runs exactly once whatever the
+/// thread count. `typeck` runs once. `emit`, `sched` and `link` run in
+/// every call: they read the machine, `sda` and the constant pool that the
+/// functions fill in order.
+///
+/// [`compile`](CompileSession::compile) returns exactly what
+/// [`Compiler::compile_with_passes_observed`] returns for the same
+/// program, entry, passes and machine, errors included. A selection
+/// outside the session's cells compiles correctly too; it shares only
+/// the kept states on its way.
+#[derive(Debug)]
+pub struct CompileSession {
+    prog: Arc<SrcProgram>,
+    entry: String,
+    memo: Memo,
+}
+
+impl CompileSession {
+    /// A session over `prog` with entry point `entry` for the cells whose
+    /// pass selections are `cells`, one entry per cell: a selection
+    /// compiled for two machines is listed twice.
+    #[must_use]
+    pub fn new(prog: Arc<SrcProgram>, entry: &str, cells: &[PassConfig]) -> CompileSession {
+        let memo = Memo::new(prog.functions.len(), cells);
+        CompileSession {
+            prog,
+            entry: entry.to_owned(),
+            memo,
+        }
+    }
+
+    /// Compiles the session's program with `passes` for `machine`,
+    /// reporting to `obs` the passes this call ran.
+    ///
+    /// # Errors
+    ///
+    /// The [`CompileError`] that [`Compiler::compile_with_passes_observed`]
+    /// returns for the same inputs.
+    pub fn compile(
+        &self,
+        passes: &PassConfig,
+        machine: &MachineConfig,
+        obs: &mut dyn PassObserver,
+    ) -> Result<Program, CompileError> {
+        self.memo
+            .compile(&self.prog, &self.entry, passes, machine, obs)
+    }
+}
+
+/// One step of the per-function chain that cells share. A step's place in
+/// the trie — the steps before it — is its key: the pass plus the flags
+/// that gate it and every earlier pass. `tunnel` and its validator are one
+/// step, keyed by whether the check runs (it compares against the
+/// pre-tunnel RTL); `regalloc` and the allocation checker are one step,
+/// keyed by the palette.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Lower,
+    Mem2reg,
+    Constprop,
+    Cse,
+    Strength,
+    Dce,
+    Tunnel { checked: bool },
+    Regalloc { full_palette: bool },
+}
+
+impl Step {
+    /// The steps `passes` runs, in execution order.
+    fn chain(passes: &PassConfig) -> impl Iterator<Item = Step> {
+        [
+            Some(Step::Lower),
+            passes.mem2reg.then_some(Step::Mem2reg),
+            passes.constprop.then_some(Step::Constprop),
+            passes.cse.then_some(Step::Cse),
+            passes.strength.then_some(Step::Strength),
+            passes.dce.then_some(Step::Dce),
+            passes.tunnel.then_some(Step::Tunnel {
+                checked: passes.validators,
+            }),
+            Some(Step::Regalloc {
+                full_palette: passes.full_palette,
+            }),
+        ]
+        .into_iter()
+        .flatten()
+    }
+}
+
+/// A step in a cell's chain, with the slot of the state it leaves when
+/// the session keeps that state.
+type PathStep = (Step, Option<usize>);
+
+/// The trie of a session's cells and the states it keeps.
+#[derive(Debug)]
+struct Memo {
+    /// Trie nodes; node 0 is `lower`, the first step of every chain.
+    nodes: Vec<TrieNode>,
+    /// Number of kept trie nodes.
+    kept: usize,
+    /// Kept states, `kept` per function, function-major.
+    slots: Vec<OnceLock<Result<FuncState, CompileError>>>,
+    typeck: OnceLock<Result<(), TypeError>>,
+}
+
+#[derive(Debug)]
+struct TrieNode {
+    step: Step,
+    children: Vec<usize>,
+    /// The node's index among the kept nodes, if it is a branch point.
+    kept: Option<usize>,
+}
+
+/// The child of trie node `at` that runs `step`, if any.
+fn child(nodes: &[TrieNode], at: usize, step: Step) -> Option<usize> {
+    nodes[at]
+        .children
+        .iter()
+        .copied()
+        .find(|&c| nodes[c].step == step)
+}
+
+/// One function after a step of the chain: its RTL, and its register
+/// allocation once `regalloc` ran.
+#[derive(Debug)]
+struct FuncState {
+    rtl: rtl::Func,
+    alloc: Option<regalloc::Allocation>,
+}
+
+/// A function state handed to the next step: one this call owns, or one
+/// the session keeps for its other cells.
+enum Held<'a> {
+    Owned(FuncState),
+    Kept(&'a FuncState),
+}
+
+impl Held<'_> {
+    fn get(&self) -> &FuncState {
+        match self {
+            Held::Owned(state) => state,
+            Held::Kept(state) => state,
+        }
+    }
+}
+
+impl Memo {
+    fn new(functions: usize, cells: &[PassConfig]) -> Memo {
+        let node = |step| TrieNode {
+            step,
+            children: Vec::new(),
+            kept: None,
+        };
+        let mut nodes = vec![node(Step::Lower)];
+        // cells ending on each node, beside its children
+        let mut ends = vec![0usize];
+        for passes in cells {
+            let mut at = 0;
+            for step in Step::chain(passes).skip(1) {
+                at = match child(&nodes, at, step) {
+                    Some(child) => child,
+                    None => {
+                        nodes.push(node(step));
+                        ends.push(0);
+                        let child = nodes.len() - 1;
+                        nodes[at].children.push(child);
+                        child
+                    }
+                };
+            }
+            ends[at] += 1;
+        }
+        let mut kept = 0;
+        for (node, ends) in nodes.iter_mut().zip(ends) {
+            if node.children.len() + ends >= 2 {
+                node.kept = Some(kept);
+                kept += 1;
+            }
+        }
+        Memo {
+            nodes,
+            kept,
+            slots: (0..functions * kept).map(|_| OnceLock::new()).collect(),
+            typeck: OnceLock::new(),
+        }
+    }
+
+    /// The chain of `passes`, each step with its kept slot: the trie walk,
+    /// which leaves the trie for good at the first step no cell took.
+    fn path(&self, passes: &PassConfig) -> Vec<PathStep> {
+        let mut at = Some(0);
+        Step::chain(passes)
+            .enumerate()
+            .map(|(i, step)| {
+                if i > 0 {
+                    at = at.and_then(|n| child(&self.nodes, n, step));
+                }
+                (step, at.and_then(|n| self.nodes[n].kept))
+            })
+            .collect()
+    }
+
+    fn compile(
+        &self,
+        prog: &SrcProgram,
+        entry: &str,
+        passes: &PassConfig,
+        machine: &MachineConfig,
+        obs: &mut dyn PassObserver,
+    ) -> Result<Program, CompileError> {
         let t0 = Instant::now();
-        typeck::check(prog)?;
-        let layout = layout::layout_globals(prog, &self.config);
+        self.typeck.get_or_init(|| typeck::check(prog)).clone()?;
+        let path = self.path(passes);
+        let layout = layout::layout_globals(prog, machine);
         let mut pool = layout::ConstPool::new();
         let mut annots = Vec::new();
         let mut funcs = Vec::with_capacity(prog.functions.len());
 
-        for func in &prog.functions {
-            let mut rtl = observed(obs, t0, "lower", || lower::lower_function(prog, func))?;
-
-            if passes.mem2reg {
-                observed(obs, t0, "mem2reg", || opt::mem2reg::run(&mut rtl));
-            }
-            if passes.constprop {
-                observed(obs, t0, "constprop", || opt::constprop::run(&mut rtl));
-            }
-            if passes.cse {
-                // the cleanup constprop rerun is part of the CSE span
-                observed(obs, t0, "cse", || {
-                    opt::cse::run(&mut rtl);
-                    opt::constprop::run(&mut rtl);
-                });
-            }
-            if passes.strength {
-                observed(obs, t0, "strength", || {
-                    opt::strength::reduce(&mut rtl);
-                    opt::strength::fuse_fmadd(&mut rtl);
-                    opt::constprop::run(&mut rtl);
-                });
-            }
-            if passes.dce {
-                observed(obs, t0, "dce", || opt::dce::run(&mut rtl));
-            }
-            if passes.tunnel {
-                let pre_tunnel = passes.validators.then(|| rtl.clone());
-                observed(obs, t0, "tunnel", || opt::tunnel::run(&mut rtl));
-                if let Some(pre) = pre_tunnel {
-                    observed(obs, t0, "check-tunnel", || {
-                        validate::check_tunnel(&pre, &rtl)
-                    })?;
-                }
-            }
-
-            let alloc = observed(obs, t0, "regalloc", || {
-                let palette = if passes.full_palette {
-                    regalloc::Palette::full()
-                } else {
-                    regalloc::Palette::scratch_only()
-                };
-                regalloc::allocate(&mut rtl, &palette)
-            })?;
-            // The allocation checker runs for every configuration: it is the
-            // safety net of the whole backend, not an optimization.
-            observed(obs, t0, "check-alloc", || {
-                validate::check_allocation(&rtl, &alloc)
-            })?;
-
+        for f in 0..prog.functions.len() {
+            let held = self.state(prog, f, &path, obs, t0)?;
+            let state = held.get();
+            let alloc = state
+                .alloc
+                .as_ref()
+                .expect("every chain ends with regalloc");
             let opts = emit::EmitOptions { sda: passes.sda };
             let mut af = observed(obs, t0, "emit", || {
                 emit::emit_function(
-                    &rtl,
-                    &alloc,
+                    &state.rtl,
+                    alloc,
                     &layout,
                     &mut pool,
                     &mut annots,
-                    &self.config,
+                    machine,
                     opts,
                 )
             })?;
@@ -463,7 +658,7 @@ impl Compiler {
                 // checks report as nested `check-sched` spans inside it
                 let sched_start = t0.elapsed();
                 for block in &mut af.blocks {
-                    let scheduled = sched::schedule_block(&block.insts, &self.config);
+                    let scheduled = sched::schedule_block(&block.insts, machine);
                     if passes.validators {
                         observed(obs, t0, "check-sched", || {
                             validate::check_schedule(&block.insts, &scheduled)
@@ -489,8 +684,119 @@ impl Compiler {
         }
 
         observed(obs, t0, "link", || {
-            link::link(&self.config, &funcs, &layout, &pool, annots, prog, entry)
+            link::link(machine, &funcs, &layout, &pool, annots, prog, entry)
         })
+    }
+
+    /// Function `f`'s state after the last step of `path`: taken from its
+    /// slot when the session keeps it (computed there by the first call
+    /// that needs it), otherwise computed for this call alone.
+    fn state(
+        &self,
+        prog: &SrcProgram,
+        f: usize,
+        path: &[PathStep],
+        obs: &mut dyn PassObserver,
+        t0: Instant,
+    ) -> Result<Held<'_>, CompileError> {
+        let (&(step, kept), before) = path.split_last().expect("every chain starts with lower");
+        let Some(slot) = kept else {
+            return self.run(prog, f, step, before, obs, t0).map(Held::Owned);
+        };
+        match self.slots[f * self.kept + slot]
+            .get_or_init(|| self.run(prog, f, step, before, obs, t0))
+        {
+            Ok(state) => Ok(Held::Kept(state)),
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// Runs `step` on function `f`'s state after the steps `before`.
+    fn run(
+        &self,
+        prog: &SrcProgram,
+        f: usize,
+        step: Step,
+        before: &[PathStep],
+        obs: &mut dyn PassObserver,
+        t0: Instant,
+    ) -> Result<FuncState, CompileError> {
+        if step == Step::Lower {
+            let rtl = observed(obs, t0, "lower", || {
+                lower::lower_function(prog, &prog.functions[f])
+            })?;
+            return Ok(FuncState { rtl, alloc: None });
+        }
+        // a kept input stays with the session: work on a copy of it
+        let input = self.state(prog, f, before, obs, t0)?;
+        let (mut rtl, kept) = match input {
+            Held::Owned(state) => (state.rtl, None),
+            Held::Kept(state) => (state.rtl.clone(), Some(&state.rtl)),
+        };
+        let alloc = match step {
+            Step::Lower => unreachable!("`lower` starts every chain"),
+            Step::Mem2reg => {
+                observed(obs, t0, "mem2reg", || opt::mem2reg::run(&mut rtl));
+                None
+            }
+            Step::Constprop => {
+                observed(obs, t0, "constprop", || opt::constprop::run(&mut rtl));
+                None
+            }
+            Step::Cse => {
+                // the cleanup constprop rerun is part of the CSE span
+                observed(obs, t0, "cse", || {
+                    opt::cse::run(&mut rtl);
+                    opt::constprop::run(&mut rtl);
+                });
+                None
+            }
+            Step::Strength => {
+                observed(obs, t0, "strength", || {
+                    opt::strength::reduce(&mut rtl);
+                    opt::strength::fuse_fmadd(&mut rtl);
+                    opt::constprop::run(&mut rtl);
+                });
+                None
+            }
+            Step::Dce => {
+                observed(obs, t0, "dce", || opt::dce::run(&mut rtl));
+                None
+            }
+            Step::Tunnel { checked } => {
+                // the check compares against the pre-tunnel RTL, which a
+                // kept input already is
+                let copy = (checked && kept.is_none()).then(|| rtl.clone());
+                observed(obs, t0, "tunnel", || opt::tunnel::run(&mut rtl));
+                if checked {
+                    let pre = kept
+                        .or(copy.as_ref())
+                        .expect("a checked input is kept or copied");
+                    observed(obs, t0, "check-tunnel", || {
+                        validate::check_tunnel(pre, &rtl)
+                    })?;
+                }
+                None
+            }
+            Step::Regalloc { full_palette } => {
+                let alloc = observed(obs, t0, "regalloc", || {
+                    let palette = if full_palette {
+                        regalloc::Palette::full()
+                    } else {
+                        regalloc::Palette::scratch_only()
+                    };
+                    regalloc::allocate(&mut rtl, &palette)
+                })?;
+                // The allocation checker runs for every configuration: it
+                // is the safety net of the whole backend, not an
+                // optimization.
+                observed(obs, t0, "check-alloc", || {
+                    validate::check_allocation(&rtl, &alloc)
+                })?;
+                Some(alloc)
+            }
+        };
+        Ok(FuncState { rtl, alloc })
     }
 }
 

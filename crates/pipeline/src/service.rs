@@ -4,8 +4,11 @@
 //! arrives as the cells of a [`SweepSpec`](crate::sweep::SweepSpec) —
 //! (unit, config, machine) triples — and each cell becomes **one** pool
 //! task: cache lookup, then on a miss compile + translation-validate,
-//! WCET-analyze and store. Cells are independent, so they run in any
-//! order on any worker; the results come back in cell order.
+//! WCET-analyze and store. Cells run in any order on any worker; the
+//! results come back in cell order. The cells of one unit compile through
+//! one [`CompileSession`], so the pass prefix their configs share runs
+//! once — in whichever cell first needs it, while a sibling that needs it
+//! meanwhile waits for it.
 //!
 //! **Incrementality falls out of content addressing**: there is no
 //! explicit dirty-bit protocol. A changed node changes its generated
@@ -18,11 +21,11 @@
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use vericomp_arch::MachineConfig;
-use vericomp_core::{CompileError, Compiler, OptLevel, PassConfig};
+use vericomp_core::{CompileError, CompileSession, PassConfig};
 use vericomp_wcet::AnalysisError;
 
 use crate::pool::ThreadPool;
@@ -298,12 +301,20 @@ impl Pipeline {
         // the cells of a unit share it: the AST, canonical text (the
         // cache-key material) and entry are never copied per cell
         let shared: Vec<Arc<SweepUnit>> = units.iter().cloned().map(Arc::new).collect();
+        // ...and one compile session, which runs each pass prefix their
+        // configs share once; the first of them to miss the store builds
+        // it, so a unit whose cells all hit builds none
+        let unit_cells: Arc<[PassConfig]> = (0..nc * nm).map(|k| configs[k / nm].1).collect();
+        let sessions: Vec<Arc<OnceLock<CompileSession>>> =
+            units.iter().map(|_| Arc::default()).collect();
         let tasks = (0..n)
             .map(|i| {
                 let (u, c, m) = coords(i);
                 let cell = CellJob {
                     job: i as u32,
                     unit: Arc::clone(&shared[u]),
+                    session: Arc::clone(&sessions[u]),
+                    unit_cells: Arc::clone(&unit_cells),
                     label: configs[c].0.clone(),
                     passes: configs[c].1,
                     machine: machines[m].1.clone(),
@@ -319,6 +330,9 @@ impl Pipeline {
                 }) as Box<dyn FnOnce() -> CellRun + Send>
             })
             .collect();
+        // the tasks now hold the only references: a unit's session, and
+        // the states it keeps, are freed with the unit's last cell
+        drop(sessions);
         let ran = self.pool.run_all(tasks);
         let wall = submitted.elapsed();
 
@@ -326,8 +340,9 @@ impl Pipeline {
         let mut trace = RunTrace::new();
         let mut cells = Vec::with_capacity(n);
         // results arrive in cell order: the error is the first failing
-        // cell's, and span order is (cell index, recording order) — both
-        // pure functions of the work
+        // cell's, a pure function of the work; spans go in (cell index,
+        // recording order), and their counts are pure functions of the work
+        // too (which cell ran a shared pass is not)
         for (i, (outcome, spans)) in ran.into_iter().enumerate() {
             let outcome = outcome?;
             let stats = PipelineStats::from_spans(&spans);
@@ -360,6 +375,10 @@ struct CellJob {
     /// The cell's flat index (the span `job` field).
     job: u32,
     unit: Arc<SweepUnit>,
+    /// The compile session of the unit's cells, once one of them missed.
+    session: Arc<OnceLock<CompileSession>>,
+    /// The pass selection of each of the unit's cells.
+    unit_cells: Arc<[PassConfig]>,
     label: String,
     passes: PassConfig,
     machine: MachineConfig,
@@ -373,8 +392,9 @@ struct CellJob {
 
 impl CellJob {
     /// Runs the cell and records its spans, in order, into `spans`: queue
-    /// wait and cache lookup, then on a miss compile (with its pass
-    /// spans), analyze (with its fixpoint and reuse events) and store.
+    /// wait and cache lookup, then on a miss compile (with the spans of
+    /// the passes this cell ran, not of those it took from the unit's
+    /// session), analyze (with its fixpoint and reuse events) and store.
     /// The machine digest is part of the key, so cells targeting
     /// different machines never alias in the store, and the store inserts
     /// only after the validators accepted and the analysis succeeded.
@@ -410,13 +430,14 @@ impl CellJob {
 
         let t = Instant::now();
         let mut pass_times = PassTimes(Vec::new());
-        let compiled = Compiler::with_config(OptLevel::Verified, self.machine)
-            .compile_with_passes_observed(
-                &self.unit.source,
+        let session = self.session.get_or_init(|| {
+            CompileSession::new(
+                Arc::clone(&self.unit.source),
                 &self.unit.entry,
-                &self.passes,
-                &mut pass_times,
-            );
+                &self.unit_cells,
+            )
+        });
+        let compiled = session.compile(&self.passes, &self.machine, &mut pass_times);
         spans.push(stage("compile", t, t.elapsed()));
         let base = since_epoch(t);
         for (name, start, took) in pass_times.0 {
@@ -484,6 +505,7 @@ impl vericomp_core::PassObserver for PassTimes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vericomp_core::{Compiler, OptLevel};
     use vericomp_dataflow::{fleet, Application, Node};
 
     fn suite_prefix(n: usize) -> Vec<Node> {

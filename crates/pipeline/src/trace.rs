@@ -7,7 +7,9 @@
 //! `compile` (via the
 //! [`PassObserver`](vericomp_core::PassObserver) hook in `vericomp-core`),
 //! and provenance [`SpanKind::Event`]s from the lattice search (generation
-//! boundaries, flag flips, admissions, prunings). Each cell's pool task
+//! boundaries, flag flips, admissions, prunings). A pass the cells of one
+//! unit share through their compile session is recorded once, by the cell
+//! that ran it. Each cell's pool task
 //! records its spans into a plain `Vec<Span>` and returns it with the
 //! cell's outcome; the sweep engine appends them, in cell order, to one
 //! [`RunTrace`].
@@ -147,9 +149,11 @@ impl Span {
 }
 
 /// The merged trace of one run (or of a whole multi-generation search).
-/// Spans are ordered by (cell index, per-cell recording order), so the
-/// *sequence of (kind, name)* pairs is a pure function of the work — only
-/// timestamps vary with scheduling.
+/// Spans are ordered by (cell index, per-cell recording order). The
+/// *count* of each (kind, name) is a pure function of the work; the
+/// timestamps are not, and neither is which cell carries a pass span: a
+/// pass the cells of one unit share runs, and is recorded, in whichever
+/// of them needs it first.
 #[derive(Debug, Clone, Default)]
 pub struct RunTrace {
     spans: Vec<Span>,

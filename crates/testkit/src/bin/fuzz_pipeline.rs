@@ -10,9 +10,10 @@
 //! verified, full) with translation validators force-enabled, and
 //! cross-checks: interpreter vs. MPC755 simulator bit-exactly (NaN and
 //! ±inf inputs included), encode→decode round-trips, validator acceptance
-//! of unmutated compilations, and WCET-bound domination of measured
-//! cycles. On failure the case seed is printed; replay it with
-//! `--replay 0x<seed>`.
+//! of unmutated compilations, the four configurations compiled through one
+//! shared compile session against their fresh compiles, and WCET-bound
+//! domination of measured cycles. On failure the case seed is printed;
+//! replay it with `--replay 0x<seed>`.
 
 use std::process::ExitCode;
 
@@ -138,7 +139,7 @@ fn main() -> ExitCode {
             let s = &summary.stats;
             println!("all {} cases passed", summary.passed);
             println!(
-                "  compilations:      {} (validators on, 0 rejections)",
+                "  compilations:      {} (validators on, 0 rejections, shared session == fresh)",
                 s.compilations
             );
             println!(

@@ -6,7 +6,9 @@
 //!
 //! 1. **codegen** — the node's MiniC program typechecks (by construction);
 //! 2. **compiler** — compilation succeeds and no translation validator
-//!    rejects an unmutated pass result;
+//!    rejects an unmutated pass result; the four configurations compiled
+//!    through one shared `CompileSession` equal their fresh compiles bit
+//!    for bit (the **sharing** check);
 //! 3. **binary** — the emitted program round-trips bit-exactly through the
 //!    real 32-bit PowerPC encoding;
 //! 4. **semantics** — the MPC755-like simulator agrees with the MiniC
@@ -21,9 +23,10 @@
 //! reproduces it deterministically.
 
 use std::fmt;
+use std::sync::Arc;
 
 use vericomp_arch::Program;
-use vericomp_core::{CompileError, Compiler, OptLevel, PassConfig};
+use vericomp_core::{CompileError, CompileSession, Compiler, NoopObserver, OptLevel, PassConfig};
 use vericomp_mach::Simulator;
 use vericomp_minic::ast::GlobalDef;
 use vericomp_minic::interp::{Interp, Value};
@@ -137,6 +140,14 @@ pub enum OracleFailure {
         /// Analyzer error text.
         error: String,
     },
+    /// The level's compile through the case's shared compile session
+    /// differs from its fresh compile.
+    Sharing {
+        /// Configuration.
+        level: OptLevel,
+        /// What differs.
+        detail: String,
+    },
     /// The WCET bound did not dominate a measured activation.
     WcetViolation {
         /// Configuration.
@@ -178,6 +189,9 @@ impl fmt::Display for OracleFailure {
             OracleFailure::Analysis { level, error } => {
                 write!(f, "[{level}] WCET analysis failed: {error}")
             }
+            OracleFailure::Sharing { level, detail } => {
+                write!(f, "[{level}] shared-session compile differs: {detail}")
+            }
             OracleFailure::WcetViolation {
                 level,
                 step,
@@ -210,6 +224,29 @@ fn input_value(case_seed: u64, step: u32, slot: u32) -> f64 {
     }
 }
 
+/// What differs between a compile through a shared
+/// [`CompileSession`] and the fresh compile of the same cell: binary
+/// words, annotation table, the rest of the linked program, or the error.
+/// `None` when they are identical.
+#[must_use]
+pub fn sharing_mismatch(
+    shared: &Result<Program, CompileError>,
+    fresh: &Result<Program, CompileError>,
+) -> Option<String> {
+    match (shared, fresh) {
+        (Ok(a), Ok(b)) if a.encode_text() != b.encode_text() => Some("binary words".into()),
+        (Ok(a), Ok(b)) if a.annotations != b.annotations => Some("annotation table".into()),
+        (Ok(a), Ok(b)) if format!("{a:?}") != format!("{b:?}") => Some("linked program".into()),
+        (Ok(_), Ok(_)) => None,
+        (Err(a), Err(b)) if a == b => None,
+        (a, b) => Some(format!(
+            "session {:?}, fresh {:?}",
+            a.as_ref().err(),
+            b.as_ref().err()
+        )),
+    }
+}
+
 /// Runs one oracle case. `case_seed` fully determines the node, the
 /// inputs, and therefore the verdict.
 ///
@@ -224,7 +261,7 @@ pub fn run_case(case_seed: u64, cfg: &OracleConfig) -> Result<OracleStats, Oracl
         seed: case_seed,
     })
     .remove(0);
-    let src = node.to_minic();
+    let src = Arc::new(node.to_minic());
 
     let io_ports: Vec<u32> = node
         .instances()
@@ -246,15 +283,30 @@ pub fn run_case(case_seed: u64, cfg: &OracleConfig) -> Result<OracleStats, Oracl
         ..OracleStats::default()
     };
 
-    for level in OptLevel::all() {
-        // validators force-enabled on every configuration: a rejection of
-        // an unmutated compilation is a validator (or compiler) bug
+    // validators force-enabled on every configuration: a rejection of
+    // an unmutated compilation is a validator (or compiler) bug
+    let levels = OptLevel::all().map(|level| {
         let passes = PassConfig {
             validators: true,
             ..PassConfig::for_level(level)
         };
-        let binary = match Compiler::new(level).compile_with_passes(&src, node.step_name(), &passes)
-        {
+        (level, passes)
+    });
+    // the four levels compile through one session, which must reproduce
+    // each level's fresh compile bit for bit
+    let session = CompileSession::new(
+        Arc::clone(&src),
+        node.step_name(),
+        &levels.map(|(_, passes)| passes),
+    );
+    for (level, passes) in levels {
+        let compiler = Compiler::new(level);
+        let fresh = compiler.compile_with_passes(&src, node.step_name(), &passes);
+        let shared = session.compile(&passes, &compiler.config, &mut NoopObserver);
+        if let Some(detail) = sharing_mismatch(&shared, &fresh) {
+            return Err(OracleFailure::Sharing { level, detail });
+        }
+        let binary = match fresh {
             Ok(b) => b,
             Err(CompileError::Validation(e)) => {
                 return Err(OracleFailure::Validator {

@@ -271,6 +271,71 @@ fn trace_profile_counters_are_deterministic_across_job_counts() {
     assert_eq!(rt.count_of(SpanKind::Stage, "cache-lookup"), 26);
     assert_eq!(rt.count_of(SpanKind::Stage, "compile"), 0);
     assert_eq!(rt.count_of(SpanKind::Pass, "lower"), 0);
+
+    // the cells of a unit share its pass prefixes: which cell runs a
+    // shared pass depends on scheduling, how often it runs does not
+    let matrix = three_level_two_machine_spec(&nodes);
+    let one = pipeline_with_jobs(1)
+        .run_sweep(&matrix)
+        .expect("jobs=1 matrix");
+    let eight = pipeline_with_jobs(8)
+        .run_sweep(&matrix)
+        .expect("jobs=8 matrix");
+    assert_eq!(
+        one.trace().profile().counter_digest(),
+        eight.trace().profile().counter_digest(),
+        "matrix profile counters diverge across job counts"
+    );
+    let four: Vec<_> = nodes.iter().take(4).cloned().collect();
+    let search = SearchSpec::new().nodes(&four);
+    let one = pipeline_with_jobs(1).search_wcet(&search).expect("jobs=1");
+    let eight = pipeline_with_jobs(8).search_wcet(&search).expect("jobs=8");
+    assert_eq!(
+        one.trace().profile().counter_digest(),
+        eight.trace().profile().counter_digest(),
+        "search profile counters diverge across job counts"
+    );
+}
+
+/// The named suite at `pattern-O0`, `verified` and `opt-full` on two
+/// machines.
+fn three_level_two_machine_spec(nodes: &[vericomp::dataflow::Node]) -> SweepSpec {
+    let mut slow_mem = MachineConfig::mpc755();
+    slow_mem.mem_latency *= 4;
+    SweepSpec::new()
+        .nodes(nodes)
+        .levels([OptLevel::PatternO0, OptLevel::Verified, OptLevel::OptFull])
+        .machine("mpc755", &MachineConfig::mpc755())
+        .machine("slow-mem", &slow_mem)
+}
+
+#[test]
+fn a_units_cells_run_their_shared_pass_prefix_once() {
+    // all three levels lower alike, `verified` and `opt-full` part only at
+    // `strength`, and no pass before `emit` reads the machine: per
+    // function, `lower` through `cse` run once for the unit's six cells,
+    // `regalloc` once per level, `emit` once per cell
+    let nodes = fleet::named_suite();
+    let functions: u64 = nodes
+        .iter()
+        .map(|node| node.to_minic().functions.len() as u64)
+        .sum();
+    let spec = three_level_two_machine_spec(&nodes);
+    let sweep = pipeline_with_jobs(2).run_sweep(&spec).expect("sweep");
+    let trace = sweep.trace();
+    assert_eq!(trace.count_of(SpanKind::Stage, "compile"), 26 * 6);
+    for pass in ["lower", "mem2reg", "constprop", "cse"] {
+        assert_eq!(
+            trace.count_of(SpanKind::Pass, pass),
+            functions,
+            "`{pass}` spans"
+        );
+    }
+    assert_eq!(trace.count_of(SpanKind::Pass, "strength"), functions);
+    assert_eq!(trace.count_of(SpanKind::Pass, "dce"), 2 * functions);
+    assert_eq!(trace.count_of(SpanKind::Pass, "regalloc"), 3 * functions);
+    assert_eq!(trace.count_of(SpanKind::Pass, "emit"), 6 * functions);
+    assert_eq!(trace.count_of(SpanKind::Pass, "link"), 26 * 6);
 }
 
 #[test]

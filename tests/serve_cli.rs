@@ -2,8 +2,8 @@
 //! idle daemon must always be acknowledged, and the daemon must then exit
 //! cleanly.
 //!
-//! The daemon may exit as soon as its batcher sees the shutdown flag, so
-//! the acknowledgement has to be on the wire before the flag goes up. A
+//! The daemon may exit as soon as its accept loop sees the shutdown flag,
+//! so the acknowledgement has to be on the wire before the flag goes up. A
 //! daemon that raises the flag first loses the race now and then, and
 //! `--shutdown` then fails with "connection closed before the response";
 //! repeating the handshake on many fresh daemons makes that visible.
