@@ -379,16 +379,34 @@ if [ -z "$evictions" ] || [ "$evictions" -eq 0 ]; then
     echo "daemon smoke FAILED: store bound forced no evictions" >&2
     exit 1
 fi
-# v2 content negotiation: a second scenario client replays the first
-# client's scenario from a fresh connection — every unit digest is
-# already in the daemon's parse cache, so the request must upload zero
-# unit bodies and resolve >=90% of its units as parse-cache hits
+# units by digest: a second scenario client replays the first client's
+# scenario from a fresh connection — every unit digest is already in the
+# daemon's parse cache, so the request must be one request frame, upload
+# zero unit bodies and resolve >=90% of its units as parse-cache hits
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --stats-of "$DAEMON_SOCK" > target/vericomp-ci-daemon-stats-before.txt
+cargo run --release --offline -p vericomp --bin vericomp_serve -- \
+    --metrics-of "$DAEMON_SOCK" > target/vericomp-ci-daemon-metrics-before.json
 cargo run --release --offline -p vericomp --bin compile_fleet -- \
     --connect "$DAEMON_SOCK" \
     --scenario 3051 --scenario-tasks 16 --scenario-frames 4 \
     | tee target/vericomp-ci-daemon-scenario-warm.txt
+cargo run --release --offline -p vericomp --bin vericomp_serve -- \
+    --metrics-of "$DAEMON_SOCK" > target/vericomp-ci-daemon-metrics-after.json
+# each registry snapshot counts its own `metrics` request frame, so the
+# delta is the client's frames plus the second snapshot's one
+warm_frames=$(python3 - target/vericomp-ci-daemon-metrics-before.json \
+    target/vericomp-ci-daemon-metrics-after.json <<'EOF'
+import json, sys
+before, after = (json.load(open(p))["histograms"]["frame_rx_bytes"]["count"]
+                 for p in sys.argv[1:])
+print(after - before - 1)
+EOF
+)
+if [ "$warm_frames" != 1 ]; then
+    echo "daemon smoke FAILED: warm scenario client sent ${warm_frames:-?} request frames, not 1" >&2
+    exit 1
+fi
 grep '^sched\|^fleet digest:' target/vericomp-ci-daemon-scenario-warm.txt \
     > target/vericomp-ci-daemon-sched-warm-lines.txt
 if ! cmp -s target/vericomp-ci-daemon-sched-warm-lines.txt \
@@ -400,9 +418,9 @@ if ! cmp -s target/vericomp-ci-daemon-sched-warm-lines.txt \
 fi
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --stats-of "$DAEMON_SOCK" > target/vericomp-ci-daemon-stats-after.txt
-uploaded_before=$(awk '$2 == "wire" { print $10 }' \
+uploaded_before=$(awk '$2 == "wire" { print $8 }' \
     target/vericomp-ci-daemon-stats-before.txt)
-uploaded_after=$(awk '$2 == "wire" { print $10 }' \
+uploaded_after=$(awk '$2 == "wire" { print $8 }' \
     target/vericomp-ci-daemon-stats-after.txt)
 if [ -z "$uploaded_before" ] || [ -z "$uploaded_after" ] \
         || [ "$uploaded_after" -ne "$uploaded_before" ]; then
@@ -422,7 +440,7 @@ if ! awk -v r="$parse_rate" 'BEGIN { exit !(r + 0 >= 0.9) }'; then
     cat target/vericomp-ci-daemon-stats-after.txt >&2
     exit 1
 fi
-echo "daemon smoke: warm scenario client negotiated 0 uploads, parse hit rate $parse_rate"
+echo "daemon smoke: warm scenario client sent 1 request frame, 0 uploads, parse hit rate $parse_rate"
 # clean shutdown: ack, daemon exits 0, socket file removed
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --shutdown "$DAEMON_SOCK"

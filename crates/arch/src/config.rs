@@ -6,7 +6,7 @@
 //! line fill, and a slow uncached memory-mapped I/O region for hardware signal
 //! acquisitions.
 
-use crate::inst::{Inst, Unit};
+use crate::inst::Inst;
 
 /// Geometry of one level-1 cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,15 +224,6 @@ impl MachineConfig {
                 | Inst::Itof { .. }
                 | Inst::Ftoi { .. }
         )
-    }
-
-    /// Number of instances of the given unit.
-    pub fn unit_count(&self, unit: Unit) -> u32 {
-        match unit {
-            Unit::Iu => 2,
-            Unit::None => 0,
-            _ => 1,
-        }
     }
 }
 

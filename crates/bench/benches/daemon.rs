@@ -21,9 +21,10 @@
 //! The soak: the E10 5 000-task scenario (12 692 units) through the
 //! daemon, digest-checked against a solo `run_sweep` of the same spec on
 //! one worker, then replayed warm (asserted 100% hits, **zero unit bodies
-//! uploaded** — the v2 protocol resolves every unit from the parse
-//! cache by digest) and warm again from a *fresh* connection that has
-//! to negotiate `have`/`need` first (also zero uploads). The daemon's
+//! uploaded** — the protocol resolves every unit from the parse cache by
+//! digest) and warm again from a *fresh* connection (also zero uploads,
+//! and one request frame: the server's parse cache, not the connection,
+//! decides what must be uploaded). The daemon's
 //! own [`ServerStats`] ride along in the summary under the `server`
 //! note, so `BENCH_daemon.json` records hit rate, evictions, wire
 //! bytes, parse-cache traffic and per-stage nanos next to the timings —
@@ -52,6 +53,7 @@ use vericomp_core::OptLevel;
 use vericomp_dataflow::fleet;
 use vericomp_pipeline::{
     normalize_spec, Client, Pipeline, PipelineOptions, Server, ServerOptions, SweepSpec,
+    PROTO_VERSION,
 };
 use vericomp_testkit::bench::Bench;
 use vericomp_testkit::scenario::{Scenario, ScenarioConfig};
@@ -71,6 +73,20 @@ fn soak_config() -> ScenarioConfig {
         .seed(0x10_000)
         .build()
         .expect("valid config")
+}
+
+/// Request frames the daemon has received, this `metrics` request's own
+/// frame included: the count of the registry's `frame_rx_bytes`
+/// histogram.
+fn frames_received(client: &mut Client) -> u64 {
+    let json = client.server_metrics().expect("metrics");
+    let tag = "\"frame_rx_bytes\": {\"count\": ";
+    let at = json.find(tag).expect("metrics JSON counts request frames") + tag.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("frame count")
 }
 
 fn main() {
@@ -217,34 +233,37 @@ fn main() {
         served_soak.digest
     );
 
-    // a fresh connection knows nothing: it must negotiate, and the
-    // negotiation must conclude every digest is already parse-cached
+    // a fresh connection knows nothing, yet every digest it names is
+    // parse-cached: its sweep is one frame that uploads nothing
+    let frames_before = frames_received(&mut client);
     let mut fresh = Client::connect(&socket).expect("connects");
     let t = Instant::now();
     let fresh_soak = fresh.run_sweep(&soak_spec).expect("fresh warm soak");
     let soak_fresh_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(fresh_soak.digest, solo_soak.digest(), "fresh soak != solo");
+    // the delta also holds the second metrics request's own frame
+    let fresh_frames = frames_received(&mut client) - frames_before - 1;
+    assert_eq!(
+        fresh_frames, 1,
+        "fresh client's warm soak took {fresh_frames} request frames"
+    );
     let after_fresh = fresh.server_stats().expect("stats");
     assert_eq!(
         after_fresh.units_uploaded, after_warm.units_uploaded,
         "fully-cached fresh client uploaded unit bodies"
     );
-    assert!(
-        after_fresh.units_offered > after_warm.units_offered,
-        "fresh client skipped negotiation"
-    );
     println!(
-        "daemon: fresh-client warm soak {soak_fresh_ms:.0} ms (negotiated, 0 bodies uploaded)"
+        "daemon: fresh-client warm soak {soak_fresh_ms:.0} ms \
+         (1 request frame, 0 bodies uploaded)"
     );
 
     let server_stats = client.server_stats().expect("stats");
     println!(
         "daemon: request latency p50 {:.1} ms p99 {:.1} ms over {} requests \
-         (proto 2.{})",
+         (proto {PROTO_VERSION})",
         server_stats.request_p50_ns as f64 / 1e6,
         server_stats.request_p99_ns as f64 / 1e6,
         server_stats.requests,
-        server_stats.proto_minor,
     );
     g.note(
         "latency",

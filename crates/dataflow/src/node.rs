@@ -154,11 +154,6 @@ impl NodeBuilder {
         self.addf(Symbol::Const(v), vec![])
     }
 
-    /// Constant boolean source.
-    pub fn constant_b(&mut self, v: bool) -> BWire {
-        self.addb(Symbol::ConstB(v), vec![])
-    }
-
     /// `k * x`.
     pub fn gain(&mut self, x: FWire, k: f64) -> FWire {
         self.addf(Symbol::Gain(k), vec![x.0])

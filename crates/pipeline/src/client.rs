@@ -1,5 +1,5 @@
 //! The compile-service client: a blocking request/response connection
-//! over a Unix domain socket, with digest-negotiated unit upload.
+//! over a Unix domain socket, with unit bodies uploaded on demand.
 //!
 //! One [`Client`] is one connection. Requests are serialized with
 //! [`proto::encode_request`](crate::proto::encode_request), written
@@ -8,16 +8,15 @@
 //! the server's reader threads use, so either side can be tested against
 //! the other with nothing but a socket pair.
 //!
-//! **Negotiation.** [`run_sweep`](Client::run_sweep) never uploads a
-//! unit body the server already holds: digests the server has not yet
-//! acknowledged on this connection go through a `have`/`need` exchange,
-//! and only the `need`ed bodies travel. Digests acknowledged earlier on
-//! the same connection skip the exchange entirely — a warm repeat
-//! request is a single roundtrip carrying `unit-ref` lines and **zero
-//! bodies**. If the server evicted a digest between negotiation and
-//! execution (its `unknown unit digest` error), the client retries once
-//! with every body attached — correctness never depends on the server's
-//! cache state.
+//! **Upload.** [`run_sweep`](Client::run_sweep) sends every unit as a
+//! `unit-ref` line, so a sweep the server's parse cache covers is one
+//! request frame carrying **zero bodies**, from any connection. The
+//! server answers a sweep naming digests it does not hold with `need`;
+//! the client re-sends with exactly the needed bodies. Should the server
+//! have evicted more digests in between, a second `need` gets every body,
+//! which the server never answers with `need`, so no sweep costs more
+//! than three request frames and correctness never depends on the
+//! server's cache state.
 //!
 //! The client re-verifies every sweep response's digest against its
 //! cells ([`SweepResponse::verify`]); a server (or transport) that
@@ -32,7 +31,7 @@ use std::path::Path;
 use crate::hash::Digest;
 use crate::proto::{
     decode_response, encode_request, read_frame, ProtoError, Request, Response, ServerStats,
-    SweepResponse, WireSweep, PROTO_MINOR, PROTO_VERSION,
+    SweepResponse, WireSweep,
 };
 use crate::sweep::SweepSpec;
 
@@ -75,10 +74,6 @@ impl From<ProtoError> for ClientError {
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<UnixStream>,
-    /// Source digests the server has acknowledged holding (negotiated
-    /// `have` answers and successfully served sweeps). Purely an upload
-    /// optimization: a stale entry costs one retry, never correctness.
-    acknowledged: HashSet<u128>,
 }
 
 impl Client {
@@ -91,7 +86,6 @@ impl Client {
         let stream = UnixStream::connect(path)?;
         Ok(Client {
             reader: BufReader::new(stream),
-            acknowledged: HashSet::new(),
         })
     }
 
@@ -119,120 +113,65 @@ impl Client {
         }
     }
 
-    /// One sweep submission with a given upload set and trace id.
+    /// One sweep submission with a given upload set and trace id: the
+    /// served sweep or the server's `need` answer.
     fn submit(
         &mut self,
         spec: &SweepSpec,
         trace: u64,
         upload: impl Fn(Digest) -> bool,
-    ) -> Result<SweepResponse, ClientError> {
+    ) -> Result<Response, ClientError> {
         let wire = WireSweep::from_spec(spec, upload).with_trace(trace);
         match self.roundtrip(&Request::Sweep(wire))? {
-            Response::Sweep(sweep) => {
-                // a served sweep implies every digest is now cached
-                for unit in spec.units() {
-                    self.acknowledged.insert(unit.source_digest().0);
-                }
-                Ok(sweep)
-            }
+            response @ (Response::Sweep(_) | Response::Need(_)) => Ok(response),
             _ => Err(ClientError::Proto(ProtoError(
-                "expected a sweep response".into(),
+                "expected a sweep or need response".into(),
             ))),
         }
     }
 
-    /// Submits a sweep and waits for the served result, negotiating unit
-    /// upload by digest (see the module docs). The spec's axes must be
-    /// explicit — run it through
+    /// Submits a sweep and waits for the served result, uploading unit
+    /// bodies only when the server answers `need` (see the module docs).
+    /// The spec's axes must be explicit — run it through
     /// [`normalize_spec`](crate::proto::normalize_spec) first so defaults
     /// match a solo `run_sweep`.
     ///
     /// # Errors
     ///
     /// [`ClientError`] on transport failure, malformed peer output
-    /// (including a digest that does not match the cells), or a
-    /// server-side rejection.
+    /// (including a digest that does not match the cells, or a `need`
+    /// answer to a sweep carrying every body), or a server-side
+    /// rejection.
     pub fn run_sweep(&mut self, spec: &SweepSpec) -> Result<SweepResponse, ClientError> {
         self.run_sweep_traced(spec, 0)
     }
 
     /// Like [`run_sweep`](Client::run_sweep), additionally tagging the
-    /// request with a nonzero trace id (proto 2.1): the response then
-    /// carries the server-side spans of exactly this request, each
-    /// tagged `trace=<id>`, for merging onto the client's timeline. A
-    /// server without trace support (proto 2.0) is reported as a clear
-    /// versioned error instead of its raw `unknown request tag`.
+    /// request with a nonzero trace id: the response then carries the
+    /// server-side spans of exactly this request, each tagged
+    /// `trace=<id>`, for merging onto the client's timeline.
     ///
     /// # Errors
     ///
-    /// As [`run_sweep`](Client::run_sweep), plus the versioned
-    /// capability error described above.
+    /// As [`run_sweep`](Client::run_sweep).
     pub fn run_sweep_traced(
         &mut self,
         spec: &SweepSpec,
         trace: u64,
     ) -> Result<SweepResponse, ClientError> {
-        let result = self.run_sweep_inner(spec, trace);
-        if trace != 0 {
-            if let Err(ClientError::Server(msg)) = &result {
-                if msg.contains("unknown request tag `trace`") {
-                    return Err(ClientError::Server(format!(
-                        "server speaks protocol {PROTO_VERSION}.0 without trace support; \
-                         tracing needs {PROTO_VERSION}.{PROTO_MINOR} — upgrade the daemon \
-                         or retry without --trace"
-                    )));
-                }
-            }
+        let mut response = self.submit(spec, trace, |_| false)?;
+        if let Response::Need(need) = response {
+            let need: HashSet<Digest> = need.into_iter().collect();
+            response = self.submit(spec, trace, |d| need.contains(&d))?;
         }
-        result
-    }
-
-    fn run_sweep_inner(
-        &mut self,
-        spec: &SweepSpec,
-        trace: u64,
-    ) -> Result<SweepResponse, ClientError> {
-        // negotiate only the digests this connection has not yet seen
-        // acknowledged; a fully-warm request skips the extra roundtrip
-        let mut offer: Vec<Digest> = Vec::new();
-        let mut offered: HashSet<u128> = HashSet::new();
-        for unit in spec.units() {
-            let d = unit.source_digest();
-            if !self.acknowledged.contains(&d.0) && offered.insert(d.0) {
-                offer.push(d);
-            }
+        if let Response::Need(_) = response {
+            response = self.submit(spec, trace, |_| true)?;
         }
-        let need: HashSet<u128> = if offer.is_empty() {
-            HashSet::new()
-        } else {
-            match self.roundtrip(&Request::Have(offer.clone()))? {
-                Response::Need(need) => {
-                    // digests offered but not needed are already cached
-                    for d in &offer {
-                        if !need.contains(d) {
-                            self.acknowledged.insert(d.0);
-                        }
-                    }
-                    need.into_iter().map(|d| d.0).collect()
-                }
-                _ => {
-                    return Err(ClientError::Proto(ProtoError(
-                        "expected a need response".into(),
-                    )))
-                }
-            }
-        };
-
-        match self.submit(spec, trace, |d| need.contains(&d.0)) {
-            // the server can evict a digest between our negotiation and
-            // the sweep landing; one full re-upload always resolves it
-            Err(ClientError::Server(msg)) if msg.contains("unknown unit digest") => {
-                for unit in spec.units() {
-                    self.acknowledged.remove(&unit.source_digest().0);
-                }
-                self.submit(spec, trace, |_| true)
-            }
-            other => other,
+        match response {
+            Response::Sweep(sweep) => Ok(sweep),
+            _ => Err(ClientError::Proto(ProtoError(
+                "server answered `need` to a sweep carrying every body".into(),
+            ))),
         }
     }
 
@@ -250,9 +189,9 @@ impl Client {
         }
     }
 
-    /// Fetches the server's metrics registry as its JSON rendering
-    /// (proto 2.1; see [`Registry::to_json`](crate::metrics::Registry::to_json)
-    /// for the schema).
+    /// Fetches the server's metrics registry as its JSON rendering (see
+    /// [`Registry::to_json`](crate::metrics::Registry::to_json) for the
+    /// schema).
     ///
     /// # Errors
     ///
@@ -266,8 +205,8 @@ impl Client {
         }
     }
 
-    /// Fetches the server's flight-recorder ring as JSON (proto 2.1).
-    /// A `--no-recorder` daemon answers with a server error.
+    /// Fetches the server's flight-recorder ring as JSON. A
+    /// `--no-recorder` daemon answers with a server error.
     ///
     /// # Errors
     ///
@@ -295,5 +234,84 @@ impl Client {
                 "expected an ok response".into(),
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{decode_request, encode_response, normalize_spec};
+    use crate::sweep::SweepUnit;
+    use std::os::unix::net::UnixListener;
+    use vericomp_arch::MachineConfig;
+    use vericomp_core::OptLevel;
+    use vericomp_dataflow::fleet;
+
+    /// Which units of each sweep frame a peer received carry a body.
+    fn bodies_of(frame: &[u8]) -> Vec<bool> {
+        let text = std::str::from_utf8(frame).expect("utf-8 frame");
+        let Ok(Request::Sweep(wire)) = decode_request(text) else {
+            panic!("expected a sweep request: {text}");
+        };
+        wire.units.iter().map(|u| u.body.is_some()).collect()
+    }
+
+    #[test]
+    fn need_answers_add_the_needed_bodies_then_every_body_then_fail() {
+        let suite = fleet::named_suite();
+        let spec = normalize_spec(
+            &SweepSpec::new()
+                .nodes(&suite[..3])
+                .level(OptLevel::Verified),
+            &MachineConfig::mpc755(),
+        );
+        let digests: Vec<Digest> = spec.units().iter().map(SweepUnit::source_digest).collect();
+        let socket =
+            std::env::temp_dir().join(format!("vericomp-client-need-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&socket);
+        let listener = UnixListener::bind(&socket).expect("binds");
+
+        // a scripted peer: it answers `need` to every sweep — first for
+        // unit 1, then (as if it had evicted unit 0 meanwhile) for unit
+        // 0 — and records every frame until the client hangs up; it
+        // hangs up itself after a fourth, so a looping client fails
+        // instead of hanging
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            let mut reader = BufReader::new(stream);
+            let mut frames = Vec::new();
+            while let Some(frame) = read_frame(&mut reader).expect("reads") {
+                let need = vec![digests[usize::from(frames.is_empty())]];
+                frames.push(bodies_of(&frame));
+                if frames.len() > 3 {
+                    break;
+                }
+                let answer = encode_response(&Response::Need(need));
+                reader
+                    .get_mut()
+                    .write_all(answer.as_bytes())
+                    .expect("answers");
+            }
+            frames
+        });
+
+        let mut client = Client::connect(&socket).expect("connects");
+        let err = client.run_sweep(&spec).expect_err("a third `need` fails");
+        assert!(
+            matches!(&err, ClientError::Proto(e) if e.0.contains("every body")),
+            "{err}"
+        );
+        drop(client);
+        let frames = peer.join().expect("peer");
+        let _ = std::fs::remove_file(&socket);
+        assert_eq!(
+            frames,
+            vec![
+                vec![false, false, false],
+                vec![false, true, false],
+                vec![true, true, true],
+            ],
+            "no body, then exactly the needed one, then every body"
+        );
     }
 }

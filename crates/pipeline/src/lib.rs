@@ -31,14 +31,15 @@
 //!   events into a [`RunTrace`], exportable as Chrome trace-event JSON
 //!   (Perfetto-loadable) or a deterministic text [`Profile`];
 //! * [`proto`] / [`server`] / [`client`] — the compile service: a
-//!   content-negotiated `.vcart`-style wire protocol over a Unix socket
-//!   (units travel by [`source_digest`] through a `have`/`need`
-//!   exchange; bodies and the big sweep payload ride in length-prefixed
-//!   blobs), a long-lived [`Server`] daemon owning one warm
-//!   [`ArtifactStore`] (size-bounded, deterministic eviction) plus a
-//!   bounded digest-addressed parse cache — each distinct unit parses
-//!   once per digest across requests and clients — and the blocking
-//!   [`Client`], whose warm repeat requests ship zero unit bodies. The
+//!   `.vcart`-style wire protocol over a Unix socket (a sweep names its
+//!   units by [`source_digest`], and the server answers `need` with the
+//!   digests whose bodies it lacks, which the client then re-sends;
+//!   bodies and the big sweep payload ride in length-prefixed blobs), a
+//!   long-lived [`Server`] daemon owning one warm [`ArtifactStore`]
+//!   (size-bounded, deterministic eviction) plus a bounded
+//!   digest-addressed parse cache — each distinct unit parses once per
+//!   digest across requests and clients — and the blocking [`Client`],
+//!   whose warm requests are one frame shipping zero unit bodies. The
 //!   daemon runs each sweep request as one [`Pipeline::run_sweep`] of
 //!   exactly that request, one at a time, so every served response is
 //!   bit-identical to a solo run of the same request.
@@ -96,8 +97,7 @@ pub use metrics::{bucket_index, bucket_upper, Histogram, Registry, HIST_BUCKETS}
 pub use pool::ThreadPool;
 pub use proto::{
     cells_digest, frame_text, normalize_spec, read_frame, CellSummary, ProtoError, Request,
-    Response, ServerStats, SweepResponse, WireSweep, WireUnit, MAX_BLOB_BYTES, PROTO_MINOR,
-    PROTO_VERSION,
+    Response, ServerStats, SweepResponse, WireSweep, WireUnit, MAX_BLOB_BYTES, PROTO_VERSION,
 };
 pub use recorder::{FlightRecorder, RecorderEvent, DEFAULT_RECORDER_CAP};
 pub use search::{

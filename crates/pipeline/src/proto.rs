@@ -1,5 +1,5 @@
 //! Wire protocol of the compile service: the `.vcart` discipline on a
-//! socket, content-negotiated.
+//! socket, with unit sources addressed by digest.
 //!
 //! Control frames are plain line-oriented text — the same format family
 //! as the artifact store's `.vcart` files: a versioned header line, one
@@ -17,41 +17,43 @@
 //! without confusing the framing. A closed connection mid-message is a
 //! protocol error, never a partial result.
 //!
-//! **Content negotiation.** Unit sources are identified by the digest of
+//! **One upload path.** Unit sources are identified by the digest of
 //! their canonical (pretty-printed) text ([`source_digest`]). A client
-//! first sends a `have` frame listing its digests; the server answers
-//! `need` with the subset it has never parsed. Only those bodies travel —
-//! a fully warm request ships **zero unit bodies**, just `unit-ref`
-//! lines. The server keeps a bounded, LRU-evicting parse cache (digest →
-//! parsed AST + canonical text) so each distinct unit is parsed once per
-//! digest across requests and clients; an evicted digest simply
-//! turns up in `need` again (or, if it races a sweep, yields an
-//! `unknown unit digest` error the client answers by re-uploading).
+//! sends every unit of a sweep as a `unit-ref` line. The server resolves
+//! each digest through its bounded parse cache (digest → parsed AST +
+//! canonical text, so each distinct unit is parsed once per digest
+//! across requests and clients). When a digest is neither cached nor
+//! uploaded in the request, the server answers `need` with those digests
+//! (distinct, in request order) and parses and runs nothing. The client
+//! then re-sends the sweep with exactly those bodies; should the server
+//! have evicted more meanwhile, it re-sends once more with every body, to
+//! which the server never answers `need`. A warm sweep is therefore one
+//! request frame carrying **zero unit bodies** from any connection, and
+//! a sweep with unknown digests is two.
 //!
 //! **Grammar** (one message per block):
 //!
 //! ```text
 //! blob     := "blob" nbytes NL <nbytes raw bytes> NL
 //!
-//! request  := "vericomp-request 2" NL body "end" NL
-//! body     := sweep | have | "stats" NL | "shutdown" NL
-//!           | "metrics" NL | "recorder-dump" NL      ; admin (proto 2.1)
-//! have     := "have" n NL ("digest" hex32 NL){n}      ; which do you need?
+//! request  := "vericomp-request 3" NL body "end" NL
+//! body     := sweep | "stats" NL | "metrics" NL | "recorder-dump" NL
+//!           | "shutdown" NL
 //! sweep    := "sweep" NL trace? unit* config+ machine+
-//! trace    := "trace" hex16 NL                ; client trace id (2.1)
-//! unit     := "unit-ref" entry hex32 name NL          ; body already server-side
+//! trace    := "trace" hex16 NL                ; nonzero client trace id
+//! unit     := "unit-ref" entry hex32 name NL          ; body by digest
 //!           | "unit" entry hex32 name NL blob         ; blob = canonical source
 //! config   := "config" label bits10 NL        ; PassConfig, key-order bits
 //! machine  := "machine" label u32{24} NL      ; machine_digest field order
 //!
-//! response := "vericomp-response 2" NL rbody "end" NL
+//! response := "vericomp-response 3" NL rbody "end" NL
 //! rbody    := rsweep | need | rstats | "ok" NL | "error" message NL
 //!           | "metrics" NL blob | "recorder" NL blob  ; JSON admin payloads
-//! need     := "need" n NL ("digest" hex32 NL){n}      ; never-seen subset
+//! need     := "need" n NL ("digest" hex32 NL){n}      ; bodies to re-send
 //! rsweep   := "sweep" NL blob                         ; blob = payload
 //! payload  := "axes" nunits nconfigs nmachines NL label-lines cell* span* stats digest
 //! cell     := "cell" unit config machine wcet cached vbits3 hex32 NL
-//! span     := "span" cat job ts_ns dur_ns name detail? NL   ; traced requests (2.1)
+//! span     := "span" cat job ts_ns dur_ns name detail? NL   ; traced requests
 //! stats    := "stats" jobs_run jobs_cached compile_ns analyze_ns store_ns wall_ns NL
 //! digest   := "digest" hex32 NL
 //! ```
@@ -62,7 +64,7 @@
 //! ASTs (gated by `tests/parser_roundtrip.rs`), so the server derives
 //! **the same cache keys** a local run would — a client's cells hit the
 //! daemon's warm store exactly when a solo run would hit its own. The
-//! determinism gates assert that digest-negotiated requests produce
+//! determinism gates assert that requests served by digest produce
 //! responses bit-identical to solo `run_sweep` runs.
 //!
 //! Names and axis labels must be non-empty and whitespace-free — enforced
@@ -85,21 +87,10 @@ use crate::trace::{Span, SpanKind};
 
 /// Protocol version. Bump on any grammar change — mismatched peers fail
 /// loudly at the header instead of misparsing bodies.
-pub const PROTO_VERSION: u32 = 2;
-
-/// Protocol **minor** (capability level) within version 2, additive only.
-/// Minor 1 adds: the optional `trace` line on sweep requests, `span`
-/// lines in the sweep-response payload, and the `metrics` /
-/// `recorder-dump` admin requests. Servers advertise theirs in
-/// [`ServerStats::proto_minor`]; a client that needs tracing checks it
-/// (and maps the older server's `unknown request tag` error to a clear
-/// versioned message either way).
-pub const PROTO_MINOR: u32 = 1;
+pub const PROTO_VERSION: u32 = 3;
 
 const REQUEST_WORD: &str = "vericomp-request";
 const RESPONSE_WORD: &str = "vericomp-response";
-const REQUEST_HEADER: &str = "vericomp-request 2";
-const RESPONSE_HEADER: &str = "vericomp-response 2";
 
 /// Upper bound on a single `blob` payload. A peer declaring more is
 /// rejected at the framing layer before any allocation of that size.
@@ -383,7 +374,8 @@ pub struct WireUnit {
 }
 
 /// The wire form of a sweep request: units by digest (bodies attached
-/// only where negotiated), explicit config and machine axes.
+/// only where the server answered `need`), explicit config and machine
+/// axes.
 #[derive(Debug, Clone)]
 pub struct WireSweep {
     /// Unit axis, in request order.
@@ -440,14 +432,11 @@ pub enum Request {
     /// [`normalize_spec`] client-side so wire specs carry the same labels
     /// a solo `run_sweep` would default to).
     Sweep(WireSweep),
-    /// Digest negotiation: which of these canonical-source digests does
-    /// the server still need bodies for?
-    Have(Vec<Digest>),
     /// Fetch a [`ServerStats`] snapshot.
     Stats,
-    /// Fetch the server's metrics registry as JSON (proto 2.1).
+    /// Fetch the server's metrics registry as JSON.
     Metrics,
-    /// Fetch the server's flight-recorder ring as JSON (proto 2.1).
+    /// Fetch the server's flight-recorder ring as JSON.
     RecorderDump,
     /// Stop the server: it finishes the running sweep, refuses later
     /// ones and exits.
@@ -463,18 +452,12 @@ pub enum Request {
 pub fn encode_request(request: &Request) -> Result<String, ProtoError> {
     use std::fmt::Write as _;
     let mut s = String::new();
-    let _ = writeln!(s, "{REQUEST_HEADER}");
+    let _ = writeln!(s, "{REQUEST_WORD} {PROTO_VERSION}");
     match request {
         Request::Stats => s.push_str("stats\n"),
         Request::Metrics => s.push_str("metrics\n"),
         Request::RecorderDump => s.push_str("recorder-dump\n"),
         Request::Shutdown => s.push_str("shutdown\n"),
-        Request::Have(digests) => {
-            let _ = writeln!(s, "have {}", digests.len());
-            for d in digests {
-                let _ = writeln!(s, "digest {d}");
-            }
-        }
         Request::Sweep(sweep) => {
             if sweep.configs.is_empty() || sweep.machines.is_empty() {
                 return err("sweep request must have explicit config and machine axes");
@@ -567,12 +550,6 @@ pub fn decode_request(text: &str) -> Result<Request, ProtoError> {
         ("metrics", "") => Request::Metrics,
         ("recorder-dump", "") => Request::RecorderDump,
         ("shutdown", "") => Request::Shutdown,
-        ("have", n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|_| ProtoError(format!("bad have count `{n}`")))?;
-            return Ok(Request::Have(decode_digest_list(&mut cursor, n)?));
-        }
         ("sweep", "") => {
             let mut units = Vec::new();
             let mut configs = Vec::new();
@@ -722,8 +699,8 @@ pub struct SweepResponse {
     /// This request's stats (cache hits count per-request, so a shared
     /// cell shows as a hit for every requester after the first).
     pub stats: PipelineStats,
-    /// Server-side spans of this request (traced sweeps only, proto
-    /// 2.1): the stage/pass spans of the request's own sweep, each
+    /// Server-side spans of this request (traced sweeps only): the
+    /// stage/pass spans of the request's own sweep, each
     /// detail tagged with the trace and request ids, timestamps on the
     /// **server's** sweep timeline. Not part of [`cells_digest`] — spans
     /// are timing, the digest is work.
@@ -786,8 +763,8 @@ impl fmt::Display for SweepResponse {
 /// embedded in `BENCH_daemon.json`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Sweep requests run (one `run_sweep` each; stats/shutdown
-    /// requests and refused sweeps not counted).
+    /// Sweep requests run (one `run_sweep` each; admin requests, `need`
+    /// answers and refused sweeps not counted).
     pub requests: u64,
     /// Cells compiled fresh.
     pub jobs_run: u64,
@@ -814,9 +791,7 @@ pub struct ServerStats {
     pub bytes_rx: u64,
     /// Response bytes written to the wire.
     pub bytes_tx: u64,
-    /// Unit digests offered through `have` negotiation.
-    pub units_offered: u64,
-    /// Unit bodies actually uploaded in sweep requests.
+    /// Unit bodies uploaded in sweep requests that got past `need`.
     pub units_uploaded: u64,
     /// Sweep units resolved from the parse cache without parsing.
     pub parse_hits: u64,
@@ -834,8 +809,6 @@ pub struct ServerStats {
     pub request_p99_ns: u64,
     /// Configured p99 latency SLO in ns; `0` means none configured.
     pub slo_p99_ns: u64,
-    /// The server's [`PROTO_MINOR`] capability level.
-    pub proto_minor: u64,
 }
 
 /// One [`ServerStats`] field, as a place to read or write.
@@ -844,7 +817,7 @@ type StatsField = fn(&mut ServerStats) -> &mut u64;
 /// Every [`ServerStats`] field with its wire name, in wire order: the
 /// one list that the `server-stats` document and
 /// [`to_json`](ServerStats::to_json) read and decoding writes.
-const STATS_FIELDS: [(&str, StatsField); 24] = [
+const STATS_FIELDS: [(&str, StatsField); 22] = [
     ("requests", |s| &mut s.requests),
     ("jobs_run", |s| &mut s.jobs_run),
     ("jobs_cached", |s| &mut s.jobs_cached),
@@ -858,7 +831,6 @@ const STATS_FIELDS: [(&str, StatsField); 24] = [
     ("slo_per_mille", |s| &mut s.slo_per_mille),
     ("bytes_rx", |s| &mut s.bytes_rx),
     ("bytes_tx", |s| &mut s.bytes_tx),
-    ("units_offered", |s| &mut s.units_offered),
     ("units_uploaded", |s| &mut s.units_uploaded),
     ("parse_hits", |s| &mut s.parse_hits),
     ("parse_misses", |s| &mut s.parse_misses),
@@ -868,7 +840,6 @@ const STATS_FIELDS: [(&str, StatsField); 24] = [
     ("request_p50_ns", |s| &mut s.request_p50_ns),
     ("request_p99_ns", |s| &mut s.request_p99_ns),
     ("slo_p99_ns", |s| &mut s.slo_p99_ns),
-    ("proto_minor", |s| &mut s.proto_minor),
 ];
 
 impl ServerStats {
@@ -919,8 +890,8 @@ impl ServerStats {
         );
         let _ = writeln!(
             s,
-            "server: wire rx {} tx {} offered {} uploaded {}",
-            self.bytes_rx, self.bytes_tx, self.units_offered, self.units_uploaded,
+            "server: wire rx {} tx {} uploaded {}",
+            self.bytes_rx, self.bytes_tx, self.units_uploaded,
         );
         let _ = writeln!(
             s,
@@ -946,8 +917,8 @@ impl ServerStats {
         );
         let _ = writeln!(
             s,
-            "server: latency request p50 {}ns p99 {}ns proto {}.{}",
-            self.request_p50_ns, self.request_p99_ns, PROTO_VERSION, self.proto_minor,
+            "server: latency request p50 {}ns p99 {}ns proto {PROTO_VERSION}",
+            self.request_p50_ns, self.request_p99_ns,
         );
         if self.slo_p99_ns > 0 {
             let _ = writeln!(
@@ -1015,13 +986,15 @@ impl ServerStats {
 pub enum Response {
     /// A served sweep.
     Sweep(SweepResponse),
-    /// The subset of a `have` offer the server needs bodies for.
+    /// The answer to a sweep that names digests the server neither holds
+    /// nor received (distinct, in request order): re-send the sweep with
+    /// these bodies. Nothing was parsed or run.
     Need(Vec<Digest>),
     /// A stats snapshot.
     Stats(ServerStats),
-    /// The metrics registry as one JSON object (proto 2.1).
+    /// The metrics registry as one JSON object.
     Metrics(String),
-    /// The flight-recorder ring as one JSON object (proto 2.1).
+    /// The flight-recorder ring as one JSON object.
     Recorder(String),
     /// Acknowledgement (shutdown).
     Ok,
@@ -1095,7 +1068,7 @@ fn encode_sweep_payload(sweep: &SweepResponse) -> String {
 pub fn encode_response(response: &Response) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
-    let _ = writeln!(s, "{RESPONSE_HEADER}");
+    let _ = writeln!(s, "{RESPONSE_WORD} {PROTO_VERSION}");
     match response {
         Response::Ok => s.push_str("ok\n"),
         Response::Error(msg) => {
@@ -1443,18 +1416,18 @@ mod tests {
         }
     }
 
+    /// A request document of the current version with the given body.
+    fn request_doc(body: &str) -> String {
+        format!("vericomp-request {PROTO_VERSION}\n{body}")
+    }
+
     #[test]
-    fn have_and_need_roundtrip() {
+    fn need_roundtrips_and_have_is_no_request() {
         let digests: Vec<Digest> = sample_spec()
             .units()
             .iter()
             .map(crate::sweep::SweepUnit::source_digest)
             .collect();
-        let text = encode_request(&Request::Have(digests.clone())).expect("encodes");
-        let Request::Have(back) = decode_request(&text).expect("decodes") else {
-            panic!("wrong request kind");
-        };
-        assert_eq!(back, digests);
         let Response::Need(back) =
             decode_response(&encode_response(&Response::Need(digests.clone()))).expect("decodes")
         else {
@@ -1468,6 +1441,10 @@ mod tests {
             panic!("wrong response kind");
         };
         assert!(empty.is_empty());
+        // a sweep is the only way to ask what the server needs
+        let have = request_doc(&format!("have 1\ndigest {}\nend\n", digests[0]));
+        let e = decode_request(&have).expect_err("`have` is gone");
+        assert!(e.0.contains("unknown request kind `have 1`"), "{e}");
     }
 
     #[test]
@@ -1507,15 +1484,21 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_a_clean_versioned_error() {
-        let v1 = "vericomp-request 1\nstats\nend\n";
-        let e = decode_request(v1).expect_err("v1 header must be rejected");
-        assert!(
-            e.0.contains("version 1") && e.0.contains("vericomp-request 2"),
-            "error must name both versions: {e}"
-        );
-        let e = decode_response("vericomp-response 1\nok\nend\n")
-            .expect_err("v1 response header must be rejected");
-        assert!(e.0.contains("version 1") && e.0.contains("vericomp-response 2"));
+        let ours = format!("vericomp-request {PROTO_VERSION}");
+        for old in [1, 2] {
+            let doc = format!("vericomp-request {old}\nstats\nend\n");
+            let e = decode_request(&doc).expect_err("an older header must be rejected");
+            assert!(
+                e.0.contains(&format!("version {old}")) && e.0.contains(&ours),
+                "error must name both versions: {e}"
+            );
+            let e = decode_response(&format!("vericomp-response {old}\nok\nend\n"))
+                .expect_err("an older response header must be rejected");
+            assert!(
+                e.0.contains(&format!("version {old}"))
+                    && e.0.contains(&format!("vericomp-response {PROTO_VERSION}"))
+            );
+        }
         let e = decode_request("vericomp-request 99\nstats\nend\n").expect_err("future version");
         assert!(e.0.contains("version 99"));
     }
@@ -1555,7 +1538,6 @@ mod tests {
             slo_per_mille: 700,
             bytes_rx: 4_096,
             bytes_tx: 8_192,
-            units_offered: 20,
             units_uploaded: 6,
             parse_hits: 14,
             parse_misses: 6,
@@ -1565,7 +1547,6 @@ mod tests {
             request_p50_ns: 1_000_000,
             request_p99_ns: 8_000_000,
             slo_p99_ns: 10_000_000,
-            proto_minor: u64::from(PROTO_MINOR),
         };
         let back = decode_response(&encode_response(&Response::Stats(stats.clone())));
         let Response::Stats(back) = back.expect("decodes") else {
@@ -1578,7 +1559,7 @@ mod tests {
         let render = stats.render();
         assert!(render.contains("hit-rate 0.762"));
         assert!(render.contains("SLO 0.700: met"));
-        assert!(render.contains("wire rx 4096 tx 8192 offered 20 uploaded 6"));
+        assert!(render.contains("wire rx 4096 tx 8192 uploaded 6\n"));
         assert!(render.contains(
             "parse-cache hits 14 misses 6 evictions 1 resident 5 bytes 2048 hit-rate 0.700"
         ));
@@ -1593,10 +1574,11 @@ mod tests {
         assert!(stats.to_json().contains("\"parse_hit_rate\":0.700000"));
         assert!(stats.to_json().contains("\"units_uploaded\":6"));
         assert!(stats.to_json().contains("\"slo_met\":true"));
-        assert!(render.contains("latency request p50 1000000ns p99 8000000ns proto 2.1"));
+        assert!(render.contains(&format!(
+            "latency request p50 1000000ns p99 8000000ns proto {PROTO_VERSION}\n"
+        )));
         assert!(render.contains("p99 SLO 10000000ns: met (p99 8000000ns)"));
         assert!(stats.to_json().contains("\"request_p99_ns\":8000000"));
-        assert!(stats.to_json().contains("\"proto_minor\":1"));
         // a breached p99 SLO flips the joint verdict even with hits fine
         let slow = ServerStats {
             request_p99_ns: 20_000_000,
@@ -1624,30 +1606,29 @@ mod tests {
             slo_per_mille: 11,
             bytes_rx: 12,
             bytes_tx: 13,
-            units_offered: 14,
-            units_uploaded: 15,
-            parse_hits: 16,
-            parse_misses: 17,
-            parse_evictions: 18,
-            parse_resident: 19,
-            parse_bytes: 20,
-            request_p50_ns: 21,
-            request_p99_ns: 22,
-            slo_p99_ns: 23,
-            proto_minor: 24,
+            units_uploaded: 14,
+            parse_hits: 15,
+            parse_misses: 16,
+            parse_evictions: 17,
+            parse_resident: 18,
+            parse_bytes: 19,
+            request_p50_ns: 20,
+            request_p99_ns: 21,
+            slo_p99_ns: 22,
         };
         let mut read: Vec<u64> = stats.fields().iter().map(|&(_, v)| v).collect();
         read.sort_unstable();
-        assert_eq!(read, (1..=24).collect::<Vec<u64>>());
+        assert_eq!(read, (1..=22).collect::<Vec<u64>>());
         let back = decode_response(&encode_response(&Response::Stats(stats.clone())));
         let Ok(Response::Stats(back)) = back else {
             panic!("stats must decode: {back:?}");
         };
         assert_eq!(back, stats);
-        // an older server's field is refused by name
-        let old = "vericomp-response 2\nserver-stats\nbatches 3\nend\n";
-        let e = decode_response(old).expect_err("unknown field");
-        assert!(e.0.contains("unknown stats field `batches`"), "{e}");
+        // a field this version does not know is refused by name
+        let old =
+            format!("vericomp-response {PROTO_VERSION}\nserver-stats\nunits_offered 3\nend\n");
+        let e = decode_response(&old).expect_err("unknown field");
+        assert!(e.0.contains("unknown stats field `units_offered`"), "{e}");
     }
 
     #[test]
@@ -1672,30 +1653,29 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_errors_not_panics() {
+        let response_doc = |body: &str| format!("vericomp-response {PROTO_VERSION}\n{body}");
         assert!(decode_request("").is_err());
         assert!(decode_request("vericomp-request 99\nstats\nend\n").is_err());
-        assert!(decode_request("vericomp-request 2\nstats\n").is_err()); // no end
-        assert!(decode_request("vericomp-request 2\nsweep\nunit f 0 n\nend\n").is_err());
+        assert!(decode_request(&request_doc("stats\n")).is_err()); // no end
+        assert!(decode_request(&request_doc("sweep\nunit f 0 n\nend\n")).is_err());
         // blob length lies: runs past the frame
-        assert!(decode_request(
-            "vericomp-request 2\nsweep\nunit f 00000000000000000000000000000000 n\nblob 999\nint\nend\n"
-        )
+        assert!(decode_request(&request_doc(
+            "sweep\nunit f 00000000000000000000000000000000 n\nblob 999\nint\nend\n"
+        ))
         .is_err());
         // blob length splitting a UTF-8 boundary must not panic
-        let mut doc = String::from("vericomp-request 2\nsweep\nunit f ");
-        doc.push_str(&format!("{}", source_digest("é")));
-        doc.push_str(" n\nblob 1\né\nend\n");
+        let doc = request_doc(&format!(
+            "sweep\nunit f {} n\nblob 1\né\nend\n",
+            source_digest("é")
+        ));
         assert!(decode_request(&doc).is_err());
-        assert!(decode_response("vericomp-response 2\nsweep\nblob 4\nxyzw\nend\n").is_err());
-        assert!(decode_response("vericomp-response 2\nneed 3\ndigest zz\nend\n").is_err());
+        assert!(decode_response(&response_doc("sweep\nblob 4\nxyzw\nend\n")).is_err());
+        assert!(decode_response(&response_doc("need 3\ndigest zz\nend\n")).is_err());
         // axis counts past any real sweep: neither preallocated nor
         // multiplied into an overflow
         for axes in ["1000000000000000000 1 1", "4294967296 4294967296 16"] {
             let payload = format!("axes {axes}\ndigest {}", cells_digest(&[]));
-            let doc = format!(
-                "vericomp-response 2\nsweep\nblob {}\n{payload}\nend\n",
-                payload.len()
-            );
+            let doc = response_doc(&format!("sweep\nblob {}\n{payload}\nend\n", payload.len()));
             assert!(decode_response(&doc).is_err(), "axes {axes}");
         }
         // whitespace in labels rejected at encode time
@@ -1713,13 +1693,15 @@ mod tests {
         let mut r = BufReader::new(&b""[..]);
         assert!(read_frame(&mut r).expect("clean").is_none());
         // EOF mid-frame
-        let mut r = BufReader::new(&b"vericomp-request 2\nstats\n"[..]);
+        let doc = request_doc("stats\n");
+        let mut r = BufReader::new(doc.as_bytes());
         assert!(read_frame(&mut r).is_err());
         // EOF mid-blob
-        let mut r = BufReader::new(&b"vericomp-request 2\nsweep\nblob 100\nshort"[..]);
+        let doc = request_doc("sweep\nblob 100\nshort");
+        let mut r = BufReader::new(doc.as_bytes());
         assert!(read_frame(&mut r).is_err());
         // oversized blob declaration rejected before allocation
-        let doc = format!("vericomp-request 2\nsweep\nblob {}\n", MAX_BLOB_BYTES + 1);
+        let doc = request_doc(&format!("sweep\nblob {}\n", MAX_BLOB_BYTES + 1));
         let mut r = BufReader::new(doc.as_bytes());
         assert!(read_frame(&mut r).is_err());
     }
@@ -1766,7 +1748,7 @@ mod tests {
             let back = decode_request(&text).expect("decodes");
             assert_eq!(std::mem::discriminant(&back), std::mem::discriminant(&req));
         }
-        assert!(decode_request("vericomp-request 2\nsweep\ntrace zz\nend\n").is_err());
+        assert!(decode_request(&request_doc("sweep\ntrace zz\nend\n")).is_err());
     }
 
     #[test]

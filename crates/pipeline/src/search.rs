@@ -18,10 +18,9 @@
 //!   the search floods downhill from the seeds and terminates.
 //! * **Dominance pruning.** After each generation the search scans every
 //!   probed pair `(c, c|F)`: if enabling flag `F` never reduced the WCET
-//!   bound in any probed context (and at least
-//!   [`SearchSpec::prune_trials`] contexts were seen), expansions through
-//!   enabling `F` stop. Every pruning decision is recorded in the result
-//!   ([`NodeSearch::pruned`]) so it is auditable.
+//!   bound in any probed context (and at least two contexts were seen),
+//!   expansions through enabling `F` stop. Every pruning decision is
+//!   recorded in the result ([`NodeSearch::pruned`]) so it is auditable.
 //! * **Batched probes.** Each frontier generation is one [`SweepSpec`]
 //!   submitted to [`Pipeline::run_sweep`], so probes overlap on the
 //!   worker pool and land in the content-addressed
@@ -190,33 +189,22 @@ pub fn wcet_driven_candidates() -> [(&'static str, PassConfig); 6] {
     ]
 }
 
+/// Minimum number of probed `(c, c|F)` contexts before flag `F` may be
+/// dominance-pruned.
+const PRUNE_TRIALS: u32 = 2;
+
 /// The search request: which units to optimize, from which seed frontier,
-/// on which machine, under which budget.
-#[derive(Debug, Clone)]
+/// on which machine.
+#[derive(Debug, Clone, Default)]
 pub struct SearchSpec {
     units: Vec<SweepUnit>,
     seeds: Vec<(String, PassConfig)>,
     machine: Option<(String, MachineConfig)>,
-    max_probes: usize,
-    prune_trials: u32,
-}
-
-impl Default for SearchSpec {
-    fn default() -> Self {
-        SearchSpec {
-            units: Vec::new(),
-            seeds: Vec::new(),
-            machine: None,
-            max_probes: LATTICE_SIZE,
-            prune_trials: 2,
-        }
-    }
 }
 
 impl SearchSpec {
     /// An empty spec: no units, default seeds
-    /// ([`SearchSpec::default_seeds`]), the pipeline's machine, and a
-    /// probe budget of the full lattice.
+    /// ([`SearchSpec::default_seeds`]) and the pipeline's machine.
     #[must_use]
     pub fn new() -> SearchSpec {
         SearchSpec::default()
@@ -285,24 +273,6 @@ impl SearchSpec {
     #[must_use]
     pub fn machine(mut self, label: &str, machine: &MachineConfig) -> Self {
         self.machine = Some((label.to_owned(), machine.clone()));
-        self
-    }
-
-    /// Caps the number of distinct lattice points probed per unit
-    /// (seeds always probe; the cap stops further expansion). Clamped to
-    /// [`LATTICE_SIZE`] — beyond it there is nothing left to probe.
-    #[must_use]
-    pub fn max_probes(mut self, max_probes: usize) -> Self {
-        self.max_probes = max_probes.min(LATTICE_SIZE);
-        self
-    }
-
-    /// Minimum number of probed `(c, c|F)` contexts before flag `F` may
-    /// be dominance-pruned (default 2; `0` behaves as `1` — a pruning
-    /// decision needs at least one observed context).
-    #[must_use]
-    pub fn prune_trials(mut self, trials: u32) -> Self {
-        self.prune_trials = trials.max(1);
         self
     }
 
@@ -549,8 +519,8 @@ impl UnitSearch {
     }
 
     /// Scans every probed `(c, c|F)` pair and prunes flags that never
-    /// helped across at least `min_trials` contexts.
-    fn update_pruning(&mut self, min_trials: u32, generation: u32) {
+    /// helped across at least [`PRUNE_TRIALS`] contexts.
+    fn update_pruning(&mut self, generation: u32) {
         for (i, flag) in LATTICE_FLAGS.iter().enumerate() {
             if self.flag_pruned[i] {
                 continue;
@@ -570,7 +540,7 @@ impl UnitSearch {
                     }
                 }
             }
-            if trials >= min_trials && !helped {
+            if trials >= PRUNE_TRIALS && !helped {
                 self.flag_pruned[i] = true;
                 self.pruned.push(PrunedFlag {
                     flag,
@@ -583,15 +553,12 @@ impl UnitSearch {
 
     /// The next generation's probe list: every frontier config expanded
     /// by one flag flip, skipping probed points, duplicate schedules and
-    /// flips that *enable* a pruned flag. Respects the probe budget.
-    fn expansions(&self, max_probes: usize) -> Vec<(u16, u16)> {
+    /// flips that *enable* a pruned flag.
+    fn expansions(&self) -> Vec<(u16, u16)> {
         let mut scheduled: Vec<(u16, u16)> = Vec::new();
         let mut seen: BTreeMap<u16, ()> = BTreeMap::new();
         for &from in &self.frontier {
             for (i, _) in LATTICE_FLAGS.iter().enumerate() {
-                if self.probed.len() + scheduled.len() >= max_probes {
-                    return scheduled;
-                }
                 let mask = 1u16 << i;
                 let to = from ^ mask;
                 let enabling = to & mask != 0;
@@ -631,12 +598,6 @@ impl Pipeline {
     /// # Errors
     ///
     /// The first [`PipelineError`] any probe hit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the seed frontier is empty **and**
-    /// [`SearchSpec::default_seeds`] was disabled by a zero probe budget —
-    /// i.e. never in practice; seeds always probe.
     pub fn search_wcet(&self, spec: &SearchSpec) -> Result<SearchResult, PipelineError> {
         let seeds = if spec.seeds.is_empty() {
             SearchSpec::default_seeds()
@@ -656,7 +617,7 @@ impl Pipeline {
         let mut trace = RunTrace::new();
         let mut nodes = Vec::with_capacity(spec.units.len());
         for unit in &spec.units {
-            let search = self.search_unit(unit, &seeds, &machine, spec, epoch, &mut trace)?;
+            let search = self.search_unit(unit, &seeds, &machine, epoch, &mut trace)?;
             aggregate.merge(&search.stats);
             // units search sequentially: the aggregate wall is their sum,
             // not the max the concurrent-cell merge takes
@@ -678,7 +639,6 @@ impl Pipeline {
         unit: &SweepUnit,
         seeds: &[(String, PassConfig)],
         machine: &(String, MachineConfig),
-        spec: &SearchSpec,
         epoch: Instant,
         trace: &mut RunTrace,
     ) -> Result<NodeSearch, PipelineError> {
@@ -711,11 +671,10 @@ impl Pipeline {
         }
         state.generations = 1;
 
-        // Expansion generations: flood downhill until the frontier dries
-        // up or the probe budget is spent.
+        // Expansion generations: flood downhill until the frontier dries up.
         loop {
             let pruned_before = state.pruned.len();
-            state.update_pruning(spec.prune_trials, state.generations - 1);
+            state.update_pruning(state.generations - 1);
             for d in &state.pruned[pruned_before..] {
                 trace.push(Span::event(
                     "search:pruned-flag",
@@ -727,7 +686,7 @@ impl Pipeline {
                     ),
                 ));
             }
-            let scheduled = state.expansions(spec.max_probes);
+            let scheduled = state.expansions();
             if scheduled.is_empty() {
                 break;
             }
@@ -910,23 +869,14 @@ mod tests {
         let spec = SearchSpec::new()
             .nodes(&nodes)
             .seed("verified", &verified)
-            .seed("verified-again", &verified)
-            .max_probes(1);
+            .seed("verified-again", &verified);
         let result = Pipeline::in_memory().search_wcet(&spec).expect("search");
         let node = &result.nodes[0];
-        assert_eq!(node.probes(), 1);
-        assert_eq!(node.probed[0].label, "verified");
-        assert_eq!(node.wcet_of(&verified), Some(node.winner.wcet));
-    }
-
-    #[test]
-    fn probe_budget_caps_expansion_but_seeds_always_probe() {
-        let nodes: Vec<_> = fleet::named_suite().into_iter().take(1).collect();
-        let spec = SearchSpec::new().nodes(&nodes).max_probes(4);
-        let result = Pipeline::in_memory().search_wcet(&spec).expect("search");
-        let node = &result.nodes[0];
-        assert!(node.probes() <= 4, "budget exceeded: {}", node.probes());
-        assert!(node.probes() >= 2, "seeds must probe");
+        let seeds: Vec<_> = node.probed.iter().filter(|p| p.generation == 0).collect();
+        assert_eq!(seeds.len(), 1, "duplicate seed bits probed twice");
+        assert_eq!(seeds[0].label, "verified");
+        assert!(node.probed.iter().all(|p| p.label != "verified-again"));
+        assert_eq!(node.wcet_of(&verified), Some(seeds[0].wcet));
     }
 
     #[test]

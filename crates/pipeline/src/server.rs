@@ -4,14 +4,16 @@
 //! **Architecture.** [`Server::run`] accepts connections on a Unix
 //! socket and spawns a thread per connection. Each connection thread
 //! frames and parses [`proto`](crate::proto) documents and answers them
-//! itself: `stats`, `metrics`, `recorder-dump`, `shutdown` and `have`
-//! negotiation inline; a sweep request by resolving its units through
-//! the store's **parse cache** (digest → parsed AST + canonical text —
-//! each distinct unit parses once per digest across requests and
-//! clients) and then running exactly the spec it sent as one
-//! [`Pipeline::run_sweep`] on the one shared pipeline. A request whose
-//! units don't all resolve (unknown digest, parse failure) is answered
-//! with `error` before anything runs.
+//! itself: `stats`, `metrics`, `recorder-dump` and `shutdown` inline; a
+//! sweep request by resolving its units through the store's **parse
+//! cache** (digest → parsed AST + canonical text — each distinct unit
+//! parses once per digest across requests and clients) and then running
+//! exactly the spec it sent as one [`Pipeline::run_sweep`] on the one
+//! shared pipeline. A sweep naming a digest that is neither cached nor
+//! uploaded is answered with `need` (those digests, distinct, in request
+//! order), which parses, runs and counts nothing but its frames; one
+//! whose body fails to parse is answered with `error`. Either way nothing
+//! runs.
 //!
 //! **One sweep at a time.** One server-wide lock is held for the whole
 //! of each sweep, so sweeps run one after another. A cell that two
@@ -27,6 +29,7 @@
 //! so recency is sweep-granular and the evicted set is a pure function
 //! of the order in which sweeps ran.
 
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -35,10 +38,11 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
+use crate::hash::Digest;
 use crate::metrics::Registry;
 use crate::proto::{
     decode_request, encode_response, frame_text, read_frame, Request, Response, ServerStats,
-    SweepResponse, WireSweep, PROTO_MINOR,
+    SweepResponse, WireSweep,
 };
 use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAP};
 use crate::service::{Pipeline, PipelineOptions};
@@ -145,7 +149,6 @@ impl Shared {
             slo_per_mille: self.slo_per_mille,
             bytes_rx: sum("frame_rx_bytes"),
             bytes_tx: sum("frame_tx_bytes"),
-            units_offered: reg.counter("units_offered"),
             units_uploaded: reg.counter("units_uploaded"),
             parse_hits: reg.counter("parse_hits"),
             parse_misses: reg.counter("parse_misses"),
@@ -155,7 +158,6 @@ impl Shared {
             request_p50_ns: reg.quantile("request_wall_ns", 0.50).unwrap_or(0),
             request_p99_ns: reg.quantile("request_wall_ns", 0.99).unwrap_or(0),
             slo_p99_ns: self.slo_p99_ns,
-            proto_minor: u64::from(PROTO_MINOR),
         }
     }
 
@@ -363,49 +365,91 @@ impl Server {
     }
 }
 
-/// Resolves a wire sweep into a runnable [`SweepSpec`] through the parse
-/// cache: a known digest replays its cached AST + canonical text without
-/// touching the body, a fresh digest parses its (digest-verified)
-/// uploaded body exactly once and caches it, and a fresh digest without
-/// a body is an error the client answers by re-uploading — nothing runs
-/// unless *every* unit resolved. Each unit reuses the verified digest,
-/// so resolving renders and hashes nothing.
-fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String> {
-    let mut spec = SweepSpec::new();
+/// Where one unit of a wire sweep comes from.
+enum Source {
+    /// Its parse-cache entry.
+    Cached(ParsedUnit),
+    /// An uploaded body of its digest, to parse.
+    Upload(Arc<String>),
+}
+
+/// Looks every unit of a wire sweep up in the parse cache. `Err` is the
+/// `need` answer: the digests that are neither cached nor uploaded
+/// anywhere in the request, distinct, in request order. Hits are stamped
+/// with the current epoch either way, so a digest the client is about to
+/// re-send with its missing bodies stays maximally recent.
+fn lookup_units(wire: &WireSweep, store: &ArtifactStore) -> Result<Vec<Source>, Vec<Digest>> {
+    let bodies: HashMap<Digest, &Arc<String>> = wire
+        .units
+        .iter()
+        .filter_map(|u| u.body.as_ref().map(|body| (u.digest, body)))
+        .collect();
+    let mut need = Vec::new();
+    let mut needed = HashSet::new();
+    let mut sources = Vec::with_capacity(wire.units.len());
     for unit in &wire.units {
-        if unit.body.is_some() {
-            shared.registry.incr("units_uploaded", 1);
+        if let Some(parsed) = store.parse_lookup(unit.digest) {
+            sources.push(Source::Cached(parsed));
+        } else if let Some(body) = bodies.get(&unit.digest) {
+            sources.push(Source::Upload(Arc::clone(body)));
+        } else if needed.insert(unit.digest) {
+            need.push(unit.digest);
         }
-        let resolved = match shared.store.parse_lookup(unit.digest) {
-            Some(parsed) => {
-                shared.registry.incr("parse_hits", 1);
+    }
+    if need.is_empty() {
+        Ok(sources)
+    } else {
+        Err(need)
+    }
+}
+
+/// Builds the runnable [`SweepSpec`] of a wire sweep whose units all
+/// resolved: a cached unit replays its AST + canonical text without
+/// touching a body, and each uploaded digest (verified against its body
+/// at decode time) parses exactly once and enters the parse cache.
+/// Each unit reuses the verified digest, so resolving renders and hashes
+/// nothing.
+fn build_spec(
+    wire: &WireSweep,
+    sources: Vec<Source>,
+    shared: &Shared,
+) -> Result<SweepSpec, String> {
+    let reg = &shared.registry;
+    let mut parsed_here: HashMap<Digest, ParsedUnit> = HashMap::new();
+    let mut spec = SweepSpec::new();
+    for (unit, source) in wire.units.iter().zip(sources) {
+        if unit.body.is_some() {
+            reg.incr("units_uploaded", 1);
+        }
+        let resolved = match source {
+            Source::Cached(parsed) => {
+                reg.incr("parse_hits", 1);
                 parsed
             }
-            None => match &unit.body {
-                Some(body) => {
-                    shared.registry.incr("parse_misses", 1);
-                    let ast = vericomp_minic::parse::parse(body)
+            Source::Upload(body) => match parsed_here.get(&unit.digest) {
+                Some(parsed) => {
+                    reg.incr("parse_hits", 1);
+                    parsed.clone()
+                }
+                None => {
+                    reg.incr("parse_misses", 1);
+                    let ast = vericomp_minic::parse::parse(&body)
                         .map_err(|e| format!("unit `{}` failed to parse: {e}", unit.name))?;
                     let parsed = ParsedUnit {
-                        canonical: Arc::clone(body),
+                        canonical: body,
                         ast: Arc::new(ast),
                     };
                     shared.store.parse_insert(unit.digest, parsed.clone());
+                    parsed_here.insert(unit.digest, parsed.clone());
                     parsed
-                }
-                None => {
-                    return Err(format!(
-                        "unknown unit digest {} for unit `{}` (re-upload required)",
-                        unit.digest, unit.name
-                    ))
                 }
             },
         };
         spec = spec.unit(SweepUnit::from_parsed(
             &unit.name,
-            Arc::clone(&resolved.ast),
+            resolved.ast,
             &unit.entry,
-            Arc::clone(&resolved.canonical),
+            resolved.canonical,
             unit.digest,
         ));
     }
@@ -416,6 +460,34 @@ fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String>
         spec = spec.machine(label, machine);
     }
     Ok(spec)
+}
+
+/// Answers one sweep request: `need` when its units do not all resolve,
+/// which counts and records nothing; otherwise a request id, the parse
+/// of its uploaded bodies and its sweep, each counted and recorded.
+fn serve_sweep(wire: &WireSweep, client: u64, shared: &Shared) -> Response {
+    let started = Instant::now();
+    let sources = match lookup_units(wire, &shared.store) {
+        Ok(sources) => sources,
+        Err(need) => return Response::Need(need),
+    };
+    let request = shared.next_request.fetch_add(1, Ordering::Relaxed) + 1;
+    let trace = wire.trace;
+    shared.record(request, trace, "request", || {
+        format!("client={client} units={}", wire.units.len())
+    });
+    let response = match build_spec(wire, sources, shared) {
+        Err(msg) => {
+            shared.registry.incr("errors", 1);
+            shared.record(request, trace, "error", || msg.clone());
+            Response::Error(msg)
+        }
+        Ok(spec) => shared.sweep(&spec, request, trace),
+    };
+    shared
+        .registry
+        .observe("request_wall_ns", saturating_nanos(started.elapsed()));
+    response
 }
 
 fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
@@ -442,18 +514,6 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                 Some(recorder) => Response::Recorder(recorder.dump_json()),
                 None => Response::Error("flight recorder disabled (--no-recorder)".into()),
             },
-            Ok(Request::Have(digests)) => {
-                shared.registry.incr("units_offered", digests.len() as u64);
-                // `parse_contains` stamps hits with the current epoch, so
-                // a just-negotiated digest is maximally recent when its
-                // sweep arrives
-                Response::Need(
-                    digests
-                        .into_iter()
-                        .filter(|d| !shared.store.parse_contains(*d))
-                        .collect(),
-                )
-            }
             Ok(Request::Shutdown) => {
                 // acknowledge before raising the flag: once the accept
                 // loop sees it the process may exit, taking an unwritten
@@ -465,26 +525,7 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                 let _ = UnixStream::connect(&shared.socket);
                 return;
             }
-            Ok(Request::Sweep(wire)) => {
-                let started = Instant::now();
-                let request = shared.next_request.fetch_add(1, Ordering::Relaxed) + 1;
-                let trace = wire.trace;
-                shared.record(request, trace, "request", || {
-                    format!("client={client} units={}", wire.units.len())
-                });
-                let response = match resolve_sweep(&wire, shared) {
-                    Err(msg) => {
-                        shared.registry.incr("errors", 1);
-                        shared.record(request, trace, "error", || msg.clone());
-                        Response::Error(msg)
-                    }
-                    Ok(spec) => shared.sweep(&spec, request, trace),
-                };
-                shared
-                    .registry
-                    .observe("request_wall_ns", saturating_nanos(started.elapsed()));
-                response
-            }
+            Ok(Request::Sweep(wire)) => serve_sweep(&wire, client, shared),
         };
         let text = shared.encode(&response);
         if reader.get_mut().write_all(text.as_bytes()).is_err() {
@@ -497,7 +538,7 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::proto::normalize_spec;
+    use crate::proto::{normalize_spec, PROTO_VERSION};
     use vericomp_arch::MachineConfig;
     use vericomp_core::OptLevel;
     use vericomp_dataflow::fleet;
@@ -556,9 +597,8 @@ mod tests {
 
         // hand-rolled garbage frame on a raw stream
         let mut stream = UnixStream::connect(&socket).expect("connects");
-        stream
-            .write_all(b"vericomp-request 2\nnonsense\nend\n")
-            .expect("writes");
+        let garbage = format!("vericomp-request {PROTO_VERSION}\nnonsense\nend\n");
+        stream.write_all(garbage.as_bytes()).expect("writes");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let doc = read_text(&mut reader).expect("frame");
         assert!(doc.contains("error "), "garbage must yield an error frame");
@@ -590,20 +630,24 @@ mod tests {
         let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
         let handle = thread::spawn(move || server.run().expect("serves"));
 
-        // a v1 peer's hello: old header, old sweep body shape
+        // a v2 peer's opening `have` offer: old header, a request kind
+        // this version no longer has
         let mut stream = UnixStream::connect(&socket).expect("connects");
         stream
-            .write_all(b"vericomp-request 1\nsweep\nconfig verified 1111111011\nend\n")
+            .write_all(
+                b"vericomp-request 2\nhave 1\ndigest 0123456789abcdef0123456789abcdef\nend\n",
+            )
             .expect("writes");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let doc = read_text(&mut reader).expect("frame");
         assert!(
             doc.contains("error ")
-                && doc.contains("version 1")
-                && doc.contains("vericomp-request 2"),
-            "v1 hello must get a clean versioned error: {doc}"
+                && doc.contains("version 2")
+                && doc.contains(&format!("vericomp-request {PROTO_VERSION}")),
+            "a v2 hello must get a clean versioned error: {doc}"
         );
-        // the connection survived: a v2 request on the same stream works
+        // the connection survived: a current request on the same stream
+        // works
         let spec = spec_of(0..1);
         let wire = WireSweep::from_spec(&spec, |_| true);
         let text = crate::proto::encode_request(&Request::Sweep(wire)).expect("encodes");
@@ -614,15 +658,18 @@ mod tests {
             "connection must survive the version mismatch"
         );
 
-        // the other direction: a v2 client decoding a v1 server's
-        // response header gets the same clean versioned error
-        let e = crate::proto::decode_response("vericomp-response 1\nok\nend\n")
-            .expect_err("v1 response header");
-        assert!(e.0.contains("version 1") && e.0.contains("vericomp-response 2"));
+        // the other direction: a client decoding a v2 server's response
+        // header gets the same clean versioned error
+        let e = crate::proto::decode_response("vericomp-response 2\nok\nend\n")
+            .expect_err("v2 response header");
+        assert!(
+            e.0.contains("version 2")
+                && e.0.contains(&format!("vericomp-response {PROTO_VERSION}"))
+        );
 
         let mut client = Client::connect(&socket).expect("connects");
         let stats = client.server_stats().expect("stats");
-        // exactly the one good sweep ran — the refused v1 frame ran
+        // exactly the one good sweep ran — the refused v2 frame ran
         // nothing
         assert_eq!(stats.requests, 1);
         client.shutdown().expect("acknowledged");
@@ -643,20 +690,22 @@ mod tests {
         assert_eq!(a.run_sweep(&spec).expect("served").digest, solo.digest());
         let after_a = a.server_stats().expect("stats");
         assert_eq!(after_a.units_uploaded, spec.units().len() as u64);
+        let frames_before = frames_received(&mut a);
 
-        // a *fresh* connection negotiates, gets an empty need set, and
-        // ships zero bodies — yet its digest is still solo-identical
+        // a *fresh* connection's sweep is one frame of `unit-ref` lines
+        // and ships zero bodies — yet its digest is still solo-identical
         let mut b = Client::connect(&socket).expect("connects");
         assert_eq!(b.run_sweep(&spec).expect("served").digest, solo.digest());
+        assert_eq!(
+            frames_received(&mut a) - frames_before,
+            2,
+            "a warm sweep from a fresh connection must cost one request frame \
+             (plus the metrics request)"
+        );
         let after_b = b.server_stats().expect("stats");
         assert_eq!(
             after_b.units_uploaded, after_a.units_uploaded,
             "warm client must upload zero unit bodies"
-        );
-        assert_eq!(
-            after_b.units_offered,
-            after_a.units_offered + spec.units().len() as u64,
-            "fresh connection negotiates every digest once"
         );
         assert_eq!(
             after_b.parse_hits,
@@ -680,6 +729,91 @@ mod tests {
             .take_while(char::is_ascii_digit)
             .collect();
         digits.parse().expect("number")
+    }
+
+    /// Request frames the server has received, this `metrics` request's
+    /// own frame included (the registry's `frame_rx_bytes` count).
+    fn frames_received(client: &mut Client) -> u64 {
+        let json = client.server_metrics().expect("metrics");
+        json_number(&json, "\"frame_rx_bytes\": {", "count")
+    }
+
+    #[test]
+    fn a_cold_sweep_costs_two_frames_and_its_need_answer_counts_nothing() {
+        let socket = socket_path("server-cold");
+        let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
+        let handle = thread::spawn(move || server.run().expect("serves"));
+
+        let spec = spec_of(0..3);
+        let units = spec.units().len() as u64;
+        let mut client = Client::connect(&socket).expect("connects");
+        let served = client.run_sweep(&spec).expect("served");
+        assert_eq!(
+            served.digest,
+            Pipeline::in_memory()
+                .run_sweep(&spec)
+                .expect("solo")
+                .digest()
+        );
+        // the `unit-ref` sweep, the sweep with the bodies, then this
+        // metrics request
+        let json = client.server_metrics().expect("metrics");
+        assert_eq!(json_number(&json, "\"frame_rx_bytes\": {", "count"), 3);
+        assert_eq!(json_number(&json, "\"counters\": {", "requests"), 1);
+        assert!(
+            !json.contains("\"errors\": "),
+            "the `need` answer counted an error: {json}"
+        );
+        let stats = client.server_stats().expect("stats");
+        assert_eq!(stats.requests, 1, "the `need` answer counted a request");
+        assert_eq!(stats.parse_misses, units);
+        assert_eq!(stats.units_uploaded, units);
+        assert_eq!(stats.parse_hits, 0);
+        // the flight recorder saw one request, not two
+        let dump = client.recorder_dump().expect("recorder");
+        assert_eq!(dump.matches("\"kind\": \"request\"").count(), 1, "{dump}");
+
+        client.shutdown().expect("acknowledged");
+        handle.join().expect("run returns");
+    }
+
+    #[test]
+    fn need_names_each_missing_digest_once_in_request_order_and_parses_nothing() {
+        let socket = socket_path("server-need-order");
+        let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
+        let handle = thread::spawn(move || server.run().expect("serves"));
+
+        // units 0 and 2 share a digest and come back uncached; unit 1's
+        // body rides along, so it is not needed — but is not parsed either
+        let suite = fleet::named_suite();
+        let spec = normalize_spec(
+            &SweepSpec::new()
+                .nodes([&suite[4], &suite[3], &suite[4], &suite[2]])
+                .level(OptLevel::Verified),
+            &MachineConfig::mpc755(),
+        );
+        let digests: Vec<Digest> = spec.units().iter().map(SweepUnit::source_digest).collect();
+        let wire = WireSweep::from_spec(&spec, |d| d == digests[1]);
+        let text = crate::proto::encode_request(&Request::Sweep(wire)).expect("encodes");
+        let mut stream = UnixStream::connect(&socket).expect("connects");
+        stream.write_all(text.as_bytes()).expect("writes");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let doc = read_text(&mut reader).expect("frame");
+        let Response::Need(need) = crate::proto::decode_response(&doc).expect("decodes") else {
+            panic!("expected a need answer: {doc}");
+        };
+        assert_eq!(need, vec![digests[0], digests[3]]);
+
+        let mut client = Client::connect(&socket).expect("connects");
+        let stats = client.server_stats().expect("stats");
+        assert_eq!(
+            (stats.requests, stats.parse_misses, stats.units_uploaded),
+            (0, 0, 0),
+            "a `need` answer parsed, counted or ran something"
+        );
+        assert_eq!(stats.parse_resident, 0);
+        client.shutdown().expect("acknowledged");
+        handle.join().expect("run returns");
     }
 
     #[test]

@@ -85,8 +85,9 @@ pub fn artifact_key(
 }
 
 /// The content identity of one canonical (pretty-printed) MiniC source
-/// text — the unit of the wire protocol's `have`/`need` negotiation and
-/// the address of the store's parse cache.
+/// text — how a wire sweep names its units (and the server's `need`
+/// answer the bodies it lacks), and the address of the store's parse
+/// cache.
 ///
 /// Deliberately keyed on the text alone (no entry, passes or machine):
 /// one parsed AST serves every cell the unit appears in, whatever the
@@ -480,17 +481,6 @@ impl ArtifactStore {
     pub fn parse_lookup(&self, digest: Digest) -> Option<ParsedUnit> {
         let epoch = self.epoch();
         self.parsed().touch(digest.0, epoch).cloned()
-    }
-
-    /// Whether a source digest is resident, stamping it on a hit — the
-    /// server answers `have` negotiation with this, and the stamp keeps a
-    /// just-negotiated digest from being evicted before its sweep runs
-    /// (it can still lose the race under pressure; the protocol's
-    /// re-upload path covers that).
-    #[must_use]
-    pub fn parse_contains(&self, digest: Digest) -> bool {
-        let epoch = self.epoch();
-        self.parsed().touch(digest.0, epoch).is_some()
     }
 
     /// Inserts a parsed unit under its source digest. The caller must
@@ -1266,7 +1256,6 @@ mod tests {
         })
         .expect("memory store");
         assert!(store.parse_lookup(units[0].0).is_none());
-        assert!(!store.parse_contains(units[0].0));
 
         // batch 1: all four resident, byte accounting exact
         for (d, u) in &units {
@@ -1282,7 +1271,7 @@ mod tests {
 
         // batch 2 touches units 2 and 3; eviction then prefers batch 1
         store.advance_epoch();
-        assert!(store.parse_contains(units[2].0));
+        assert!(store.parse_lookup(units[2].0).is_some());
         assert!(store.parse_lookup(units[3].0).is_some());
         store.enforce_bounds();
         assert_eq!(store.parse_evictions(), 2);

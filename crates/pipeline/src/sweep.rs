@@ -75,7 +75,7 @@ use crate::trace::{RunTrace, Span};
 /// canonical text and its [`source_digest`] are rendered **on first use,
 /// shared by clones** — the first [`canonical`](Self::canonical) or
 /// [`source_digest`](Self::source_digest) call on any clone pretty-prints
-/// and hashes once, and every cell key, wire negotiation and dedup
+/// and hashes once, and every cell key, wire `unit-ref` and dedup
 /// downstream reuses that memo. A solo sweep therefore renders each unit
 /// inside its first cell, on the pool; a client renders a unit when it
 /// first sends it; and the server builds units with
@@ -191,8 +191,8 @@ impl SweepUnit {
         &self.rendered().canonical
     }
 
-    /// [`source_digest`] of the canonical text — the unit's identity in
-    /// wire negotiation and the server's parse cache.
+    /// [`source_digest`] of the canonical text — the unit's identity on
+    /// the wire and in the server's parse cache.
     #[must_use]
     pub fn source_digest(&self) -> Digest {
         self.rendered().digest
@@ -510,16 +510,6 @@ impl SweepResult {
         assert!(!self.units.is_empty(), "mean over an empty unit axis");
         let total: u64 = self.column(config, machine).map(SweepCell::wcet).sum();
         total as f64 / self.units.len() as f64
-    }
-
-    /// Total WCET over the unit axis of one (config, machine) column.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown labels.
-    #[must_use]
-    pub fn total_wcet(&self, config: &str, machine: &str) -> u64 {
-        self.column(config, machine).map(SweepCell::wcet).sum()
     }
 
     /// Mean of per-unit WCET ratios of `config` against `baseline` on one
@@ -864,7 +854,6 @@ mod tests {
         // aggregations
         let mean = sweep.mean_wcet("verified", "mpc755");
         assert!((mean - m755.iter().sum::<u64>() as f64 / 2.0).abs() < 1e-9);
-        assert_eq!(sweep.total_wcet("verified", "mpc755"), m755.iter().sum());
         let ratio = sweep.mean_ratio("verified", "pattern-O0", "mpc755");
         assert!(ratio > 0.0 && ratio < 1.0, "verified beats the baseline");
         assert!(

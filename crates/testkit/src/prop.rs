@@ -193,16 +193,6 @@ pub mod gens {
         Gen::new(Rng::next_u64).with_shrink(|&v| shrink::uint(v))
     }
 
-    /// Any `i16`, shrinking toward zero.
-    pub fn any_i16() -> Gen<i16> {
-        Gen::new(|rng| rng.next_u64() as i16).with_shrink(|&v| shrink::int(i64::from(v)))
-    }
-
-    /// Any `u16`, shrinking toward zero.
-    pub fn any_u16() -> Gen<u16> {
-        Gen::new(|rng| rng.next_u64() as u16).with_shrink(|&v| shrink::uint(u64::from(v)))
-    }
-
     /// Any bit pattern as `f64` — includes NaNs, infinities and subnormals
     /// with realistic probability. Shrinks toward simple finite values.
     pub fn any_f64() -> Gen<f64> {

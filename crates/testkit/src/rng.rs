@@ -95,11 +95,6 @@ impl Rng {
     pub fn gen_range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
         range.sample(self)
     }
-
-    /// Derives an independent generator; the parent advances by one step.
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64())
-    }
 }
 
 /// Ranges a [`Rng`] can sample uniformly.

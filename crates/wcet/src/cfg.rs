@@ -88,14 +88,6 @@ impl Cfg {
     pub fn succ_idx(&self) -> &[Vec<u32>] {
         &self.succ_idx
     }
-
-    /// The innermost loop containing `addr`, if any.
-    pub fn innermost_loop_of(&self, addr: u32) -> Option<&NaturalLoop> {
-        self.loops
-            .iter()
-            .filter(|l| l.blocks.contains(&addr))
-            .min_by_key(|l| l.blocks.len())
-    }
 }
 
 /// Reconstructs the CFG of the named function from the program's encoded

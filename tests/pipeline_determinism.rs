@@ -634,36 +634,53 @@ fn daemon_parse_cached_client_uploads_nothing_and_matches_solo() {
     assert_eq!(seeded.digest, solo.digest(), "seeding sweep diverges");
     let after_seed = one.server_stats().expect("stats");
     assert_eq!(after_seed.units_uploaded, spec.units().len() as u64);
+    let frames_before = frames_received(&mut one);
 
     // client two has never spoken to this daemon, but every digest it
-    // offers is already parse-cached: its sweep must negotiate down to
-    // zero uploaded bodies and still serve the solo digest bit for bit
+    // names is already parse-cached: its sweep must be one request frame
+    // with zero uploaded bodies and still serve the solo digest bit for
+    // bit
     let mut two = Client::connect(&socket).expect("connects");
-    let served = two.run_sweep(&spec).expect("negotiated sweep");
-    assert!(served.verify(), "bad negotiated frame");
+    let served = two.run_sweep(&spec).expect("sweep by digest");
+    assert!(served.verify(), "bad response frame");
     assert_eq!(
         served.digest,
         solo.digest(),
         "a parse-cached client's sweep diverges from solo"
+    );
+    // the second metrics request is the other frame of the delta
+    assert_eq!(
+        frames_received(&mut one) - frames_before,
+        2,
+        "a fresh connection's warm sweep must cost one request frame"
     );
     let after = two.server_stats().expect("stats");
     assert_eq!(
         after.units_uploaded, after_seed.units_uploaded,
         "fully parse-cached client still uploaded unit bodies"
     );
-    assert_eq!(
-        after.units_offered,
-        after_seed.units_offered + spec.units().len() as u64,
-        "fresh connection must negotiate its digests"
-    );
     assert!(
         after.parse_hits >= spec.units().len() as u64,
-        "negotiated units must resolve from the parse cache"
+        "units sent by digest must resolve from the parse cache"
     );
 
     let mut admin = Client::connect(&socket).expect("connects");
     admin.shutdown().expect("acknowledged");
     handle.join().expect("clean run");
+}
+
+/// Request frames a daemon has received, the `metrics` request's own
+/// frame included: the count of the registry's `frame_rx_bytes`
+/// histogram.
+fn frames_received(client: &mut Client) -> u64 {
+    let json = client.server_metrics().expect("metrics");
+    let tag = "\"frame_rx_bytes\": {\"count\": ";
+    let at = json.find(tag).expect("metrics JSON counts request frames") + tag.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("frame count")
 }
 
 /// Extracts the `counter_digest` value from a metrics-registry JSON blob.
@@ -711,7 +728,7 @@ fn daemon_metrics_counter_digest_is_invariant_across_jobs_and_restart() {
     );
 }
 
-/// A traced sweep (proto 2.1) returns the server-side spans of exactly
+/// A traced sweep returns the server-side spans of exactly
 /// that request: stage rows covering every cell, each tagged with the
 /// trace id the client chose — and the spans ride outside the response
 /// digest, so a traced response stays bit-identical to an untraced one.

@@ -1,6 +1,6 @@
 //! Wire-protocol robustness: hostile byte streams against a live daemon.
 //!
-//! The fuzz property drives the v2 protocol's whole hostile-input
+//! The fuzz property drives the wire protocol's whole hostile-input
 //! surface — truncations (including mid-`blob`-payload disconnects),
 //! bit flips, corrupted blob lengths, oversized blob claims, injected
 //! garbage lines, version skew and raw non-UTF-8 soup — at one shared
@@ -10,8 +10,9 @@
 //!
 //! * the server **never panics** (its accept loop survives every case
 //!   and still serves, shuts down cleanly at the end);
-//! * every frame it sends back is a well-formed v2 response document
-//!   (usually `error …`) — it never echoes garbage;
+//! * every frame it sends back is a well-formed response document of
+//!   the current version (usually `error …` or `need …`) — it never
+//!   echoes garbage;
 //! * a poisoned connection stays *one* connection: after the full fuzz
 //!   run the shared store still serves a genuine sweep bit-identical
 //!   to a solo `run_sweep` of the same spec.
@@ -26,7 +27,7 @@ use std::time::Duration;
 
 use vericomp::pipeline::proto::{decode_response, encode_request};
 use vericomp::pipeline::{
-    normalize_spec, Client, Request, Server, ServerOptions, SweepSpec, WireSweep,
+    normalize_spec, Client, Request, Server, ServerOptions, SweepSpec, WireSweep, PROTO_VERSION,
 };
 use vericomp_arch::MachineConfig;
 use vericomp_core::OptLevel;
@@ -46,20 +47,17 @@ fn fuzz_spec() -> SweepSpec {
     )
 }
 
-/// The valid request documents mutations start from. `shutdown` is
-/// deliberately absent: a mutation that leaves it intact would stop the
-/// shared server mid-run.
+/// The valid request documents mutations start from: a sweep with every
+/// body, one by digest only, a traced one carrying the first unit's body
+/// alone, and `stats`. `shutdown` is deliberately absent: a mutation
+/// that leaves it intact would stop the shared server mid-run.
 fn seed_documents() -> Vec<Vec<u8>> {
     let spec = fuzz_spec();
-    let digests: Vec<_> = spec
-        .units()
-        .iter()
-        .map(vericomp::pipeline::SweepUnit::source_digest)
-        .collect();
+    let first = spec.units()[0].source_digest();
     [
         Request::Sweep(WireSweep::from_spec(&spec, |_| true)),
         Request::Sweep(WireSweep::from_spec(&spec, |_| false)),
-        Request::Have(digests),
+        Request::Sweep(WireSweep::from_spec(&spec, |d| d == first).with_trace(0xf022)),
         Request::Stats,
     ]
     .iter()
@@ -81,23 +79,32 @@ fn soup(a: u64, b: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The header line of a request document of the current version.
+fn request_header() -> String {
+    format!("vericomp-request {PROTO_VERSION}")
+}
+
 /// Lines a garbage-injection mutation may splice in. No `shutdown`.
-const GARBAGE_LINES: &[&str] = &[
-    "sweep",
-    "blob 999999999999999999",
-    "blob -7",
-    "blob ",
-    "unit-ref step deadbeef x",
-    "unit",
-    "digest zz",
-    "have 4000000000",
-    "config verified 11111",
-    "machine",
-    "end",
-    "stats",
-    "vericomp-request 2",
-    "\u{0}\u{0}\u{0}",
-];
+fn garbage_lines() -> Vec<String> {
+    [
+        "sweep",
+        "blob 999999999999999999",
+        "blob -7",
+        "blob ",
+        "unit-ref step deadbeef x",
+        "unit",
+        "digest zz",
+        "have 4000000000",
+        "config verified 11111",
+        "machine",
+        "end",
+        "stats",
+        &request_header(),
+        "\u{0}\u{0}\u{0}",
+    ]
+    .map(str::to_owned)
+    .into()
+}
 
 /// Builds the hostile stream for one case: pick a valid document, apply
 /// one mutation family parameterized by `(a, b)`.
@@ -144,7 +151,8 @@ fn hostile_bytes(seeds: &[Vec<u8>], which: u8, mutation: u8, a: u64, b: u64) -> 
             } else {
                 boundaries[(a as usize) % boundaries.len()]
             };
-            let line = GARBAGE_LINES[(b as usize) % GARBAGE_LINES.len()];
+            let lines = garbage_lines();
+            let line = &lines[(b as usize) % lines.len()];
             let mut injected = bytes[..at].to_vec();
             injected.extend_from_slice(line.as_bytes());
             injected.push(b'\n');
@@ -165,7 +173,7 @@ fn hostile_bytes(seeds: &[Vec<u8>], which: u8, mutation: u8, a: u64, b: u64) -> 
             if let Ok(text) = std::str::from_utf8(doc) {
                 bytes = text
                     .replacen(
-                        "vericomp-request 2",
+                        &request_header(),
                         &format!("vericomp-request {}", a % 10),
                         1,
                     )
