@@ -205,13 +205,13 @@ impl Client {
         }
     }
 
-    /// Fetches the server's flight-recorder ring as JSON. A
-    /// `--no-recorder` daemon answers with a server error.
+    /// Fetches the server's flight-recorder ring as JSON: capacity, drop
+    /// count, the recorder's own time (`record_ns`) and the resident
+    /// events.
     ///
     /// # Errors
     ///
-    /// [`ClientError`] on transport failure, malformed peer output, or
-    /// a disabled recorder.
+    /// [`ClientError`] on transport failure or malformed peer output.
     pub fn recorder_dump(&mut self) -> Result<String, ClientError> {
         match self.roundtrip(&Request::RecorderDump)? {
             Response::Recorder(json) => Ok(json),

@@ -9,15 +9,21 @@
 //! server-assigned request id, and the client-supplied trace id when the
 //! request carried one. The ring is bounded: when full, the oldest event is dropped and
 //! a drop counter advances, so recording cost stays O(1) and memory
-//! stays fixed no matter how long the daemon runs.
+//! stays fixed no matter how long the daemon runs. The recorder also
+//! times itself: every [`FlightRecorder::record`] call adds its own wall
+//! time, detail formatting included, to a total the dump reports as
+//! `record_ns`.
 //!
 //! The `recorder-dump` admin request serializes the ring as JSON without
 //! stopping the server; `vericomp_serve --recorder-of SOCK` prints it.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::stats::saturating_nanos;
 
 /// Default ring capacity: enough for the tail of a heavy soak while
 /// staying well under a megabyte of resident event text.
@@ -51,13 +57,15 @@ struct Ring {
 
 /// The bounded ring of [`RecorderEvent`]s. One coarse mutex — recording
 /// is a push + possible pop, far off the compile path's critical
-/// sections, and the `< 3%` soak-overhead gate in `benches/daemon.rs`
-/// holds it to that.
+/// sections, and the `daemon` bench holds the recorder's own time under
+/// 3 % of a warm soak.
 #[derive(Debug)]
 pub struct FlightRecorder {
     ring: Mutex<Ring>,
     epoch: Instant,
     cap: usize,
+    /// Nanoseconds spent inside [`FlightRecorder::record`].
+    record_ns: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -73,12 +81,17 @@ impl FlightRecorder {
             }),
             epoch: Instant::now(),
             cap: cap.max(1),
+            record_ns: AtomicU64::new(0),
         }
     }
 
     /// Records one event, evicting the oldest when the ring is full.
-    pub fn record(&self, request: u64, trace: u64, kind: &'static str, detail: String) {
-        let ts_ns = self.epoch.elapsed().as_nanos() as u64;
+    /// `detail` is formatted here, so the call's time, which the dump's
+    /// `record_ns` totals, includes it.
+    pub fn record(&self, request: u64, trace: u64, kind: &'static str, detail: fmt::Arguments<'_>) {
+        let started = Instant::now();
+        let ts_ns = saturating_nanos(started.saturating_duration_since(self.epoch));
+        let detail = detail.to_string();
         let mut ring = self.ring.lock().expect("recorder lock");
         if ring.events.len() == self.cap {
             ring.events.pop_front();
@@ -94,6 +107,15 @@ impl FlightRecorder {
             kind,
             detail,
         });
+        drop(ring);
+        self.record_ns
+            .fetch_add(saturating_nanos(started.elapsed()), Ordering::Relaxed);
+    }
+
+    /// Total wall time spent in [`FlightRecorder::record`] calls, detail
+    /// formatting included, in nanoseconds.
+    fn record_ns(&self) -> u64 {
+        self.record_ns.load(Ordering::Relaxed)
     }
 
     /// Number of events currently resident.
@@ -126,17 +148,20 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Serializes the ring as one JSON object: capacity, drop count, and
-    /// the resident events oldest-first. Trace ids render as 16-digit
-    /// hex (the wire form); zero means "request carried no trace id".
+    /// Serializes the ring as one JSON object: capacity, drop count, the
+    /// recorder's own time (`record_ns`) and the resident events
+    /// oldest-first. Trace ids render as 16-digit hex (the wire form);
+    /// zero means "request carried no trace id".
     #[must_use]
     pub fn dump_json(&self) -> String {
         let ring = self.ring.lock().expect("recorder lock");
         let mut out = String::with_capacity(ring.events.len() * 96 + 64);
         let _ = write!(
             out,
-            "{{\"capacity\": {}, \"dropped\": {}, \"events\": [",
-            self.cap, ring.dropped
+            "{{\"capacity\": {}, \"dropped\": {}, \"record_ns\": {}, \"events\": [",
+            self.cap,
+            ring.dropped,
+            self.record_ns()
         );
         for (i, e) in ring.events.iter().enumerate() {
             if i > 0 {
@@ -167,7 +192,7 @@ mod tests {
     fn ring_drops_oldest_when_full() {
         let r = FlightRecorder::new(3);
         for i in 0..5u64 {
-            r.record(i, 0, "accept", format!("n={i}"));
+            r.record(i, 0, "accept", format_args!("n={i}"));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 2);
@@ -180,8 +205,8 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let r = FlightRecorder::new(0);
-        r.record(1, 2, "accept", String::new());
-        r.record(2, 0, "error", "boom".to_owned());
+        r.record(1, 2, "accept", format_args!(""));
+        r.record(2, 0, "error", format_args!("boom"));
         assert_eq!(r.len(), 1);
         assert_eq!(r.snapshot()[0].kind, "error");
     }
@@ -193,10 +218,11 @@ mod tests {
             7,
             0xdead_beef,
             "sweep-start",
-            "cells=4 \"quoted\"".to_owned(),
+            format_args!("cells={} \"quoted\"", 4),
         );
         let json = r.dump_json();
-        assert!(json.starts_with("{\"capacity\": 8, \"dropped\": 0, \"events\": ["));
+        assert!(json.starts_with("{\"capacity\": 8, \"dropped\": 0, \"record_ns\": "));
+        assert!(json.contains(", \"events\": [\n{\"seq\": 0,"));
         assert!(json.contains("\"request\": 7"));
         assert!(json.contains("\"trace\": \"00000000deadbeef\""));
         assert!(json.contains("\"kind\": \"sweep-start\""));
@@ -205,10 +231,24 @@ mod tests {
     }
 
     #[test]
+    fn record_calls_time_themselves() {
+        let r = FlightRecorder::new(2);
+        assert_eq!(r.record_ns(), 0);
+        r.record(1, 0, "request", format_args!("units={}", 3));
+        let once = r.record_ns();
+        assert!(once > 0, "a record call took no time");
+        r.record(1, 0, "sweep-end", format_args!("run={} cached={}", 1, 2));
+        assert!(r.record_ns() > once);
+        assert!(r
+            .dump_json()
+            .contains(&format!("\"record_ns\": {}", r.record_ns())));
+    }
+
+    #[test]
     fn timestamps_are_monotonic() {
         let r = FlightRecorder::new(16);
         for _ in 0..4 {
-            r.record(0, 0, "accept", String::new());
+            r.record(0, 0, "accept", format_args!(""));
         }
         let events = r.snapshot();
         for pair in events.windows(2) {

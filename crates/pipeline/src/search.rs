@@ -337,8 +337,9 @@ pub struct NodeSearch {
     pub pruned: Vec<PrunedFlag>,
     /// Frontier generations probed (1 = seeds only).
     pub generations: u32,
-    /// Summed pipeline metrics of this unit's probe sweeps (`wall_ns` is
-    /// the summed per-generation wall time).
+    /// Pipeline metrics of this unit's probe sweeps:
+    /// [`PipelineStats::from_spans`] of their spans, with `wall_ns` the
+    /// summed wall time of its sequential generations.
     pub stats: PipelineStats,
 }
 
@@ -371,8 +372,9 @@ impl NodeSearch {
 pub struct SearchResult {
     /// Per-unit searches, in unit order.
     pub nodes: Vec<NodeSearch>,
-    /// Aggregate pipeline metrics over every probe sweep of the search
-    /// (`wall_ns` is the summed wall time of the sequential generations).
+    /// Aggregate pipeline metrics over every probe sweep of the search:
+    /// [`PipelineStats::from_spans`] of the whole trace, with `wall_ns`
+    /// the summed wall time of the sequential generations.
     pub stats: PipelineStats,
     trace: RunTrace,
 }
@@ -461,7 +463,6 @@ struct UnitSearch {
     /// Pruning decisions, in firing order.
     pruned: Vec<PrunedFlag>,
     generations: u32,
-    stats: PipelineStats,
 }
 
 impl UnitSearch {
@@ -476,7 +477,6 @@ impl UnitSearch {
             flag_pruned: [false; LATTICE_FLAGS.len()],
             pruned: Vec::new(),
             generations: 0,
-            stats: PipelineStats::default(),
         }
     }
 
@@ -575,7 +575,7 @@ impl UnitSearch {
         scheduled
     }
 
-    fn finish(mut self, unit: String) -> NodeSearch {
+    fn finish(mut self, unit: String, stats: PipelineStats) -> NodeSearch {
         let winner = self.probed[self.winner].clone();
         NodeSearch {
             unit,
@@ -584,7 +584,7 @@ impl UnitSearch {
             probed: self.probed,
             pruned: self.pruned,
             generations: self.generations,
-            stats: self.stats,
+            stats,
         }
     }
 }
@@ -612,22 +612,22 @@ impl Pipeline {
         // one epoch for the whole search: every generation's spans land on
         // a single timeline
         let epoch = Instant::now();
-        let mut aggregate = PipelineStats::default();
-        let mut wall_sum = 0u64;
         let mut trace = RunTrace::new();
         let mut nodes = Vec::with_capacity(spec.units.len());
         for unit in &spec.units {
-            let search = self.search_unit(unit, &seeds, &machine, epoch, &mut trace)?;
-            aggregate.merge(&search.stats);
-            // units search sequentially: the aggregate wall is their sum,
-            // not the max the concurrent-cell merge takes
-            wall_sum = wall_sum.saturating_add(search.stats.wall_ns);
-            nodes.push(search);
+            nodes.push(self.search_unit(unit, &seeds, &machine, epoch, &mut trace)?);
         }
-        aggregate.wall_ns = wall_sum;
+        // units search sequentially: the search's wall is their sum
+        let stats = PipelineStats {
+            wall_ns: nodes
+                .iter()
+                .map(|n| n.stats.wall_ns)
+                .fold(0, u64::saturating_add),
+            ..PipelineStats::from_spans(trace.spans())
+        };
         Ok(SearchResult {
             nodes,
-            stats: aggregate,
+            stats,
             trace,
         })
     }
@@ -643,6 +643,7 @@ impl Pipeline {
         trace: &mut RunTrace,
     ) -> Result<NodeSearch, PipelineError> {
         let now_ns = || saturating_nanos(Instant::now().saturating_duration_since(epoch));
+        let first_span = trace.spans().len();
         let mut state = UnitSearch::new();
 
         // Generation 0: the seed frontier. Seeds sharing lattice
@@ -662,8 +663,7 @@ impl Pipeline {
             &format!("unit={} gen=0 probes={}", unit.name, seed_batch.len()),
         ));
         let results = self.probe_batch(unit, machine, &seed_batch, epoch)?;
-        state.stats.merge(&results.stats);
-        let mut wall_sum = results.stats.wall_ns;
+        let mut wall_sum = results.wall_ns;
         trace.merge(results.trace);
         for ((label, bits), (wcet, artifact)) in seed_batch.iter().zip(&results.cells) {
             state.record(label.clone(), *bits, *wcet, 0, None, artifact);
@@ -702,8 +702,7 @@ impl Pipeline {
                 &format!("unit={} gen={generation} probes={}", unit.name, batch.len()),
             ));
             let results = self.probe_batch(unit, machine, &batch, epoch)?;
-            state.stats.merge(&results.stats);
-            wall_sum = wall_sum.saturating_add(results.stats.wall_ns);
+            wall_sum = wall_sum.saturating_add(results.wall_ns);
             trace.merge(results.trace);
             let mut next_frontier = Vec::new();
             for (((label, bits), &(_, parent)), (wcet, artifact)) in
@@ -741,10 +740,12 @@ impl Pipeline {
             state.generations += 1;
         }
         // the generations ran sequentially, so the unit's wall is the sum
-        // of the per-sweep walls — the concurrent-cell merge above took
-        // the max instead (documented on `NodeSearch::stats`)
-        state.stats.wall_ns = wall_sum;
-        Ok(state.finish(unit.name.clone()))
+        // of their sweeps' clocks
+        let stats = PipelineStats {
+            wall_ns: wall_sum,
+            ..PipelineStats::from_spans(&trace.spans()[first_span..])
+        };
+        Ok(state.finish(unit.name.clone(), stats))
     }
 
     /// Probes one batch of lattice points as a single sweep (1 unit × k
@@ -771,16 +772,17 @@ impl Pipeline {
                 .map(|c| (c.wcet(), Arc::clone(&c.outcome.artifact)))
                 .collect(),
             trace: result.take_trace(),
-            stats: result.stats,
+            wall_ns: result.stats.wall_ns,
         })
     }
 }
 
-/// One generation's probe results, in batch order.
+/// One generation's probe results, in batch order, with the spans and
+/// the wall clock of their sweep.
 struct ProbeBatch {
     cells: Vec<(u64, Arc<Artifact>)>,
-    stats: PipelineStats,
     trace: RunTrace,
+    wall_ns: u64,
 }
 
 #[cfg(test)]
@@ -892,6 +894,18 @@ mod tests {
         assert!(warm.stats.hit_rate() > 0.99);
         // hit rates differ between the runs, the digest must not care
         assert!(cold.stats.hit_rate() < warm.stats.hit_rate());
+        // the aggregates are the figures of the spans: the whole trace's
+        // for the search, with the units' summed walls, and each unit's
+        // own share of it
+        for result in [&cold, &warm] {
+            let expected = PipelineStats {
+                wall_ns: result.nodes.iter().map(|n| n.stats.wall_ns).sum(),
+                ..PipelineStats::from_spans(result.trace().spans())
+            };
+            assert_eq!(result.stats, expected);
+            let unit_jobs: u64 = result.nodes.iter().map(|n| n.stats.jobs_total()).sum();
+            assert_eq!(unit_jobs, result.stats.jobs_total());
+        }
     }
 
     #[test]

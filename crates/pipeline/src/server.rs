@@ -65,18 +65,15 @@ pub struct ServerOptions {
     pub slo_per_mille: u64,
     /// p99 per-request wall-latency SLO in nanoseconds; `0` disables it.
     pub slo_p99_ns: u64,
-    /// Whether the flight recorder runs (`--no-recorder` disables it;
-    /// the `recorder-dump` request is then refused with an error).
-    pub recorder: bool,
     /// Persist the metrics registry JSON here at clean shutdown.
     pub metrics_json: Option<PathBuf>,
 }
 
 impl ServerOptions {
     /// Defaults: machine parallelism, memory-only store, unbounded
-    /// artifacts, 0.900 SLO (no p99 SLO), flight recorder on. The parse
-    /// cache is always [`StoreConfig::DEFAULT_PARSE_BYTES`] and the
-    /// recorder ring [`DEFAULT_RECORDER_CAP`] events.
+    /// artifacts, 0.900 SLO (no p99 SLO). The parse cache is always
+    /// [`StoreConfig::DEFAULT_PARSE_BYTES`] and the flight-recorder ring
+    /// [`DEFAULT_RECORDER_CAP`] events.
     #[must_use]
     pub fn new(socket: impl Into<PathBuf>) -> ServerOptions {
         ServerOptions {
@@ -86,7 +83,6 @@ impl ServerOptions {
             max_bytes: None,
             slo_per_mille: 900,
             slo_p99_ns: 0,
-            recorder: true,
             metrics_json: None,
         }
     }
@@ -106,8 +102,8 @@ struct Shared {
     /// view over its counters and histogram sums plus the store's own
     /// counts.
     registry: Registry,
-    /// The flight recorder (`None` under `--no-recorder`).
-    recorder: Option<FlightRecorder>,
+    /// The flight recorder, which also times its own calls.
+    recorder: FlightRecorder,
     /// Server-assigned sweep request ids, 1-based.
     next_request: AtomicU64,
     store: Arc<ArtifactStore>,
@@ -117,21 +113,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Records a flight-recorder event; the detail closure only runs
-    /// when the recorder is enabled, so `--no-recorder` pays no
-    /// formatting cost on the hot path.
-    fn record(
-        &self,
-        request: u64,
-        trace: u64,
-        kind: &'static str,
-        detail: impl FnOnce() -> String,
-    ) {
-        if let Some(recorder) = &self.recorder {
-            recorder.record(request, trace, kind, detail());
-        }
-    }
-
     fn snapshot(&self) -> ServerStats {
         let reg = &self.registry;
         let sum = |name: &str| reg.histogram(name).map_or(0, |h| h.sum());
@@ -186,9 +167,12 @@ impl Shared {
         self.store.advance_epoch();
         reg.incr("requests", 1);
         reg.observe("batch_cells", spec.cell_count() as u64);
-        self.record(request, trace, "sweep-start", || {
-            format!("cells={}", spec.cell_count())
-        });
+        self.recorder.record(
+            request,
+            trace,
+            "sweep-start",
+            format_args!("cells={}", spec.cell_count()),
+        );
         let response = match pipeline.run_sweep(spec) {
             Ok(sweep) => {
                 reg.incr("jobs_run", sweep.stats.jobs_run);
@@ -196,12 +180,15 @@ impl Shared {
                 reg.observe("batch_compile_ns", sweep.stats.compile_ns);
                 reg.observe("batch_analyze_ns", sweep.stats.analyze_ns);
                 reg.observe("batch_store_ns", sweep.stats.store_ns);
-                self.record(request, trace, "sweep-end", || {
-                    format!(
+                self.recorder.record(
+                    request,
+                    trace,
+                    "sweep-end",
+                    format_args!(
                         "run={} cached={}",
                         sweep.stats.jobs_run, sweep.stats.jobs_cached
-                    )
-                });
+                    ),
+                );
                 let mut response = SweepResponse::from_result(&sweep);
                 if trace != 0 {
                     let tag = format!("trace={trace:016x} request={request}");
@@ -218,7 +205,8 @@ impl Shared {
             }
             Err(e) => {
                 reg.incr("errors", 1);
-                self.record(request, trace, "error", || e.to_string());
+                self.recorder
+                    .record(request, trace, "error", format_args!("{e}"));
                 Response::Error(e.to_string())
             }
         };
@@ -238,17 +226,23 @@ impl Shared {
         let prev = reg.counter("evictions");
         if ev > prev {
             reg.incr("evictions", ev - prev);
-            self.record(0, 0, "store-evict", || {
-                format!("evicted={} resident={}", ev - prev, store.resident())
-            });
+            self.recorder.record(
+                0,
+                0,
+                "store-evict",
+                format_args!("evicted={} resident={}", ev - prev, store.resident()),
+            );
         }
         let pev = store.parse_evictions();
         let prev = reg.counter("parse_evictions");
         if pev > prev {
             reg.incr("parse_evictions", pev - prev);
-            self.record(0, 0, "parse-evict", || {
-                format!("evicted={} resident={}", pev - prev, store.parse_resident())
-            });
+            self.recorder.record(
+                0,
+                0,
+                "parse-evict",
+                format_args!("evicted={} resident={}", pev - prev, store.parse_resident()),
+            );
         }
     }
 }
@@ -307,9 +301,7 @@ impl Server {
                 pipeline: Mutex::new(Some(pipeline)),
                 shutdown: AtomicBool::new(false),
                 registry: Registry::new(),
-                recorder: options
-                    .recorder
-                    .then(|| FlightRecorder::new(DEFAULT_RECORDER_CAP)),
+                recorder: FlightRecorder::new(DEFAULT_RECORDER_CAP),
                 next_request: AtomicU64::new(0),
                 store,
                 socket: options.socket.clone(),
@@ -355,9 +347,12 @@ impl Server {
         let pipeline = self.shared.pipeline.lock().expect("sweep lock").take();
         drop(pipeline);
         let _ = std::fs::remove_file(&self.shared.socket);
-        self.shared.record(0, 0, "shutdown", || {
-            format!("requests={}", self.shared.registry.counter("requests"))
-        });
+        self.shared.recorder.record(
+            0,
+            0,
+            "shutdown",
+            format_args!("requests={}", self.shared.registry.counter("requests")),
+        );
         if let Some(path) = &self.metrics_json {
             let _ = std::fs::write(path, self.shared.registry.to_json());
         }
@@ -473,13 +468,18 @@ fn serve_sweep(wire: &WireSweep, client: u64, shared: &Shared) -> Response {
     };
     let request = shared.next_request.fetch_add(1, Ordering::Relaxed) + 1;
     let trace = wire.trace;
-    shared.record(request, trace, "request", || {
-        format!("client={client} units={}", wire.units.len())
-    });
+    shared.recorder.record(
+        request,
+        trace,
+        "request",
+        format_args!("client={client} units={}", wire.units.len()),
+    );
     let response = match build_spec(wire, sources, shared) {
         Err(msg) => {
             shared.registry.incr("errors", 1);
-            shared.record(request, trace, "error", || msg.clone());
+            shared
+                .recorder
+                .record(request, trace, "error", format_args!("{msg}"));
             Response::Error(msg)
         }
         Ok(spec) => shared.sweep(&spec, request, trace),
@@ -492,7 +492,9 @@ fn serve_sweep(wire: &WireSweep, client: u64, shared: &Shared) -> Response {
 
 fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
     let mut reader = BufReader::new(stream);
-    shared.record(0, 0, "accept", || format!("client={client}"));
+    shared
+        .recorder
+        .record(0, 0, "accept", format_args!("client={client}"));
     loop {
         let frame = match read_frame(&mut reader) {
             Ok(Some(frame)) => frame,
@@ -505,15 +507,12 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
         let response = match request {
             Err(e) => {
                 shared.registry.incr("errors", 1);
-                shared.record(0, 0, "error", || e.to_string());
+                shared.recorder.record(0, 0, "error", format_args!("{e}"));
                 Response::Error(e.to_string())
             }
             Ok(Request::Stats) => Response::Stats(shared.snapshot()),
             Ok(Request::Metrics) => Response::Metrics(shared.registry.to_json()),
-            Ok(Request::RecorderDump) => match &shared.recorder {
-                Some(recorder) => Response::Recorder(recorder.dump_json()),
-                None => Response::Error("flight recorder disabled (--no-recorder)".into()),
-            },
+            Ok(Request::RecorderDump) => Response::Recorder(shared.recorder.dump_json()),
             Ok(Request::Shutdown) => {
                 // acknowledge before raising the flag: once the accept
                 // loop sees it the process may exit, taking an unwritten

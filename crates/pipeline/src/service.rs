@@ -336,7 +336,6 @@ impl Pipeline {
         let ran = self.pool.run_all(tasks);
         let wall = submitted.elapsed();
 
-        let mut aggregate = PipelineStats::default();
         let mut trace = RunTrace::new();
         let mut cells = Vec::with_capacity(n);
         // results arrive in cell order: the error is the first failing
@@ -345,8 +344,6 @@ impl Pipeline {
         // too (which cell ran a shared pass is not)
         for (i, (outcome, spans)) in ran.into_iter().enumerate() {
             let outcome = outcome?;
-            let stats = PipelineStats::from_spans(&spans);
-            aggregate.merge(&stats);
             for span in spans {
                 trace.push(span);
             }
@@ -356,13 +353,13 @@ impl Pipeline {
                 config: configs[c].0.clone(),
                 machine: machines[m].0.clone(),
                 outcome,
-                stats,
             });
         }
-        // the merge maxed per-cell walls (summed stage times); the run
-        // aggregate reports the real end-to-end clock
-        aggregate.wall_ns = saturating_nanos(wall);
-        Ok((cells, aggregate, trace))
+        let stats = PipelineStats {
+            wall_ns: saturating_nanos(wall),
+            ..PipelineStats::from_spans(trace.spans())
+        };
+        Ok((cells, stats, trace))
     }
 }
 

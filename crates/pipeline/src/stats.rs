@@ -1,9 +1,9 @@
 //! Pipeline metrics: job counts, cache hit rate, per-stage wall time.
 //!
 //! [`PipelineStats`] is a view over the span trace, not a second
-//! collector: [`PipelineStats::from_spans`] derives a cell's figures from
-//! the stage spans its jobs recorded, drivers merge the per-cell values
-//! into a run total and print it with [`PipelineStats::render`].
+//! collector: each driver calls [`PipelineStats::from_spans`] once over
+//! its run's stage spans, sets `wall_ns` to the run's own clock, and
+//! prints the result with [`PipelineStats::render`].
 
 use std::time::Duration;
 
@@ -37,12 +37,13 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Derives one cell's stats from that cell's spans. Every job records
-    /// one `cache-lookup` stage and only misses go on to `compile`, so
+    /// Derives a run's stats from its spans. Every job records one
+    /// `cache-lookup` stage and only misses go on to `compile`, so
     /// `jobs_cached` is lookups minus compiles; `jobs_run` counts the
     /// `analyze` stages; `store_ns` covers lookup and insert. `wall_ns`
-    /// is the summed stage time (cells overlap, so a single clock would
-    /// be meaningless per cell). Pass and event spans are ignored.
+    /// is the summed stage time, which a driver replaces with its run's
+    /// clock (cells overlap on the pool). Pass and event spans are
+    /// ignored.
     #[must_use]
     pub fn from_spans(spans: &[Span]) -> PipelineStats {
         let mut stats = PipelineStats::default();
@@ -89,22 +90,6 @@ impl PipelineStats {
         } else {
             self.jobs_cached as f64 / total as f64
         }
-    }
-
-    /// Accumulates another run's (or cell's) counters into this one.
-    /// Counters and stage times add; `wall_ns` takes the **max** — merged
-    /// stats usually come from cells that ran concurrently, where summing
-    /// their walls would fabricate an end-to-end time longer than the run
-    /// itself. Callers merging *sequential* runs (e.g. the per-generation
-    /// sweeps of a search) must accumulate their own wall sum and
-    /// overwrite `wall_ns` after merging.
-    pub fn merge(&mut self, other: &PipelineStats) {
-        self.jobs_run += other.jobs_run;
-        self.jobs_cached += other.jobs_cached;
-        self.compile_ns += other.compile_ns;
-        self.analyze_ns += other.analyze_ns;
-        self.store_ns += other.store_ns;
-        self.wall_ns = self.wall_ns.max(other.wall_ns);
     }
 
     /// Multi-line human-readable report, one `pipeline:`-prefixed line per
@@ -184,36 +169,6 @@ mod tests {
     #[test]
     fn empty_run_has_zero_hit_rate() {
         assert_eq!(PipelineStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn merge_sums_counters_but_takes_the_max_wall() {
-        let a = PipelineStats {
-            jobs_run: 2,
-            jobs_cached: 1,
-            compile_ns: 100,
-            analyze_ns: 10,
-            store_ns: 1,
-            wall_ns: 500,
-        };
-        let b = PipelineStats {
-            jobs_run: 1,
-            jobs_cached: 3,
-            compile_ns: 50,
-            analyze_ns: 20,
-            store_ns: 2,
-            wall_ns: 300,
-        };
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.jobs_run, 3);
-        assert_eq!(merged.jobs_cached, 4);
-        assert_eq!(merged.compile_ns, 150);
-        assert_eq!(merged.analyze_ns, 30);
-        assert_eq!(merged.store_ns, 3);
-        // concurrent cells: the merged wall is the longest cell, never the
-        // sum (which would exceed the run's own end-to-end clock)
-        assert_eq!(merged.wall_ns, 500);
     }
 
     #[test]

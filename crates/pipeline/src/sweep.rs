@@ -9,7 +9,7 @@
 //! the three axes once; [`Pipeline::run_sweep`] flattens the cross product
 //! into one pool task per cell and returns a [`SweepResult`] with indexed
 //! lookup (`&result[("node", "config", "machine")]`), per-axis
-//! aggregation and per-cell [`PipelineStats`].
+//! aggregation and the run's [`PipelineStats`].
 //!
 //! **Key space.** Every cell's artifact key already covers all three axes
 //! — the generated source (unit), the ten `PassConfig` flags (config) and
@@ -359,9 +359,7 @@ pub(crate) fn sweep_digest<'a>(
     Digest(h.finish())
 }
 
-/// One cell of a completed sweep: the three axis labels, the outcome, and
-/// the cell's own stats (`wall_ns` there is the cell's summed stage time —
-/// cells overlap on the pool, so no per-cell wall clock exists).
+/// One cell of a completed sweep: the three axis labels and the outcome.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Unit-axis label.
@@ -372,8 +370,6 @@ pub struct SweepCell {
     pub machine: String,
     /// The compilation outcome (artifact, cached flag).
     pub outcome: UnitOutcome,
-    /// This cell's stats: exactly one of `jobs_run`/`jobs_cached` is 1.
-    pub stats: PipelineStats,
 }
 
 impl SweepCell {
@@ -396,8 +392,9 @@ pub struct SweepResult {
     machines: Vec<String>,
     cells: Vec<SweepCell>,
     trace: RunTrace,
-    /// Aggregate run metrics (stage times summed over cells, `wall_ns`
-    /// the end-to-end clock of the whole sweep).
+    /// Aggregate run metrics: [`PipelineStats::from_spans`] of the
+    /// sweep's trace, with `wall_ns` the end-to-end clock of the whole
+    /// sweep.
     pub stats: PipelineStats,
 }
 
@@ -702,7 +699,6 @@ pub struct ReanalysisAudit {
 mod tests {
     use super::*;
     use crate::service::PipelineOptions;
-    use crate::trace::SpanKind;
     use vericomp_dataflow::fleet;
 
     fn suite_prefix(n: usize) -> Vec<Node> {
@@ -777,8 +773,6 @@ mod tests {
         assert_eq!(cold.digest(), warm.digest());
         for cell in warm.cells() {
             assert!(cell.outcome.cached);
-            assert_eq!(cell.stats.jobs_cached, 1);
-            assert_eq!(cell.stats.jobs_run, 0);
         }
     }
 
@@ -867,53 +861,22 @@ mod tests {
     }
 
     #[test]
-    fn per_cell_stats_sum_to_the_aggregate() {
-        let nodes = suite_prefix(3);
-        let spec = SweepSpec::new().nodes(&nodes).level(OptLevel::Verified);
-        let sweep = Pipeline::in_memory().run_sweep(&spec).expect("sweep");
-        let mut merged = PipelineStats::default();
-        for cell in sweep.cells() {
-            merged.merge(&cell.stats);
-        }
-        assert_eq!(merged.jobs_run, sweep.stats.jobs_run);
-        assert_eq!(merged.jobs_cached, sweep.stats.jobs_cached);
-        assert_eq!(merged.compile_ns, sweep.stats.compile_ns);
-        assert_eq!(merged.analyze_ns, sweep.stats.analyze_ns);
-        assert_eq!(merged.store_ns, sweep.stats.store_ns);
-    }
-
-    #[test]
-    fn cell_stats_are_the_figures_of_the_cells_own_spans() {
+    fn aggregate_stats_are_the_figures_of_the_sweeps_spans() {
         let nodes = suite_prefix(3);
         let spec = small_spec(&nodes);
         let pipeline = Pipeline::in_memory();
         for run in ["cold", "warm"] {
             let sweep = pipeline.run_sweep(&spec).expect("sweep");
-            for (i, cell) in sweep.cells().iter().enumerate() {
-                let stage = |name: &str| {
-                    sweep
-                        .trace()
-                        .spans()
-                        .iter()
-                        .filter(|s| s.job as usize == i && s.kind == SpanKind::Stage)
-                        .filter(|s| s.name == name)
-                        .fold((0u64, 0u64), |(c, t), s| (c + 1, t + s.dur_ns))
-                };
-                let (lookups, lookup_ns) = stage("cache-lookup");
-                let (compiles, compile_ns) = stage("compile");
-                let (analyzes, analyze_ns) = stage("analyze");
-                let (_, store_ns) = stage("store");
-                let expected = PipelineStats {
-                    jobs_run: analyzes,
-                    jobs_cached: lookups - compiles,
-                    compile_ns,
-                    analyze_ns,
-                    store_ns: lookup_ns + store_ns,
-                    wall_ns: compile_ns + analyze_ns + lookup_ns + store_ns,
-                };
-                assert_eq!(cell.stats, expected, "{run} cell {i}");
-                assert_eq!(cell.stats.jobs_cached, u64::from(run == "warm"));
-            }
+            let expected = PipelineStats {
+                wall_ns: sweep.stats.wall_ns,
+                ..PipelineStats::from_spans(sweep.trace().spans())
+            };
+            assert_eq!(sweep.stats, expected, "{run}");
+            let cells = sweep.cells().len() as u64;
+            let cached = if run == "warm" { cells } else { 0 };
+            assert_eq!(sweep.stats.jobs_cached, cached, "{run}");
+            assert_eq!(sweep.stats.jobs_total(), cells, "{run}");
+            assert!(sweep.stats.wall_ns > 0, "{run}: the sweep clock ran");
         }
     }
 

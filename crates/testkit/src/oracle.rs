@@ -15,20 +15,26 @@
 //!    reference interpreter on every scalar global, every I/O port
 //!    (actuator commands included) and the annotation trace, bit-exactly,
 //!    NaN/±inf included, over several activations with randomized inputs
-//!    (a slice of which are non-finite on purpose);
+//!    (a slice of which are non-finite on purpose) on every declared
+//!    input;
 //! 5. **WCET** — the static analyzer's bound dominates the measured cycle
 //!    count of every activation.
 //!
 //! Any failure carries the case seed; `fuzz_pipeline --replay 0x<seed>`
 //! reproduces it deterministically.
+//!
+//! The semantics layer is [`Lockstep`], the interpreter-vs-simulator
+//! comparison the integration tests and examples share: they drive the
+//! named suite and the linked application through it too.
 
 use std::fmt;
 use std::sync::Arc;
 
 use vericomp_arch::Program;
 use vericomp_core::{CompileError, CompileSession, Compiler, NoopObserver, OptLevel, PassConfig};
-use vericomp_mach::Simulator;
-use vericomp_minic::ast::GlobalDef;
+use vericomp_dataflow::{Node, Symbol};
+use vericomp_mach::{RunOutcome, Simulator};
+use vericomp_minic::ast::{self, GlobalDef};
 use vericomp_minic::interp::{Interp, Value};
 use vericomp_wcet as wcet;
 
@@ -205,6 +211,186 @@ impl fmt::Display for OracleFailure {
     }
 }
 
+impl std::error::Error for OracleFailure {}
+
+/// The declared inputs of a node, or of the nodes linked into one
+/// application: the I/O ports their `Symbol::Acquisition`s read and the
+/// globals their `Symbol::GlobalInput`s name, each once, in first-use
+/// order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DeclaredInputs {
+    /// Acquisition ports.
+    pub ports: Vec<u32>,
+    /// Global-input names.
+    pub globals: Vec<String>,
+}
+
+impl DeclaredInputs {
+    /// The declared inputs of `nodes`, taken in node order.
+    #[must_use]
+    pub fn of<'a>(nodes: impl IntoIterator<Item = &'a Node>) -> DeclaredInputs {
+        let mut inputs = DeclaredInputs::default();
+        for instance in nodes.into_iter().flat_map(Node::instances) {
+            match &instance.kind {
+                Symbol::Acquisition(port) if !inputs.ports.contains(port) => {
+                    inputs.ports.push(*port);
+                }
+                Symbol::GlobalInput(name) if !inputs.globals.contains(name) => {
+                    inputs.globals.push(name.clone());
+                }
+                _ => {}
+            }
+        }
+        inputs
+    }
+}
+
+/// A MiniC program and its compiled binary, activated in lockstep on the
+/// reference interpreter and the simulator. State carries over from one
+/// [`Lockstep::activate`] to the next on both sides.
+pub struct Lockstep<'p> {
+    src: &'p ast::Program,
+    entry: &'p str,
+    level: OptLevel,
+    inputs: &'p DeclaredInputs,
+    interp: Interp<'p>,
+    sim: Simulator,
+    step: u32,
+}
+
+impl<'p> Lockstep<'p> {
+    /// Instruction budget of one simulated activation.
+    const FUEL: u64 = 10_000_000;
+
+    /// Pairs `src` with `binary`, its compilation at `level`, both
+    /// entered at `entry`; `inputs` are the declared inputs the
+    /// activations drive.
+    #[must_use]
+    pub fn new(
+        src: &'p ast::Program,
+        binary: Program,
+        entry: &'p str,
+        level: OptLevel,
+        inputs: &'p DeclaredInputs,
+    ) -> Lockstep<'p> {
+        Lockstep {
+            src,
+            entry,
+            level,
+            inputs,
+            interp: Interp::new(src),
+            sim: Simulator::new(binary),
+            step: 0,
+        }
+    }
+
+    /// Runs one activation on both semantics and compares them bit for
+    /// bit: every scalar global, I/O ports 0–15 and the annotation trace.
+    /// Before it, every declared input is driven on both sides: the `k`th
+    /// port with `input(step, k)`, the `k`th global with
+    /// `input(step, 100 + k)`, where `step` counts this pair's
+    /// activations from 0.
+    ///
+    /// Returns the simulator's outcome, so callers can hold a WCET bound
+    /// against its cycles.
+    ///
+    /// # Errors
+    ///
+    /// [`OracleFailure::Interp`], [`OracleFailure::Sim`] or
+    /// [`OracleFailure::Diverge`], tagged with the level and the step.
+    pub fn activate(
+        &mut self,
+        mut input: impl FnMut(u32, u32) -> f64,
+    ) -> Result<RunOutcome, OracleFailure> {
+        let (level, step) = (self.level, self.step);
+        self.step += 1;
+        for (k, &port) in self.inputs.ports.iter().enumerate() {
+            let v = input(step, k as u32);
+            self.interp.set_io(port, v);
+            self.sim.set_io_f64(port, v);
+        }
+        for (k, name) in self.inputs.globals.iter().enumerate() {
+            let v = input(step, 100 + k as u32);
+            self.interp
+                .set_global(name, Value::F(v))
+                .expect("input global exists");
+            self.sim
+                .set_global_f64(name, 0, v)
+                .expect("input global exists");
+        }
+
+        if let Err(e) = self.interp.call(self.entry, &[]) {
+            return Err(OracleFailure::Interp {
+                step,
+                error: e.to_string(),
+            });
+        }
+        let outcome = self.sim.run(Self::FUEL).map_err(|e| OracleFailure::Sim {
+            level,
+            step,
+            error: e.to_string(),
+        })?;
+        let diverge = |what: String| OracleFailure::Diverge { level, step, what };
+
+        // scalar globals, bit-exact
+        for g in &self.src.globals {
+            match g.def {
+                GlobalDef::ScalarF64(_) => {
+                    let a = match self.interp.global(&g.name).expect("declared") {
+                        Value::F(v) => v,
+                        _ => unreachable!("typechecked"),
+                    };
+                    let b = self.sim.global_f64(&g.name, 0).expect("declared");
+                    if a.to_bits() != b.to_bits() {
+                        return Err(diverge(format!(
+                            "global {}: interp {a:?} vs sim {b:?}",
+                            g.name
+                        )));
+                    }
+                }
+                GlobalDef::ScalarI32(_) => {
+                    let a = match self.interp.global(&g.name).expect("declared") {
+                        Value::I(v) => v,
+                        _ => unreachable!("typechecked"),
+                    };
+                    let b = self.sim.global_i32(&g.name, 0).expect("declared");
+                    if a != b {
+                        return Err(diverge(format!("global {}: interp {a} vs sim {b}", g.name)));
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        // I/O ports — actuator commands included
+        for port in 0..16u32 {
+            let a = self.interp.io(port);
+            let b = self.sim.io_f64(port);
+            if a.to_bits() != b.to_bits() {
+                return Err(diverge(format!("io[{port}]: interp {a:?} vs sim {b:?}")));
+            }
+        }
+
+        // annotation traces — order and bit-exact values
+        if !traces_match(&outcome.annotations, &self.interp.take_trace()) {
+            return Err(diverge("trace".into()));
+        }
+        Ok(outcome)
+    }
+
+    /// Values one activation compares bit for bit: the scalar globals
+    /// plus the 16 I/O ports.
+    fn values_per_activation(&self) -> u64 {
+        let scalars = self
+            .src
+            .globals
+            .iter()
+            .filter(|g| matches!(g.def, GlobalDef::ScalarF64(_) | GlobalDef::ScalarI32(_)))
+            .count();
+        scalars as u64 + 16
+    }
+}
+
 /// Deterministic input for a given case, activation and input slot: mostly
 /// tame finite values, with a deliberate slice of IEEE corner cases (NaN,
 /// ±inf, −0.0, huge, subnormal) — the territory where compilers break.
@@ -262,21 +448,7 @@ pub fn run_case(case_seed: u64, cfg: &OracleConfig) -> Result<OracleStats, Oracl
     })
     .remove(0);
     let src = Arc::new(node.to_minic());
-
-    let io_ports: Vec<u32> = node
-        .instances()
-        .iter()
-        .filter_map(|i| match i.kind {
-            vericomp_dataflow::Symbol::Acquisition(p) => Some(p),
-            _ => None,
-        })
-        .collect();
-    let input_globals: Vec<String> = src
-        .globals
-        .iter()
-        .filter(|g| g.name.contains("_in") && matches!(g.def, GlobalDef::ScalarF64(_)))
-        .map(|g| g.name.clone())
-        .collect();
+    let inputs = DeclaredInputs::of([&node]);
 
     let mut stats = OracleStats {
         min_wcet_slack: u64::MAX,
@@ -364,100 +536,11 @@ pub fn run_case(case_seed: u64, cfg: &OracleConfig) -> Result<OracleStats, Oracl
         stats.wcet_checks += 1;
 
         // layer: semantics, interpreter vs simulator
-        let mut interp = Interp::new(&src);
-        let mut sim = Simulator::new(binary);
+        let mut pair = Lockstep::new(&src, binary, node.step_name(), level, &inputs);
         for step in 0..cfg.steps {
-            for (k, port) in io_ports.iter().enumerate() {
-                let v = input_value(case_seed, step, k as u32);
-                interp.set_io(*port, v);
-                sim.set_io_f64(*port, v);
-            }
-            for (k, name) in input_globals.iter().enumerate() {
-                let v = input_value(case_seed, step, 100 + k as u32);
-                interp
-                    .set_global(name, Value::F(v))
-                    .expect("input global exists");
-                sim.set_global_f64(name, 0, v).expect("input global exists");
-            }
-
-            if let Err(e) = interp.call(node.step_name(), &[]) {
-                return Err(OracleFailure::Interp {
-                    step,
-                    error: e.to_string(),
-                });
-            }
-            let outcome = match sim.run(10_000_000) {
-                Ok(o) => o,
-                Err(e) => {
-                    return Err(OracleFailure::Sim {
-                        level,
-                        step,
-                        error: e.to_string(),
-                    })
-                }
-            };
+            let outcome = pair.activate(|step, slot| input_value(case_seed, step, slot))?;
             stats.activations += 1;
-
-            // scalar globals, bit-exact
-            for g in &src.globals {
-                match g.def {
-                    GlobalDef::ScalarF64(_) => {
-                        let a = match interp.global(&g.name).expect("declared") {
-                            Value::F(v) => v,
-                            _ => unreachable!("typechecked"),
-                        };
-                        let b = sim.global_f64(&g.name, 0).expect("declared");
-                        stats.values_compared += 1;
-                        if a.to_bits() != b.to_bits() {
-                            return Err(OracleFailure::Diverge {
-                                level,
-                                step,
-                                what: format!("global {}: interp {a:?} vs sim {b:?}", g.name),
-                            });
-                        }
-                    }
-                    GlobalDef::ScalarI32(_) => {
-                        let a = match interp.global(&g.name).expect("declared") {
-                            Value::I(v) => v,
-                            _ => unreachable!("typechecked"),
-                        };
-                        let b = sim.global_i32(&g.name, 0).expect("declared");
-                        stats.values_compared += 1;
-                        if a != b {
-                            return Err(OracleFailure::Diverge {
-                                level,
-                                step,
-                                what: format!("global {}: interp {a} vs sim {b}", g.name),
-                            });
-                        }
-                    }
-                    _ => {}
-                }
-            }
-
-            // I/O ports — actuator commands included
-            for port in 0..16u32 {
-                let a = interp.io(port);
-                let b = sim.io_f64(port);
-                stats.values_compared += 1;
-                if a.to_bits() != b.to_bits() {
-                    return Err(OracleFailure::Diverge {
-                        level,
-                        step,
-                        what: format!("io[{port}]: interp {a:?} vs sim {b:?}"),
-                    });
-                }
-            }
-
-            // annotation traces — order and bit-exact values
-            let src_trace = interp.take_trace();
-            if !traces_match(&outcome.annotations, &src_trace) {
-                return Err(OracleFailure::Diverge {
-                    level,
-                    step,
-                    what: "trace".into(),
-                });
-            }
+            stats.values_compared += pair.values_per_activation();
 
             // WCET bound must dominate every measured activation
             if report.wcet < outcome.stats.cycles {

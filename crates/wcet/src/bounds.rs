@@ -357,24 +357,14 @@ fn entry_interval(
     acc
 }
 
-/// Computes a bound on the number of *body executions* of every loop.
+/// Computes a bound on the number of *body executions* of every loop,
+/// together with the induction-variable window facts to feed back into
+/// the value analysis ([`crate::value::analyze_with_facts`]).
 ///
 /// # Errors
 ///
 /// [`AnalysisError::UnboundedLoop`] naming the loop header when no witness
 /// can bound a loop.
-pub fn compute(
-    cfg: &Cfg,
-    va: &ValueAnalysis,
-    machine: &MachineConfig,
-    annots: Option<&AnnotationFile>,
-) -> Result<BTreeMap<u32, u64>, AnalysisError> {
-    compute_with_facts(cfg, va, machine, annots).map(|(b, _)| b)
-}
-
-/// Like [`compute`], additionally returning the induction-variable
-/// window facts to feed back into the value analysis
-/// ([`crate::value::analyze_with_facts`]).
 pub fn compute_with_facts(
     cfg: &Cfg,
     va: &ValueAnalysis,

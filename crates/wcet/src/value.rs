@@ -586,22 +586,12 @@ impl ValueAnalysis {
     }
 }
 
-/// Runs the fixpoint over a function CFG.
+/// Runs the fixpoint over a function CFG, applying [`HeaderFact`]s
+/// (derived by a prior loop-bound pass) whenever a state flows into a
+/// loop header.
 ///
 /// `sp` is the concrete stack-pointer value at function entry (known from
 /// the startup convention and the call path).
-pub fn analyze(
-    cfg_graph: &Cfg,
-    machine: &MachineConfig,
-    program: &Program,
-    sp: u32,
-    annots: Option<&AnnotationFile>,
-) -> ValueAnalysis {
-    analyze_with_facts(cfg_graph, machine, program, sp, annots, &[])
-}
-
-/// Like [`analyze`], additionally applying [`HeaderFact`]s (derived by a
-/// prior loop-bound pass) whenever a state flows into a loop header.
 pub fn analyze_with_facts(
     cfg_graph: &Cfg,
     machine: &MachineConfig,

@@ -1,19 +1,19 @@
 //! The whole flight-control application in one image: the 26-node suite
-//! linked behind a generated cyclic-executive `step`, compiled with the
-//! WCET-driven driver (paper §4 / WCC-style: each optimization is kept only
-//! if the analyzer proves it beneficial) on the parallel pipeline — the
-//! candidate configurations compile and analyze concurrently, each cached
-//! content-addressed in `target/vericomp-cache/`, so a rerun replays the
-//! stored validator verdicts instead of recompiling.
+//! linked behind a generated cyclic-executive `step`, compiled
+//! WCET-driven (paper §4 / WCC-style: each optimization is kept only if
+//! the analyzer proves it beneficial) by the pipeline's lattice search
+//! seeded with `wcet_driven_candidates` — each generation's probes compile
+//! and analyze concurrently, each cached content-addressed in
+//! `target/vericomp-cache/`, so a rerun replays the stored validator
+//! verdicts instead of recompiling.
 //!
 //! ```sh
 //! cargo run --release --example cyclic_executive
 //! ```
 
 use vericomp::dataflow::{fleet, Application};
-use vericomp::harness::compile_application_parallel;
 use vericomp::mach::Simulator;
-use vericomp::pipeline::PipelineOptions;
+use vericomp::pipeline::{wcet_driven_candidates, Pipeline, PipelineOptions, SearchSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = Application::new("fcs", fleet::named_suite())?;
@@ -25,50 +25,55 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         src.functions.len()
     );
 
-    // WCET-driven compilation on the pipeline: candidates evaluated
-    // concurrently, artifacts cached after validator acceptance
-    let options = PipelineOptions {
+    // WCET-driven compilation on the pipeline: each generation's probes
+    // evaluated concurrently, artifacts cached after validator acceptance
+    let pipeline = Pipeline::new(&PipelineOptions {
         cache_dir: Some(PipelineOptions::default_cache_dir()),
         ..PipelineOptions::default()
-    };
-    let build = compile_application_parallel(&app, &options)?;
+    })?;
+    let mut spec = SearchSpec::new().application(&app)?;
+    for (name, passes) in wcet_driven_candidates() {
+        spec = spec.seed(name, &passes);
+    }
+    let result = pipeline.search_wcet(&spec)?;
+    let search = &result.nodes[0];
     println!("\nWCET-driven lattice search (seed frontier first):");
-    for c in &build.candidates {
-        let marker = if c.wcet == build.search.winner.wcet {
+    for p in &search.probed {
+        let marker = if p.wcet == search.winner.wcet {
             "  <- winner"
         } else {
             ""
         };
-        println!("  {:<28} WCET {:>7}{marker}", c.name, c.wcet);
+        println!("  {:<28} WCET {:>7}{marker}", p.label, p.wcet);
     }
     println!(
         "search: {} probes over {} generations, {} flags dominance-pruned, {:.1}% cache hits",
-        build.search.probes(),
-        build.search.generations,
-        build.search.pruned.len(),
-        build.search.hit_rate() * 100.0,
+        search.probes(),
+        search.generations,
+        search.pruned.len(),
+        search.hit_rate() * 100.0,
     );
-    for d in &build.search.pruned {
+    for d in &search.pruned {
         println!(
             "search: pruned `{}` after generation {} ({} contexts, never reduced the bound)",
             d.flag, d.generation, d.trials
         );
     }
-    println!("{}", build.stats.render());
+    println!("{}", result.stats.render());
 
     // where the build's time went, stage by stage and pass by pass
-    // (the full span trace is also exportable: `build.trace.to_chrome_json()`)
+    // (the full span trace is also exportable: `result.trace().to_chrome_json()`)
     println!();
-    print!("{}", build.trace.profile().render());
+    print!("{}", result.trace().profile().render());
 
-    let binary = build.artifact.program.clone();
-    let report = &build.artifact.report;
+    let binary = search.artifact.program.clone();
+    let report = &search.artifact.report;
     println!(
         "\nchosen image: {} bytes of code, cycle WCET {}, {} ({})",
         binary.text_size(),
         report.wcet,
-        build.artifact.verdict.describe(),
-        if build.stats.jobs_cached > 0 {
+        search.artifact.verdict.describe(),
+        if result.stats.jobs_cached > 0 {
             "replayed from cache"
         } else {
             "validated this run"

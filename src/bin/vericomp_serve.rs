@@ -26,7 +26,7 @@ use vericomp_pipeline::{Client, Server, ServerOptions};
 
 const USAGE: &str = "usage: vericomp_serve --socket PATH [--jobs N] [--cache-dir DIR]
                      [--store-bytes N] [--slo F] [--slo-p99-ms N]
-                     [--metrics-json FILE] [--no-recorder]
+                     [--metrics-json FILE]
        vericomp_serve --stats-of PATH | --metrics-of PATH
                     | --recorder-of PATH | --shutdown PATH
   --socket PATH     Unix socket to listen on (stale files are replaced)
@@ -43,8 +43,6 @@ const USAGE: &str = "usage: vericomp_serve --socket PATH [--jobs N] [--cache-dir
   --metrics-json FILE
                     persist the metrics registry as JSON to FILE at clean
                     shutdown
-  --no-recorder     disable the flight recorder (recorder-dump requests
-                    then answer with an error)
   --stats-of PATH   print a running daemon's stats and exit
   --metrics-of PATH print a running daemon's metrics registry JSON and exit
   --recorder-of PATH
@@ -70,7 +68,6 @@ fn parse_args() -> Result<Mode, String> {
     let mut slo = 0.9f64;
     let mut slo_p99_ms = 0u64;
     let mut metrics_json: Option<String> = None;
-    let mut recorder = true;
     let mut metrics_of: Option<String> = None;
     let mut recorder_of: Option<String> = None;
 
@@ -112,7 +109,6 @@ fn parse_args() -> Result<Mode, String> {
                     .map_err(|_| "--slo-p99-ms needs a number".to_string())?;
             }
             "--metrics-json" => metrics_json = Some(value("--metrics-json")?),
-            "--no-recorder" => recorder = false,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
@@ -141,7 +137,6 @@ fn parse_args() -> Result<Mode, String> {
     }
     options.slo_p99_ns = slo_p99_ms.saturating_mul(1_000_000);
     options.metrics_json = metrics_json.map(Into::into);
-    options.recorder = recorder;
     Ok(Mode::Serve(Box::new(options)))
 }
 

@@ -5,7 +5,7 @@
 use vericomp::core::{Compiler, OptLevel};
 use vericomp::dataflow::{fleet, Application};
 use vericomp::mach::Simulator;
-use vericomp::minic::interp::{Interp, Value};
+use vericomp::testkit::oracle::{DeclaredInputs, Lockstep};
 
 fn suite_app() -> Application {
     Application::new("fcs", fleet::named_suite()).expect("unique node names")
@@ -16,35 +16,23 @@ fn application_compiles_runs_and_is_differentially_correct() {
     let app = suite_app();
     let src = app.to_minic().expect("assembles");
     vericomp::minic::typeck::check(&src).expect("typechecks");
+    // every node's acquisitions and global inputs, the inter-node wires
+    // among them, are driven
+    let inputs = DeclaredInputs::of(app.nodes());
+    assert_eq!((inputs.ports.len(), inputs.globals.len()), (6, 30));
 
-    for level in [OptLevel::PatternO0, OptLevel::Verified, OptLevel::OptFull] {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 5e-324];
+    for level in OptLevel::all() {
         let binary = Compiler::new(level)
-            .compile(&src, "step")
+            .compile(&src, app.step_name())
             .expect("compiles");
-        let mut interp = Interp::new(&src);
-        let mut sim = Simulator::new(binary);
-        for step in 0..3u32 {
-            for port in 0..8 {
-                let v = f64::from(step * 5 + port) * 0.83 - 3.0;
-                interp.set_io(port, v);
-                sim.set_io_f64(port, v);
-            }
-            interp.call("step", &[]).expect("interprets");
-            sim.run(50_000_000).expect("simulates");
-            for g in &src.globals {
-                if let vericomp::minic::ast::GlobalDef::ScalarF64(_) = g.def {
-                    let a = match interp.global(&g.name).expect("declared") {
-                        Value::F(v) => v,
-                        _ => unreachable!(),
-                    };
-                    let b = sim.global_f64(&g.name, 0).expect("declared");
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "{level} step {step}: {} differs ({a} vs {b})",
-                        g.name
-                    );
-                }
-            }
+        let mut pair = Lockstep::new(&src, binary, app.step_name(), level, &inputs);
+        for _ in 0..3 {
+            pair.activate(|step, slot| match (step * 7 + slot) % 4 {
+                0 => specials[(step + slot) as usize % specials.len()],
+                _ => f64::from(step * 5 + slot) * 0.83 - 3.0,
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
         }
     }
 }

@@ -9,9 +9,8 @@ use std::panic::AssertUnwindSafe;
 
 use vericomp::arch::MachineConfig;
 use vericomp::core::OptLevel;
-use vericomp::harness;
 use vericomp::minic::interp::{Interp, Value};
-use vericomp::pipeline::Pipeline;
+use vericomp::pipeline::{Pipeline, PipelineOptions};
 use vericomp::testkit::prop::{self, Config};
 use vericomp::testkit::scenario::{self, Scenario, ScenarioConfig};
 
@@ -44,10 +43,12 @@ fn joint_property(pipeline: &Pipeline, cfg: &ScenarioConfig) -> Result<(), Strin
         .levels([OptLevel::PatternO0, OptLevel::Verified])
         .machine("mpc755", &MachineConfig::mpc755())
         .machine("tiny-caches", &MachineConfig::tiny_caches());
-    let build = harness::compile_scenario_with(pipeline, &scn, spec)
+    let sweep = pipeline
+        .run_sweep(&spec)
         .map_err(|e| format!("pipeline: {e}"))?;
+    let report = scn.check(&sweep);
 
-    for cell in build.sweep.cells() {
+    for cell in sweep.cells() {
         if cell.config == "verified" && !cell.outcome.artifact.verdict.allocation_checked {
             return Err(format!(
                 "{}/{}/{}: verified cell without validator evidence",
@@ -55,9 +56,8 @@ fn joint_property(pipeline: &Pipeline, cfg: &ScenarioConfig) -> Result<(), Strin
             ));
         }
     }
-    if !build.report.feasible() {
-        let rows: Vec<String> = build
-            .report
+    if !report.feasible() {
+        let rows: Vec<String> = report
             .infeasible()
             .map(|v| {
                 format!(
@@ -99,32 +99,34 @@ fn over_budget_mode_is_reported_infeasible_not_panicked() {
         .build()
         .expect("valid config");
     let scn = Scenario::generate(&cfg).expect("generates");
-    let build = harness::compile_scenario(
-        &scn,
-        &vericomp::pipeline::PipelineOptions::builder()
+    let pipeline = Pipeline::new(
+        &PipelineOptions::builder()
             .jobs(4)
             .build()
             .expect("valid options"),
     )
-    .expect("an over-budget mode must not fail the pipeline");
+    .expect("in-memory pipeline");
+    let sweep = pipeline
+        .run_sweep(&scn.to_sweep_spec())
+        .expect("an over-budget mode must not fail the pipeline");
+    let report = scn.check(&sweep);
 
-    assert!(!build.report.feasible());
+    assert!(!report.feasible());
     // the executive prologue alone exceeds a 1-cycle budget, so every
     // degraded frame is over — and only degraded frames are
-    assert!(build.report.infeasible_count() >= cfg.minor_frames);
-    for v in build.report.infeasible() {
+    assert!(report.infeasible_count() >= cfg.minor_frames);
+    for v in report.infeasible() {
         assert_eq!(v.mode, "degraded", "unexpected infeasible row: {v:?}");
         assert_eq!(v.budget, 1);
         assert!(v.wcet >= scenario::EXEC_OVERHEAD);
     }
     // other modes still fit
-    assert!(build
-        .report
+    assert!(report
         .verdicts
         .iter()
         .filter(|v| v.mode != "degraded")
         .all(|v| v.feasible()));
-    let rendered = build.report.render();
+    let rendered = report.render();
     assert!(rendered.contains("OVER by"), "render lost the OVER rows");
     assert!(rendered.contains("FITS"), "render lost the FITS rows");
 }
