@@ -40,6 +40,32 @@ for bin in table1 figure2 ablation annotations listings; do
     fi
 done
 
+# the cyclic_executive example is deterministic on an empty cache except
+# for wall times and the analyzer's scheduling-dependent fact-cache
+# counts: with the stage/end-to-end time lines, the `… ms` column of the
+# profile and its `analyze:*` event rows dropped, its stdout is the
+# capture's
+echo "==> docs/results: cyclic_executive prints its capture (timings dropped)"
+untimed_capture() {
+    grep -v -e '^pipeline: stage' -e '^pipeline: end-to-end' \
+        -e '^profile: event analyze:' "$1" \
+        | sed 's/^\(profile: .* spans\) *[0-9][0-9.]* ms$/\1/'
+}
+rm -rf target/vericomp-cache
+cargo run --release --offline --quiet --example cyclic_executive \
+    > target/vericomp-ci-results-cyclic_executive.txt
+untimed_capture target/vericomp-ci-results-cyclic_executive.txt \
+    > target/vericomp-ci-results-cyclic_executive-untimed.txt
+untimed_capture docs/results/cyclic_executive.txt \
+    > target/vericomp-ci-results-cyclic_executive-capture.txt
+if ! cmp -s target/vericomp-ci-results-cyclic_executive-untimed.txt \
+        target/vericomp-ci-results-cyclic_executive-capture.txt; then
+    echo "docs/results FAILED: cyclic_executive differs from docs/results/cyclic_executive.txt" >&2
+    diff target/vericomp-ci-results-cyclic_executive-capture.txt \
+        target/vericomp-ci-results-cyclic_executive-untimed.txt >&2 || true
+    exit 1
+fi
+
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
@@ -466,13 +492,13 @@ if [ -e "$DAEMON_SOCK" ]; then
     exit 1
 fi
 
-echo "==> telemetry smoke: merged wire trace, metrics + recorder admin, p99 SLO"
+echo "==> telemetry smoke: merged wire trace, metrics + recorder admin, request latency"
 TELEM_SOCK=target/vericomp-ci-telemetry.sock
 METRICS_JSON=target/vericomp-ci-metrics.json
 MERGED_TRACE=target/vericomp-ci-merged-trace.json
 rm -f "$TELEM_SOCK" "$METRICS_JSON" "$MERGED_TRACE"
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
-    --socket "$TELEM_SOCK" --metrics-json "$METRICS_JSON" --slo-p99-ms 600000 \
+    --socket "$TELEM_SOCK" --metrics-json "$METRICS_JSON" \
     > target/vericomp-ci-telemetry-daemon.txt 2>&1 &
 TELEM_PID=$!
 for _ in $(seq 1 100); do
@@ -589,19 +615,19 @@ for kind in ("sweep-start", "sweep-end"):
 print(f"telemetry smoke: {len(r['events'])} recorder events, "
       f"kinds {sorted(kinds)}")
 EOF
-# the stats snapshot now reports request-latency percentiles and judges
-# the p99 SLO (600 s here, so it must come back `met`)
+# the stats snapshot reports the request-latency percentiles of the
+# requests above: two integers, 0 < p50 <= p99
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --stats-of "$TELEM_SOCK" | tee target/vericomp-ci-telemetry-stats.txt
-if ! grep -q '^server: latency request p50 ' \
-        target/vericomp-ci-telemetry-stats.txt; then
-    echo "telemetry smoke FAILED: stats missing the request-latency line" >&2
+latency=$(sed -n 's/^server: latency request p50 \([0-9][0-9]*\)ns p99 \([0-9][0-9]*\)ns proto [0-9][0-9]*$/\1 \2/p' \
+    target/vericomp-ci-telemetry-stats.txt)
+if ! awk -v l="$latency" \
+        'BEGIN { exit !(split(l, q, " ") == 2 && q[1] + 0 > 0 && q[1] + 0 <= q[2] + 0) }'; then
+    echo "telemetry smoke FAILED: no request-latency line with 0 < p50 <= p99 (${latency:-none})" >&2
+    cat target/vericomp-ci-telemetry-stats.txt >&2
     exit 1
 fi
-if ! grep -q '^server: p99 SLO .*: met (p99 ' target/vericomp-ci-telemetry-stats.txt; then
-    echo "telemetry smoke FAILED: p99 SLO line missing or MISSED" >&2
-    exit 1
-fi
+echo "telemetry smoke: request latency p50 ${latency% *} ns <= p99 ${latency#* } ns"
 # clean shutdown persists the registry to --metrics-json
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --shutdown "$TELEM_SOCK"
@@ -639,9 +665,9 @@ notes = doc["notes"]
 metrics = notes["metrics"]
 for hist in ("request_wall_ns", "batch_cells"):
     assert metrics["histograms"][hist]["count"] >= 1, f"`{hist}` empty in BENCH_daemon.json"
-server = notes["server"]
-assert server["request_p50_ns"] >= 1 and server["request_p99_ns"] >= server["request_p50_ns"], \
-    "request latency percentiles missing from the server stats note"
+latency = metrics["histograms"]["request_wall_ns"]
+assert latency["p50"] >= 1 and latency["p99"] >= latency["p50"], \
+    "request latency percentiles missing from the metrics note"
 recorder = notes["recorder"]
 assert recorder["record_ns"] >= 1 and recorder["warm_soak_ns"] >= 1
 print("daemon bench: BENCH_daemon.json carries latency percentiles + histograms")

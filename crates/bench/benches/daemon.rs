@@ -24,13 +24,12 @@
 //! uploaded** — the protocol resolves every unit from the parse cache by
 //! digest) and warm again from a *fresh* connection (also zero uploads,
 //! and one request frame: the server's parse cache, not the connection,
-//! decides what must be uploaded). The daemon's
-//! own [`ServerStats`] ride along in the summary under the `server`
-//! note, so `BENCH_daemon.json` records hit rate, evictions, wire
-//! bytes, parse-cache traffic and per-stage nanos next to the timings —
-//! and the full metrics registry (per-request latency and per-sweep
-//! cell-count histograms with p50/p90/p99, plus its counter digest)
-//! rides under the `metrics` note.
+//! decides what must be uploaded). The daemon's metrics registry rides
+//! along in the summary under the `metrics` note, so `BENCH_daemon.json`
+//! records its counters (requests, cells run and cached, uploads,
+//! parse-cache hits and misses), its histograms (per-request latency,
+//! per-sweep cell counts and stage nanos, frame bytes) with
+//! p50/p90/p99, and its counter digest next to the timings.
 //!
 //! The solo soak also carries the E10 scale checks: its sweep and sched
 //! digests equal the pins below, its derived frame budgets are feasible,
@@ -290,7 +289,6 @@ fn main() {
             warm_ns / 1e6
         ),
     );
-    g.note("server", &server_stats.to_json());
     g.note("stats", &warm_soak.stats.to_json());
     g.note("metrics", &client.server_metrics().expect("metrics"));
 

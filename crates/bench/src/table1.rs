@@ -67,7 +67,7 @@ pub fn run_fleet(nodes: usize, steps: u32) -> Table1 {
         .collect();
 
     // the whole compile phase is one sweep: nodes × the four levels on
-    // the pipeline's machine (the measurement below runs serially — the
+    // the default MPC755 machine (the measurement below runs serially — the
     // simulator is stateful)
     let spec = SweepSpec::new().nodes(fleet.iter()).levels(crate::LEVELS);
     let sweep = Pipeline::in_memory()

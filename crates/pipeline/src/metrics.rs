@@ -53,8 +53,7 @@ pub fn bucket_upper(i: usize) -> u64 {
 /// A power-of-two-bucket histogram of `u64` observations (latencies in
 /// nanoseconds, sweep sizes, frame bytes). Fixed 65 buckets, no
 /// allocation per observation, ~1.5 bits of relative precision — enough
-/// to tell a 2 ms p99 from a 200 ms one, which is what an SLO gate
-/// needs.
+/// to tell a 2 ms p99 from a 200 ms one.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: [u64; HIST_BUCKETS],

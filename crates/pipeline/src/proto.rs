@@ -759,34 +759,22 @@ impl fmt::Display for SweepResponse {
     }
 }
 
-/// Server-side aggregate metrics, served to `stats` requests and
-/// embedded in `BENCH_daemon.json`.
+/// Server-side aggregate metrics, served to `stats` requests: a view over
+/// the daemon's metrics registry plus the store's resident counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Sweep requests run (one `run_sweep` each; admin requests, `need`
     /// answers and refused sweeps not counted).
     pub requests: u64,
-    /// Cells compiled fresh.
-    pub jobs_run: u64,
-    /// Cells served from the warm store.
-    pub jobs_cached: u64,
+    /// The lifetime sum of every sweep's [`PipelineStats`]: cells run and
+    /// cached, summed per-stage nanos and summed sweep wall clocks.
+    pub sweeps: PipelineStats,
     /// Store entries evicted over the server's lifetime.
     pub evictions: u64,
     /// Store entries resident at snapshot time.
     pub resident: u64,
     /// Store resident bytes at snapshot time.
     pub store_bytes: u64,
-    /// Summed compile-stage nanos across sweeps.
-    pub compile_ns: u64,
-    /// Summed analyze-stage nanos across sweeps.
-    pub analyze_ns: u64,
-    /// Summed store-stage nanos across sweeps.
-    pub store_ns: u64,
-    /// Summed sweep wall-clock nanos.
-    pub wall_ns: u64,
-    /// Configured hit-rate SLO in thousandths (`900` = 0.900); `0` means
-    /// no SLO configured.
-    pub slo_per_mille: u64,
     /// Request bytes received off the wire (all frames, all connections).
     pub bytes_rx: u64,
     /// Response bytes written to the wire.
@@ -807,28 +795,24 @@ pub struct ServerStats {
     pub request_p50_ns: u64,
     /// p99 per-request wall latency (ns) from the server's histogram.
     pub request_p99_ns: u64,
-    /// Configured p99 latency SLO in ns; `0` means none configured.
-    pub slo_p99_ns: u64,
 }
 
 /// One [`ServerStats`] field, as a place to read or write.
 type StatsField = fn(&mut ServerStats) -> &mut u64;
 
 /// Every [`ServerStats`] field with its wire name, in wire order: the
-/// one list that the `server-stats` document and
-/// [`to_json`](ServerStats::to_json) read and decoding writes.
-const STATS_FIELDS: [(&str, StatsField); 22] = [
+/// one list that the `server-stats` document reads and decoding writes.
+const STATS_FIELDS: [(&str, StatsField); 20] = [
     ("requests", |s| &mut s.requests),
-    ("jobs_run", |s| &mut s.jobs_run),
-    ("jobs_cached", |s| &mut s.jobs_cached),
+    ("jobs_run", |s| &mut s.sweeps.jobs_run),
+    ("jobs_cached", |s| &mut s.sweeps.jobs_cached),
     ("evictions", |s| &mut s.evictions),
     ("resident", |s| &mut s.resident),
     ("store_bytes", |s| &mut s.store_bytes),
-    ("compile_ns", |s| &mut s.compile_ns),
-    ("analyze_ns", |s| &mut s.analyze_ns),
-    ("store_ns", |s| &mut s.store_ns),
-    ("wall_ns", |s| &mut s.wall_ns),
-    ("slo_per_mille", |s| &mut s.slo_per_mille),
+    ("compile_ns", |s| &mut s.sweeps.compile_ns),
+    ("analyze_ns", |s| &mut s.sweeps.analyze_ns),
+    ("store_ns", |s| &mut s.sweeps.store_ns),
+    ("wall_ns", |s| &mut s.sweeps.wall_ns),
     ("bytes_rx", |s| &mut s.bytes_rx),
     ("bytes_tx", |s| &mut s.bytes_tx),
     ("units_uploaded", |s| &mut s.units_uploaded),
@@ -839,21 +823,9 @@ const STATS_FIELDS: [(&str, StatsField); 22] = [
     ("parse_bytes", |s| &mut s.parse_bytes),
     ("request_p50_ns", |s| &mut s.request_p50_ns),
     ("request_p99_ns", |s| &mut s.request_p99_ns),
-    ("slo_p99_ns", |s| &mut s.slo_p99_ns),
 ];
 
 impl ServerStats {
-    /// Lifetime cache hit rate over served cells; `0.0` before any cell.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.jobs_run + self.jobs_cached;
-        if total == 0 {
-            0.0
-        } else {
-            self.jobs_cached as f64 / total as f64
-        }
-    }
-
     /// Lifetime parse-cache hit rate over resolved sweep units; `0.0`
     /// before any unit.
     #[must_use]
@@ -866,18 +838,7 @@ impl ServerStats {
         }
     }
 
-    /// Whether the lifetime hit rate meets the configured SLO (vacuously
-    /// true without one).
-    #[must_use]
-    pub fn slo_met(&self) -> bool {
-        let hit_ok =
-            self.slo_per_mille == 0 || self.hit_rate() * 1000.0 >= self.slo_per_mille as f64;
-        let p99_ok = self.slo_p99_ns == 0 || self.request_p99_ns <= self.slo_p99_ns;
-        hit_ok && p99_ok
-    }
-
-    /// Greppable text rendering — `server:`-prefixed lines, the SLO
-    /// verdict last.
+    /// Greppable text rendering, one `server:`-prefixed line per group.
     #[must_use]
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -903,66 +864,25 @@ impl ServerStats {
             self.parse_bytes,
             self.parse_hit_rate(),
         );
+        let sweeps = &self.sweeps;
         let _ = writeln!(
             s,
             "server: jobs run {} cached {} hit-rate {:.3}",
-            self.jobs_run,
-            self.jobs_cached,
-            self.hit_rate(),
+            sweeps.jobs_run,
+            sweeps.jobs_cached,
+            sweeps.hit_rate(),
         );
         let _ = writeln!(
             s,
             "server: stage compile {}ns analyze {}ns store {}ns wall {}ns",
-            self.compile_ns, self.analyze_ns, self.store_ns, self.wall_ns,
+            sweeps.compile_ns, sweeps.analyze_ns, sweeps.store_ns, sweeps.wall_ns,
         );
         let _ = writeln!(
             s,
             "server: latency request p50 {}ns p99 {}ns proto {PROTO_VERSION}",
             self.request_p50_ns, self.request_p99_ns,
         );
-        if self.slo_p99_ns > 0 {
-            let _ = writeln!(
-                s,
-                "server: p99 SLO {}ns: {} (p99 {}ns)",
-                self.slo_p99_ns,
-                if self.request_p99_ns <= self.slo_p99_ns {
-                    "met"
-                } else {
-                    "MISSED"
-                },
-                self.request_p99_ns,
-            );
-        }
-        if self.slo_per_mille > 0 {
-            let _ = writeln!(
-                s,
-                "server: hit-rate SLO {:.3}: {} (store {:.3} parse {:.3})",
-                self.slo_per_mille as f64 / 1000.0,
-                if self.slo_met() { "met" } else { "MISSED" },
-                self.hit_rate(),
-                self.parse_hit_rate(),
-            );
-        }
         s
-    }
-
-    /// Single-line JSON object (for `BENCH_daemon.json` embedding): every
-    /// wire field, then the derived rates and the SLO verdict.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{");
-        for (name, value) in self.fields() {
-            let _ = write!(out, "\"{name}\":{value},");
-        }
-        let _ = write!(
-            out,
-            "\"hit_rate\":{:.6},\"parse_hit_rate\":{:.6},\"slo_met\":{}}}",
-            self.hit_rate(),
-            self.parse_hit_rate(),
-            self.slo_met(),
-        );
-        out
     }
 
     fn fields(&self) -> [(&'static str, u64); STATS_FIELDS.len()] {
@@ -1523,19 +1443,20 @@ mod tests {
     }
 
     #[test]
-    fn server_stats_roundtrip_render_and_slo() {
+    fn server_stats_roundtrip_and_render() {
         let stats = ServerStats {
             requests: 7,
-            jobs_run: 10,
-            jobs_cached: 32,
+            sweeps: PipelineStats {
+                jobs_run: 10,
+                jobs_cached: 32,
+                compile_ns: 111,
+                analyze_ns: 222,
+                store_ns: 333,
+                wall_ns: 999,
+            },
             evictions: 5,
             resident: 37,
             store_bytes: 123_456,
-            compile_ns: 111,
-            analyze_ns: 222,
-            store_ns: 333,
-            wall_ns: 999,
-            slo_per_mille: 700,
             bytes_rx: 4_096,
             bytes_tx: 8_192,
             units_uploaded: 6,
@@ -1546,46 +1467,25 @@ mod tests {
             parse_bytes: 2_048,
             request_p50_ns: 1_000_000,
             request_p99_ns: 8_000_000,
-            slo_p99_ns: 10_000_000,
         };
         let back = decode_response(&encode_response(&Response::Stats(stats.clone())));
         let Response::Stats(back) = back.expect("decodes") else {
             panic!("wrong response kind");
         };
         assert_eq!(back, stats);
-        assert!((stats.hit_rate() - 32.0 / 42.0).abs() < 1e-12);
+        assert!((stats.sweeps.hit_rate() - 32.0 / 42.0).abs() < 1e-12);
         assert!((stats.parse_hit_rate() - 0.7).abs() < 1e-12);
-        assert!(stats.slo_met());
         let render = stats.render();
-        assert!(render.contains("hit-rate 0.762"));
-        assert!(render.contains("SLO 0.700: met"));
+        assert!(render.contains("server: jobs run 10 cached 32 hit-rate 0.762\n"));
+        assert!(render.contains("server: store resident 37 bytes 123456 evictions 5\n"));
         assert!(render.contains("wire rx 4096 tx 8192 uploaded 6\n"));
         assert!(render.contains(
             "parse-cache hits 14 misses 6 evictions 1 resident 5 bytes 2048 hit-rate 0.700"
         ));
-        let missed = ServerStats {
-            slo_per_mille: 990,
-            ..stats.clone()
-        };
-        assert!(!missed.slo_met());
-        assert!(missed.render().contains("SLO 0.990: MISSED"));
-        // json embeds the rates and the verdict
-        assert!(stats.to_json().contains("\"hit_rate\":0.761905"));
-        assert!(stats.to_json().contains("\"parse_hit_rate\":0.700000"));
-        assert!(stats.to_json().contains("\"units_uploaded\":6"));
-        assert!(stats.to_json().contains("\"slo_met\":true"));
-        assert!(render.contains(&format!(
-            "latency request p50 1000000ns p99 8000000ns proto {PROTO_VERSION}\n"
+        assert!(render.contains("stage compile 111ns analyze 222ns store 333ns wall 999ns\n"));
+        assert!(render.ends_with(&format!(
+            "server: latency request p50 1000000ns p99 8000000ns proto {PROTO_VERSION}\n"
         )));
-        assert!(render.contains("p99 SLO 10000000ns: met (p99 8000000ns)"));
-        assert!(stats.to_json().contains("\"request_p99_ns\":8000000"));
-        // a breached p99 SLO flips the joint verdict even with hits fine
-        let slow = ServerStats {
-            request_p99_ns: 20_000_000,
-            ..stats.clone()
-        };
-        assert!(!slow.slo_met());
-        assert!(slow.render().contains("p99 SLO 10000000ns: MISSED"));
     }
 
     #[test]
@@ -1594,41 +1494,46 @@ mod tests {
         // read each field exactly once and decoding must write it back
         let stats = ServerStats {
             requests: 1,
-            jobs_run: 2,
-            jobs_cached: 3,
+            sweeps: PipelineStats {
+                jobs_run: 2,
+                jobs_cached: 3,
+                compile_ns: 7,
+                analyze_ns: 8,
+                store_ns: 9,
+                wall_ns: 10,
+            },
             evictions: 4,
             resident: 5,
             store_bytes: 6,
-            compile_ns: 7,
-            analyze_ns: 8,
-            store_ns: 9,
-            wall_ns: 10,
-            slo_per_mille: 11,
-            bytes_rx: 12,
-            bytes_tx: 13,
-            units_uploaded: 14,
-            parse_hits: 15,
-            parse_misses: 16,
-            parse_evictions: 17,
-            parse_resident: 18,
-            parse_bytes: 19,
-            request_p50_ns: 20,
-            request_p99_ns: 21,
-            slo_p99_ns: 22,
+            bytes_rx: 11,
+            bytes_tx: 12,
+            units_uploaded: 13,
+            parse_hits: 14,
+            parse_misses: 15,
+            parse_evictions: 16,
+            parse_resident: 17,
+            parse_bytes: 18,
+            request_p50_ns: 19,
+            request_p99_ns: 20,
         };
         let mut read: Vec<u64> = stats.fields().iter().map(|&(_, v)| v).collect();
         read.sort_unstable();
-        assert_eq!(read, (1..=22).collect::<Vec<u64>>());
+        assert_eq!(read, (1..=20).collect::<Vec<u64>>());
         let back = decode_response(&encode_response(&Response::Stats(stats.clone())));
         let Ok(Response::Stats(back)) = back else {
             panic!("stats must decode: {back:?}");
         };
         assert_eq!(back, stats);
-        // a field this version does not know is refused by name
-        let old =
-            format!("vericomp-response {PROTO_VERSION}\nserver-stats\nunits_offered 3\nend\n");
-        let e = decode_response(&old).expect_err("unknown field");
-        assert!(e.0.contains("unknown stats field `units_offered`"), "{e}");
+        // a field this version does not know is refused by name: an
+        // older server's SLO threshold as much as a made-up field
+        for field in ["slo_per_mille", "units_offered"] {
+            let old = format!("vericomp-response {PROTO_VERSION}\nserver-stats\n{field} 3\nend\n");
+            let e = decode_response(&old).expect_err("unknown field");
+            assert!(
+                e.0.contains(&format!("unknown stats field `{field}`")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub struct SearchSpec {
 
 impl SearchSpec {
     /// An empty spec: no units, default seeds
-    /// ([`SearchSpec::default_seeds`]) and the pipeline's machine.
+    /// ([`SearchSpec::default_seeds`]) and the MPC755 machine.
     #[must_use]
     pub fn new() -> SearchSpec {
         SearchSpec::default()
@@ -268,8 +268,8 @@ impl SearchSpec {
         self
     }
 
-    /// The single target machine of the search (defaults to the
-    /// pipeline's own machine, labeled `default`).
+    /// The single target machine of the search (defaults to
+    /// [`MachineConfig::mpc755`], labeled `default`).
     #[must_use]
     pub fn machine(mut self, label: &str, machine: &MachineConfig) -> Self {
         self.machine = Some((label.to_owned(), machine.clone()));
@@ -348,12 +348,6 @@ impl NodeSearch {
     #[must_use]
     pub fn probes(&self) -> u64 {
         self.probed.len() as u64
-    }
-
-    /// Fraction of probes served from the artifact cache, in `[0, 1]`.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        self.stats.hit_rate()
     }
 
     /// The probed WCET bound at a pass selection's lattice point
@@ -607,7 +601,7 @@ impl Pipeline {
         let machine = spec
             .machine
             .clone()
-            .unwrap_or_else(|| ("default".to_owned(), self.machine().clone()));
+            .unwrap_or_else(|| ("default".to_owned(), MachineConfig::mpc755()));
 
         // one epoch for the whole search: every generation's spans land on
         // a single timeline

@@ -46,7 +46,7 @@ use crate::proto::{
 };
 use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAP};
 use crate::service::{Pipeline, PipelineOptions};
-use crate::stats::saturating_nanos;
+use crate::stats::{saturating_nanos, PipelineStats};
 use crate::store::{ArtifactStore, ParsedUnit, StoreConfig};
 use crate::sweep::{SweepSpec, SweepUnit};
 
@@ -61,17 +61,13 @@ pub struct ServerOptions {
     pub cache_dir: Option<PathBuf>,
     /// Store resident-byte bound (`None` = unbounded, no eviction).
     pub max_bytes: Option<u64>,
-    /// Hit-rate SLO in thousandths (`900` = 0.900); `0` disables the line.
-    pub slo_per_mille: u64,
-    /// p99 per-request wall-latency SLO in nanoseconds; `0` disables it.
-    pub slo_p99_ns: u64,
     /// Persist the metrics registry JSON here at clean shutdown.
     pub metrics_json: Option<PathBuf>,
 }
 
 impl ServerOptions {
     /// Defaults: machine parallelism, memory-only store, unbounded
-    /// artifacts, 0.900 SLO (no p99 SLO). The parse cache is always
+    /// artifacts, no metrics file. The parse cache is always
     /// [`StoreConfig::DEFAULT_PARSE_BYTES`] and the flight-recorder ring
     /// [`DEFAULT_RECORDER_CAP`] events.
     #[must_use]
@@ -81,8 +77,6 @@ impl ServerOptions {
             jobs: 0,
             cache_dir: None,
             max_bytes: None,
-            slo_per_mille: 900,
-            slo_p99_ns: 0,
             metrics_json: None,
         }
     }
@@ -99,8 +93,8 @@ struct Shared {
     shutdown: AtomicBool,
     /// Lifetime metrics registry, served by the `metrics` request and the
     /// only place server telemetry is collected: [`ServerStats`] is a
-    /// view over its counters and histogram sums plus the store's own
-    /// counts.
+    /// view over its counters and histogram sums plus the store's
+    /// resident counts.
     registry: Registry,
     /// The flight recorder, which also times its own calls.
     recorder: FlightRecorder,
@@ -108,8 +102,6 @@ struct Shared {
     next_request: AtomicU64,
     store: Arc<ArtifactStore>,
     socket: PathBuf,
-    slo_per_mille: u64,
-    slo_p99_ns: u64,
 }
 
 impl Shared {
@@ -118,27 +110,27 @@ impl Shared {
         let sum = |name: &str| reg.histogram(name).map_or(0, |h| h.sum());
         ServerStats {
             requests: reg.counter("requests"),
-            jobs_run: reg.counter("jobs_run"),
-            jobs_cached: reg.counter("jobs_cached"),
-            evictions: self.store.evictions(),
+            sweeps: PipelineStats {
+                jobs_run: reg.counter("jobs_run"),
+                jobs_cached: reg.counter("jobs_cached"),
+                compile_ns: sum("batch_compile_ns"),
+                analyze_ns: sum("batch_analyze_ns"),
+                store_ns: sum("batch_store_ns"),
+                wall_ns: sum("batch_wall_ns"),
+            },
+            evictions: reg.counter("evictions"),
             resident: self.store.resident() as u64,
             store_bytes: self.store.len_bytes(),
-            compile_ns: sum("batch_compile_ns"),
-            analyze_ns: sum("batch_analyze_ns"),
-            store_ns: sum("batch_store_ns"),
-            wall_ns: sum("batch_wall_ns"),
-            slo_per_mille: self.slo_per_mille,
             bytes_rx: sum("frame_rx_bytes"),
             bytes_tx: sum("frame_tx_bytes"),
             units_uploaded: reg.counter("units_uploaded"),
             parse_hits: reg.counter("parse_hits"),
             parse_misses: reg.counter("parse_misses"),
-            parse_evictions: self.store.parse_evictions(),
+            parse_evictions: reg.counter("parse_evictions"),
             parse_resident: self.store.parse_resident() as u64,
             parse_bytes: self.store.parse_len_bytes(),
             request_p50_ns: reg.quantile("request_wall_ns", 0.50).unwrap_or(0),
             request_p99_ns: reg.quantile("request_wall_ns", 0.99).unwrap_or(0),
-            slo_p99_ns: self.slo_p99_ns,
         }
     }
 
@@ -211,39 +203,31 @@ impl Shared {
             }
         };
         reg.observe("batch_wall_ns", saturating_nanos(started.elapsed()));
-        self.store.enforce_bounds();
-        self.bump_eviction_counters();
-        response
-    }
-
-    /// Mirrors the store's lifetime eviction counters into the registry
-    /// (as deltas, so registry == store after every sweep) and records
-    /// eviction events when a bound actually fired.
-    fn bump_eviction_counters(&self) {
-        let reg = &self.registry;
-        let store = &self.store;
-        let ev = store.evictions();
-        let prev = reg.counter("evictions");
-        if ev > prev {
-            reg.incr("evictions", ev - prev);
+        // only a bound that fired is counted and recorded, so a registry
+        // that never evicted holds no eviction counters at all
+        let (evicted, parse_evicted) = self.store.enforce_bounds();
+        if evicted > 0 {
+            reg.incr("evictions", evicted);
             self.recorder.record(
                 0,
                 0,
                 "store-evict",
-                format_args!("evicted={} resident={}", ev - prev, store.resident()),
+                format_args!("evicted={evicted} resident={}", self.store.resident()),
             );
         }
-        let pev = store.parse_evictions();
-        let prev = reg.counter("parse_evictions");
-        if pev > prev {
-            reg.incr("parse_evictions", pev - prev);
+        if parse_evicted > 0 {
+            reg.incr("parse_evictions", parse_evicted);
             self.recorder.record(
                 0,
                 0,
                 "parse-evict",
-                format_args!("evicted={} resident={}", pev - prev, store.parse_resident()),
+                format_args!(
+                    "evicted={parse_evicted} resident={}",
+                    self.store.parse_resident()
+                ),
             );
         }
+        response
     }
 }
 
@@ -305,8 +289,6 @@ impl Server {
                 next_request: AtomicU64::new(0),
                 store,
                 socket: options.socket.clone(),
-                slo_per_mille: options.slo_per_mille,
-                slo_p99_ns: options.slo_p99_ns,
             }),
             metrics_json: options.metrics_json.clone(),
         })
@@ -573,8 +555,8 @@ mod tests {
         assert!(warm.cells.iter().all(|c| c.cached));
         let stats = client.server_stats().expect("stats");
         assert_eq!(stats.requests, 2);
-        assert_eq!(stats.jobs_cached, spec.cell_count() as u64);
-        assert!(stats.hit_rate() > 0.0);
+        assert_eq!(stats.sweeps.jobs_cached, spec.cell_count() as u64);
+        assert!(stats.sweeps.hit_rate() > 0.0);
 
         client.shutdown().expect("acknowledged");
         let final_stats = handle.join().expect("run returns");
@@ -829,7 +811,10 @@ mod tests {
 
         let counters = "\"counters\": {";
         assert_eq!(stats.requests, json_number(&json, counters, "requests"));
-        assert_eq!(stats.jobs_run, json_number(&json, counters, "jobs_run"));
+        assert_eq!(
+            stats.sweeps.jobs_run,
+            json_number(&json, counters, "jobs_run")
+        );
         assert_eq!(
             stats.units_uploaded,
             json_number(&json, counters, "units_uploaded")
@@ -885,12 +870,12 @@ mod tests {
         // compiles exactly once, and each response counts its own share
         let union_cells = spec_of(0..6).cell_count() as u64;
         assert_eq!(
-            stats.jobs_run, union_cells,
+            stats.sweeps.jobs_run, union_cells,
             "shared cells recompiled or skipped"
         );
         assert_eq!(
             served_a.stats.jobs_run + served_b.stats.jobs_run,
-            stats.jobs_run
+            stats.sweeps.jobs_run
         );
         // a shared cell is a store hit for whichever request ran second
         let shared: Vec<_> = served_a

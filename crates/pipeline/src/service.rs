@@ -34,25 +34,15 @@ use crate::store::{artifact_key, Artifact, ArtifactStore, Verdict};
 use crate::sweep::{SweepCell, SweepUnit};
 use crate::trace::{RunTrace, Span};
 
-/// Configuration of a [`Pipeline`].
-#[derive(Debug, Clone)]
+/// Configuration of a [`Pipeline`]. The target machine is not one of
+/// them: each sweep names its machines, and one that names none compiles
+/// for [`MachineConfig::mpc755`].
+#[derive(Debug, Clone, Default)]
 pub struct PipelineOptions {
     /// Worker threads; `0` selects the machine's available parallelism.
     pub jobs: usize,
     /// Artifact-cache directory; `None` keeps the cache in memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Target machine the units compile for (part of every cache key).
-    pub machine: MachineConfig,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            jobs: 0,
-            cache_dir: None,
-            machine: MachineConfig::mpc755(),
-        }
-    }
 }
 
 impl PipelineOptions {
@@ -118,21 +108,6 @@ impl PipelineOptionsBuilder {
     #[must_use]
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.options.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Persist the artifact cache under the conventional
-    /// [`PipelineOptions::default_cache_dir`] location.
-    #[must_use]
-    pub fn default_cache_dir(self) -> Self {
-        self.cache_dir(PipelineOptions::default_cache_dir())
-    }
-
-    /// Default target machine of the pipeline (sweeps may override it per
-    /// cell through their machine axis).
-    #[must_use]
-    pub fn machine(mut self, machine: MachineConfig) -> Self {
-        self.options.machine = machine;
         self
     }
 
@@ -205,7 +180,6 @@ impl std::error::Error for PipelineError {}
 pub struct Pipeline {
     pool: ThreadPool,
     store: Arc<ArtifactStore>,
-    machine: MachineConfig,
     /// One WCET analyzer session shared by every run: its hash-cons arena
     /// pool and per-function fact cache stay warm across runs (the
     /// daemon keeps one `Pipeline` alive per store for exactly this).
@@ -226,7 +200,6 @@ impl Pipeline {
         Ok(Pipeline {
             pool: ThreadPool::new(options.jobs),
             store: Arc::new(store),
-            machine: options.machine.clone(),
             analyzer: Arc::new(vericomp_wcet::Analyzer::default()),
         })
     }
@@ -239,7 +212,6 @@ impl Pipeline {
         Pipeline {
             pool: ThreadPool::new(options.jobs),
             store,
-            machine: options.machine.clone(),
             analyzer: Arc::new(vericomp_wcet::Analyzer::default()),
         }
     }
@@ -261,12 +233,6 @@ impl Pipeline {
     #[must_use]
     pub fn store(&self) -> &ArtifactStore {
         &self.store
-    }
-
-    /// The target machine configuration.
-    #[must_use]
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
     }
 
     /// The WCET analyzer session backing this pipeline. Its cumulative
@@ -692,7 +658,6 @@ mod tests {
         let ok = PipelineOptions::builder()
             .jobs(4)
             .cache_dir("target/t")
-            .machine(MachineConfig::tiny_caches())
             .build()
             .expect("valid options");
         assert_eq!(ok.jobs, 4);
@@ -708,13 +673,5 @@ mod tests {
             PipelineOptions::builder().cache_dir("").build(),
             Err(OptionsError::EmptyCacheDir)
         ));
-        let conventional = PipelineOptions::builder()
-            .default_cache_dir()
-            .build()
-            .expect("valid");
-        assert_eq!(
-            conventional.cache_dir,
-            Some(PipelineOptions::default_cache_dir())
-        );
     }
 }

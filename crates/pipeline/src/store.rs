@@ -262,13 +262,11 @@ struct Entry<V> {
 
 /// The store's one cache mechanism: a digest-keyed, byte-counted,
 /// epoch-stamped map with deterministic eviction. The artifact map and
-/// the parse cache are two instances, each with its own byte bound and
-/// eviction counter.
+/// the parse cache are two instances, each with its own byte bound.
 struct BoundedMap<V> {
     entries: BTreeMap<u128, Entry<V>>,
     bytes: u64,
     max_bytes: Option<u64>,
-    evictions: u64,
 }
 
 impl<V> BoundedMap<V> {
@@ -277,7 +275,6 @@ impl<V> BoundedMap<V> {
             entries: BTreeMap::new(),
             bytes: 0,
             max_bytes,
-            evictions: 0,
         }
     }
 
@@ -324,7 +321,6 @@ impl<V> BoundedMap<V> {
             self.bytes -= entry.bytes;
             evicted.push(key);
         }
-        self.evictions += evicted.len() as u64;
         evicted
     }
 }
@@ -424,12 +420,6 @@ impl ArtifactStore {
         self.artifacts().bytes
     }
 
-    /// Number of artifacts evicted over the store's lifetime.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.artifacts().evictions
-    }
-
     /// Advances the batch epoch. Call at a batch boundary (e.g. before
     /// each daemon `run_sweep`): every lookup hit and insert until the
     /// next call is stamped with the new epoch, so recency is counted
@@ -457,10 +447,10 @@ impl ArtifactStore {
     /// `(stamp, key)` order. Evicted artifacts also lose their `.vcart`
     /// file (a later request recompiles, and the determinism gates prove
     /// it recompiles to the identical digest); the parse cache is purely
-    /// in-memory and counted separately, so
-    /// [`evictions`](ArtifactStore::evictions) keeps meaning artifact
-    /// evictions only. Returns the number of artifacts evicted.
-    pub fn enforce_bounds(&self) -> u64 {
+    /// in-memory. Returns the number of artifacts and of parsed units
+    /// evicted, which the caller counts: the store keeps no lifetime
+    /// totals.
+    pub fn enforce_bounds(&self) -> (u64, u64) {
         let evicted = {
             let mut artifacts = self.artifacts();
             let victims = artifacts.evict();
@@ -471,8 +461,8 @@ impl ArtifactStore {
             }
             victims.len() as u64
         };
-        self.parsed().evict();
-        evicted
+        let parse_evicted = self.parsed().evict().len() as u64;
+        (evicted, parse_evicted)
     }
 
     /// Looks a parsed unit up by source digest, stamping it with the
@@ -504,12 +494,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn parse_len_bytes(&self) -> u64 {
         self.parsed().bytes
-    }
-
-    /// Parse-cache entries evicted over the store's lifetime.
-    #[must_use]
-    pub fn parse_evictions(&self) -> u64 {
-        self.parsed().evictions
     }
 
     fn path_of(&self, key: Digest) -> Option<PathBuf> {
@@ -1151,9 +1135,10 @@ mod tests {
             for &i in order.iter().filter(|&&i| i >= 3) {
                 store.insert(artifacts[i].clone()).expect("inserts");
             }
-            let evicted = store.enforce_bounds();
+            let (evicted, parse_evicted) = store.enforce_bounds();
             assert!(evicted > 0, "bound at half the total must evict");
-            assert_eq!(store.evictions(), evicted);
+            assert_eq!(parse_evicted, 0);
+            assert_eq!(store.resident() as u64, 6 - evicted);
             assert!(store.len_bytes() <= bound);
             store.store_digest()
         };
@@ -1178,7 +1163,7 @@ mod tests {
         store.insert(old.clone()).expect("inserts");
         store.advance_epoch();
         store.insert(fresh.clone()).expect("inserts");
-        assert_eq!(store.enforce_bounds(), 1);
+        assert_eq!(store.enforce_bounds(), (1, 0));
         let config = MachineConfig::mpc755();
         // the older batch's entry is gone — memory *and* disk
         assert!(store.lookup(old.key, &config).is_none());
@@ -1273,13 +1258,11 @@ mod tests {
         store.advance_epoch();
         assert!(store.parse_lookup(units[2].0).is_some());
         assert!(store.parse_lookup(units[3].0).is_some());
-        store.enforce_bounds();
-        assert_eq!(store.parse_evictions(), 2);
+        // two parsed units go, and no artifact
+        assert_eq!(store.enforce_bounds(), (0, 2));
         assert!(store.parse_lookup(units[0].0).is_none());
         assert!(store.parse_lookup(units[1].0).is_none());
         assert!(store.parse_lookup(units[2].0).is_some());
         assert!(store.parse_lookup(units[3].0).is_some());
-        // artifact-side counters unaffected
-        assert_eq!(store.evictions(), 0);
     }
 }

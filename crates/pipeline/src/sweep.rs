@@ -577,7 +577,7 @@ impl Pipeline {
     /// [`SweepResult::digest`]s at any job count.
     ///
     /// An empty config axis defaults to the single `verified` preset; an
-    /// empty machine axis defaults to the pipeline's own machine labeled
+    /// empty machine axis defaults to [`MachineConfig::mpc755`] labeled
     /// `default`.
     ///
     /// # Errors
@@ -600,7 +600,10 @@ impl Pipeline {
         spec: &SweepSpec,
         epoch: Instant,
     ) -> Result<SweepResult, PipelineError> {
-        let (configs, machines) = (spec.run_configs(), spec.run_machines(self.machine()));
+        let (configs, machines) = (
+            spec.run_configs(),
+            spec.run_machines(&MachineConfig::mpc755()),
+        );
         let (cells, stats, trace) = self.run_cells(&spec.units, &configs, &machines, epoch)?;
         let units: Vec<String> = spec.units.iter().map(|u| u.name.clone()).collect();
         let mut unit_index = HashMap::with_capacity(units.len());
@@ -698,7 +701,6 @@ pub struct ReanalysisAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::PipelineOptions;
     use vericomp_dataflow::fleet;
 
     fn suite_prefix(n: usize) -> Vec<Node> {
@@ -734,17 +736,13 @@ mod tests {
 
         // the equivalent hand-rolled loops the drivers used to contain
         for (machine_label, machine) in spec.machines() {
-            let pipeline = Pipeline::new(
-                &PipelineOptions::builder()
-                    .machine(machine.clone())
-                    .build()
-                    .expect("options"),
-            )
-            .expect("pipeline");
+            let pipeline = Pipeline::in_memory();
             for (config_label, passes) in spec.configs() {
-                let fleet = pipeline
-                    .run_sweep(&SweepSpec::new().nodes(&nodes).config(config_label, passes))
-                    .expect("fleet compiles");
+                let nested = SweepSpec::new()
+                    .nodes(&nodes)
+                    .config(config_label, passes)
+                    .machine(machine_label, machine);
+                let fleet = pipeline.run_sweep(&nested).expect("fleet compiles");
                 for (node, single) in nodes.iter().zip(fleet.cells()) {
                     let cell = &sweep[(node.name(), config_label.as_str(), machine_label.as_str())];
                     assert_eq!(

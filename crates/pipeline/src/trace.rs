@@ -328,15 +328,6 @@ impl Profile {
         &self.rows
     }
 
-    /// The count of one (kind, name) row, 0 when absent.
-    #[must_use]
-    pub fn count_of(&self, kind: SpanKind, name: &str) -> u64 {
-        self.rows
-            .iter()
-            .find(|r| r.kind == kind && r.name == name)
-            .map_or(0, |r| r.count)
-    }
-
     /// Digest of the **counters only** — (kind, name, count) per row in
     /// canonical order, durations excluded. Identical work yields an
     /// identical digest at any `--jobs` value and cache temperature *of
@@ -359,25 +350,12 @@ impl Profile {
         Digest(h.finish())
     }
 
-    /// The store hit rate derivable from the counters: every job performs
-    /// one `cache-lookup` stage, and only misses go on to a `compile`
-    /// stage, so `(lookups - compiles) / lookups` is the fraction served
-    /// from the artifact store. `None` when the trace has no lookups (an
-    /// empty run, or a trace of search events only).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let lookups = self.count_of(SpanKind::Stage, "cache-lookup");
-        if lookups == 0 {
-            return None;
-        }
-        let compiles = self.count_of(SpanKind::Stage, "compile");
-        Some((lookups.saturating_sub(compiles)) as f64 / lookups as f64)
-    }
-
     /// The aligned text table, one `profile:`-prefixed line per row, then
-    /// the derived hit-rate line, then the counter-digest footer (always
-    /// last — the CI smoke greps for it as the final `profile:` line) —
-    /// greppable the same way the `pipeline:`/`search:` lines are.
+    /// the counter-digest footer (always last — the CI smoke greps for it
+    /// as the final `profile:` line) — greppable the same way the
+    /// `pipeline:`/`search:` lines are. The run's hit rate is on its
+    /// `pipeline:` line, from
+    /// [`PipelineStats::from_spans`](crate::stats::PipelineStats::from_spans).
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -391,9 +369,6 @@ impl Profile {
                 row.count,
                 ms,
             );
-        }
-        if let Some(rate) = self.cache_hit_rate() {
-            let _ = writeln!(out, "profile: cache hit rate: {:.1}%", rate * 100.0);
         }
         let _ = writeln!(out, "profile: counter digest: {}", self.counter_digest());
         out
@@ -420,9 +395,7 @@ impl Profile {
         }
         let _ = write!(
             out,
-            "], \"cache_hit_rate\": {}, \"counter_digest\": \"{}\"}}",
-            self.cache_hit_rate()
-                .map_or("null".to_owned(), |r| format!("{r:.6}")),
+            "], \"counter_digest\": \"{}\"}}",
             self.counter_digest()
         );
         out
@@ -547,9 +520,17 @@ mod tests {
             .expect("validate row");
         assert_eq!(validate.count, 1);
         assert_eq!(validate.total_ns, 300);
-        assert_eq!(profile.count_of(SpanKind::Pass, "constprop"), 1);
-        assert_eq!(profile.count_of(SpanKind::Pass, "cse"), 0);
-        assert_eq!(profile.count_of(SpanKind::Event, "search:admitted"), 1);
+        let count = |kind, name| {
+            profile
+                .rows()
+                .iter()
+                .find(|r| r.kind == kind && r.name == name)
+                .map(|r| r.count)
+        };
+        assert_eq!(count(SpanKind::Pass, "constprop"), Some(1));
+        assert_eq!(count(SpanKind::Pass, "cse"), Some(0));
+        assert_eq!(count(SpanKind::Event, "search:admitted"), Some(1));
+        assert_eq!(count(SpanKind::Event, "search:pruned-flag"), None);
     }
 
     #[test]
@@ -605,7 +586,6 @@ mod tests {
         }
         assert!(text.contains("profile: pass  lower"));
         assert!(text.contains("profile: event search:admitted"));
-        assert!(text.contains("profile: cache hit rate: 0.0%"), "{text}");
         assert!(
             text.lines()
                 .last()
@@ -616,35 +596,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_rate_is_lookups_minus_compiles_over_lookups() {
-        // the sample trace is one cold job: 1 lookup, 1 compile -> 0%
-        let cold = sample_trace().profile();
-        assert_eq!(cold.cache_hit_rate(), Some(0.0));
-
-        // two more lookups that never reach compile are hits: 2/3
-        let mut warm = sample_trace();
-        warm.push(Span::stage("cache-lookup", 1, 0, 10, "unit=b"));
-        warm.push(Span::stage("cache-lookup", 2, 0, 10, "unit=c"));
-        let rate = warm.profile().cache_hit_rate().expect("rate");
-        assert!((rate - 2.0 / 3.0).abs() < 1e-12, "{rate}");
-        assert!(warm
-            .profile()
-            .render()
-            .contains("profile: cache hit rate: 66.7%"));
-
-        // no lookups at all -> no rate, no line
-        let empty = RunTrace::new().profile();
-        assert_eq!(empty.cache_hit_rate(), None);
-        assert!(!empty.render().contains("cache hit rate"));
-        assert!(empty.to_json().contains("\"cache_hit_rate\": null"));
-    }
-
-    #[test]
     fn profile_json_is_single_line_and_escaped() {
         let json = sample_trace().profile().to_json();
         assert!(!json.contains('\n'));
-        assert!(json.contains("\"counter_digest\": \""));
-        assert!(json.contains("\"cache_hit_rate\": 0.000000"));
+        assert!(json.contains("], \"counter_digest\": \""));
         assert!(json.contains("{\"kind\": \"stage\", \"name\": \"compile\""));
         assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }

@@ -46,7 +46,7 @@
 //! };
 //! let binary = Compiler::new(OptLevel::Verified).compile(&prog, "step")?;
 //! let analyzer = Analyzer::default();
-//! let request = AnalysisRequest::builder().program(&binary).function("step").build();
+//! let request = AnalysisRequest::new(&binary, "step");
 //! let analysis = analyzer.analyze(&request)?;
 //! assert!(analysis.report.wcet > 0);
 //! assert_eq!(analysis.functions_analyzed, 1);
@@ -201,17 +201,6 @@ impl<'a> AnalysisRequest<'a> {
         AnalysisRequest { program, function }
     }
 
-    /// Starts building a request: select the program with
-    /// [`program`](AnalysisRequestBuilder::program) and the function with
-    /// [`function`](AnalysisRequestBuilder::function).
-    #[must_use]
-    pub fn builder() -> AnalysisRequestBuilder<'a> {
-        AnalysisRequestBuilder {
-            program: None,
-            function: None,
-        }
-    }
-
     /// The program under analysis.
     #[must_use]
     pub fn program(&self) -> &'a Program {
@@ -222,47 +211,6 @@ impl<'a> AnalysisRequest<'a> {
     #[must_use]
     pub fn function(&self) -> &'a str {
         self.function
-    }
-}
-
-/// Builder for [`AnalysisRequest`].
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisRequestBuilder<'a> {
-    program: Option<&'a Program>,
-    function: Option<&'a str>,
-}
-
-impl<'a> AnalysisRequestBuilder<'a> {
-    /// The program under analysis.
-    #[must_use]
-    pub fn program(mut self, program: &'a Program) -> Self {
-        self.program = Some(program);
-        self
-    }
-
-    /// The function to bound.
-    #[must_use]
-    pub fn function(mut self, function: &'a str) -> Self {
-        self.function = Some(function);
-        self
-    }
-
-    /// Finishes the request.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the program or function was not selected — that is a
-    /// driver bug, not input-dependent.
-    #[must_use]
-    pub fn build(self) -> AnalysisRequest<'a> {
-        AnalysisRequest {
-            program: self
-                .program
-                .expect("AnalysisRequest::builder(): select a program with .program()"),
-            function: self
-                .function
-                .expect("AnalysisRequest::builder(): select a function with .function()"),
-        }
     }
 }
 

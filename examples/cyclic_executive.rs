@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         search.probes(),
         search.generations,
         search.pruned.len(),
-        search.hit_rate() * 100.0,
+        search.stats.hit_rate() * 100.0,
     );
     for d in &search.pruned {
         println!(

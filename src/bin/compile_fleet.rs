@@ -176,11 +176,14 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--min-hit-rate" => {
-                args.min_hit_rate = Some(
-                    value("--min-hit-rate")?
-                        .parse()
-                        .map_err(|_| "--min-hit-rate needs a number in 0..1".to_string())?,
-                );
+                // NaN compares false with every rate, so it would switch
+                // the gate off rather than fail: only 0..=1 is a threshold
+                let min = value("--min-hit-rate")?
+                    .parse()
+                    .ok()
+                    .filter(|min| (0.0..=1.0).contains(min))
+                    .ok_or_else(|| "--min-hit-rate needs a number in 0..1".to_string())?;
+                args.min_hit_rate = Some(min);
             }
             "--search" => args.search = true,
             "--trace" => args.trace = Some(value("--trace")?),

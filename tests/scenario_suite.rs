@@ -11,6 +11,7 @@ use vericomp::arch::MachineConfig;
 use vericomp::core::OptLevel;
 use vericomp::minic::interp::{Interp, Value};
 use vericomp::pipeline::{Pipeline, PipelineOptions};
+use vericomp::testkit::oracle::DeclaredInputs;
 use vericomp::testkit::prop::{self, Config};
 use vericomp::testkit::scenario::{self, Scenario, ScenarioConfig};
 
@@ -27,10 +28,13 @@ fn joint_property(pipeline: &Pipeline, cfg: &ScenarioConfig) -> Result<(), Strin
         let p = unit.node.to_minic();
         vericomp::minic::typeck::check(&p).map_err(|e| format!("{}: typeck: {e}", unit.name))?;
         let mut it = Interp::new(&p);
-        for g in &p.globals {
-            if g.name.contains("_in") {
-                let _ = it.set_global(&g.name, Value::F(1.5));
-            }
+        let inputs = DeclaredInputs::of([&unit.node]);
+        for &port in &inputs.ports {
+            it.set_io(port, 1.5);
+        }
+        for name in &inputs.globals {
+            it.set_global(name, Value::F(1.5))
+                .map_err(|e| format!("{}: input `{name}`: {e}", unit.name))?;
         }
         it.call("step", &[])
             .map_err(|e| format!("{}: interp: {e}", unit.name))?;
