@@ -95,6 +95,51 @@ impl fmt::Display for ArgLoc {
     }
 }
 
+impl ArgLoc {
+    /// The location as one lossless, whitespace-free token — the text form
+    /// of the annotation file and of stored annotation tables: `r3`, `f1`,
+    /// `sp-8i`, `@0x1000f`. A memory location ends in its element type
+    /// (`i` or `f`). [`ArgLoc::from_token`] inverts it.
+    #[must_use]
+    pub fn token(&self) -> String {
+        let ty = |e: &ElemTy| match e {
+            ElemTy::I32 => 'i',
+            ElemTy::F64 => 'f',
+        };
+        match self {
+            ArgLoc::Gpr(r) => r.to_string(),
+            ArgLoc::Fpr(r) => r.to_string(),
+            ArgLoc::Stack(off, e) => format!("sp{off:+}{}", ty(e)),
+            ArgLoc::Global(addr, e) => format!("@{addr:#x}{}", ty(e)),
+        }
+    }
+
+    /// Parses a [`token`](ArgLoc::token). Any other text, whatever its
+    /// bytes, is `None`: tokens may come from files on disk.
+    #[must_use]
+    pub fn from_token(s: &str) -> Option<ArgLoc> {
+        fn typed(s: &str) -> Option<(&str, ElemTy)> {
+            s.strip_suffix('i')
+                .map(|n| (n, ElemTy::I32))
+                .or_else(|| s.strip_suffix('f').map(|n| (n, ElemTy::F64)))
+        }
+        if let Some(rest) = s.strip_prefix("sp") {
+            let (off, elem) = typed(rest)?;
+            return Some(ArgLoc::Stack(off.parse().ok()?, elem));
+        }
+        if let Some(rest) = s.strip_prefix('@') {
+            let (addr, elem) = typed(rest)?;
+            let addr = u32::from_str_radix(addr.strip_prefix("0x")?, 16).ok()?;
+            return Some(ArgLoc::Global(addr, elem));
+        }
+        if let Some(idx) = s.strip_prefix('r') {
+            return Some(ArgLoc::Gpr(Gpr::try_new(idx.parse().ok()?)?));
+        }
+        let idx = s.strip_prefix('f')?;
+        Some(ArgLoc::Fpr(Fpr::try_new(idx.parse().ok()?)?))
+    }
+}
+
 /// One entry of the annotation table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnnotationEntry {

@@ -29,7 +29,9 @@
 //! records its counters (requests, cells run and cached, uploads,
 //! parse-cache hits and misses), its histograms (per-request latency,
 //! per-sweep cell counts and stage nanos, frame bytes) with
-//! p50/p90/p99, and its counter digest next to the timings.
+//! p50/p90/p99, and its counter digest next to the timings. Every timed
+//! loop runs a fixed iteration count, so the daemon serves the same
+//! requests in every run and that digest is pinned below.
 //!
 //! The solo soak also carries the E10 scale checks: its sweep and sched
 //! digests equal the pins below, its derived frame budgets are feasible,
@@ -57,11 +59,17 @@ use vericomp_pipeline::{
 use vericomp_testkit::bench::Bench;
 use vericomp_testkit::scenario::{Scenario, ScenarioConfig};
 
-/// The E10 soak's sweep and sched digests as the dense per-block
-/// analyzer (no sharing, no fact cache) first produced them; every
-/// analyzer since reproduces both bit for bit.
-const E10_SWEEP_DIGEST: &str = "d1154ee1b405f0868553bbaa2dd0946f";
+/// The E10 soak's sweep and sched digests over the outputs the dense
+/// per-block analyzer (no sharing, no fact cache) first produced; every
+/// analyzer since reproduces them bit for bit. The sweep digest hashes
+/// each cell's labels beside its artifact's output digest, which hashes
+/// no label.
+const E10_SWEEP_DIGEST: &str = "5d5c4c3893a6ff69bd715170673e19ce";
 const E10_SCHED_DIGEST: &str = "6915d79ae126aaf8a63818514ede155e";
+/// The daemon registry's counter digest once the soak's fresh client is
+/// done: requests, cells run and cached, uploads and parse-cache traffic
+/// of this bench's fixed request sequence.
+const DAEMON_COUNTER_DIGEST: &str = "c84bb7dfe2d99e226791691a9d73ee06";
 
 fn soak_config() -> ScenarioConfig {
     ScenarioConfig::builder()
@@ -74,14 +82,19 @@ fn soak_config() -> ScenarioConfig {
         .expect("valid config")
 }
 
-/// The unsigned integer that follows `tag` in one of the daemon's JSON
-/// answers.
-fn json_u64(json: &str, tag: &str) -> u64 {
+/// The text that follows `tag` in one of the daemon's JSON answers.
+fn json_after<'a>(json: &'a str, tag: &str) -> &'a str {
     let at = json
         .find(tag)
         .unwrap_or_else(|| panic!("the daemon's JSON has no `{tag}`"))
         + tag.len();
-    let digits: String = json[at..]
+    &json[at..]
+}
+
+/// The unsigned integer that follows `tag` in one of the daemon's JSON
+/// answers.
+fn json_u64(json: &str, tag: &str) -> u64 {
+    let digits: String = json_after(json, tag)
         .chars()
         .take_while(char::is_ascii_digit)
         .collect();
@@ -123,7 +136,7 @@ fn main() {
     assert_eq!(cold.digest, solo.digest(), "cold served digest != solo");
 
     let mut g = Bench::group("daemon");
-    g.bench("fleet26/warm_client", || {
+    g.bench("fleet26/warm_client", 256, || {
         let r = client.run_sweep(&spec).expect("warm request");
         assert_eq!(r.digest, solo.digest(), "warm served digest != solo");
         r.stats.jobs_cached
@@ -154,7 +167,7 @@ fn main() {
     let mut pool: Vec<Client> = (0..4)
         .map(|_| Client::connect(&socket).expect("connects"))
         .collect();
-    g.bench("batch4/concurrent_clients", || {
+    g.bench("batch4/concurrent_clients", 32, || {
         let specs = batch_specs(revision);
         revision += 1;
         std::thread::scope(|s| {
@@ -169,7 +182,7 @@ fn main() {
                 .sum::<usize>()
         })
     });
-    g.bench("batch4/serial_client", || {
+    g.bench("batch4/serial_client", 32, || {
         let specs = batch_specs(revision);
         revision += 1;
         specs
@@ -290,7 +303,15 @@ fn main() {
         ),
     );
     g.note("stats", &warm_soak.stats.to_json());
-    g.note("metrics", &client.server_metrics().expect("metrics"));
+    let metrics = client.server_metrics().expect("metrics");
+    let digest = json_after(&metrics, "\"counter_digest\": \"");
+    assert_eq!(
+        &digest[..digest.find('"').expect("a closed string")],
+        DAEMON_COUNTER_DIGEST,
+        "daemon registry counter digest moved"
+    );
+    println!("daemon: pinned registry counter digest {DAEMON_COUNTER_DIGEST}");
+    g.note("metrics", &metrics);
 
     // the recorder's cost, measured in the one daemon: its own time in
     // recorder calls, detail formatting included, as a share of three

@@ -74,7 +74,7 @@ fn fleet26(g: &mut Bench) {
     let spec = SweepSpec::new().nodes(&nodes).level(OptLevel::Verified);
 
     let compiler = Compiler::new(OptLevel::Verified);
-    g.bench("fleet26/cold_serial", || {
+    g.bench("fleet26/cold_serial", 8, || {
         for node in &nodes {
             let bin = compiler
                 .compile(&node.to_minic(), "step")
@@ -85,7 +85,7 @@ fn fleet26(g: &mut Bench) {
         }
     });
 
-    g.bench("fleet26/cold_parallel", || {
+    g.bench("fleet26/cold_parallel", 16, || {
         let pipeline = Pipeline::in_memory();
         pipeline
             .run_sweep(&spec)
@@ -96,7 +96,7 @@ fn fleet26(g: &mut Bench) {
 
     let warm = Pipeline::in_memory();
     warm.run_sweep(&spec).expect("prewarm");
-    g.bench("fleet26/warm_cached", || {
+    g.bench("fleet26/warm_cached", 512, || {
         let r = warm.run_sweep(&spec).expect("warm sweep");
         assert_eq!(r.stats.jobs_cached, nodes.len() as u64);
         r.stats.jobs_cached
@@ -106,7 +106,7 @@ fn fleet26(g: &mut Bench) {
     // run is always 25 hits + 1 genuine recompile
     let mut revision = 0u32;
     let mut edited = nodes.clone();
-    g.bench("fleet26/warm_one_dirty", || {
+    g.bench("fleet26/warm_one_dirty", 64, || {
         edited[0] = dirty_node(revision);
         revision += 1;
         let dirty = SweepSpec::new().nodes(&edited).level(OptLevel::Verified);
@@ -137,7 +137,7 @@ fn matrix64(g: &mut Bench) {
         .machine("slow-mem", &slow_mem());
     let cells = spec.cell_count();
 
-    g.bench("matrix64/cold", || {
+    g.bench("matrix64/cold", 8, || {
         let r = Pipeline::in_memory().run_sweep(&spec).expect("cold sweep");
         assert_eq!(r.cell_count(), cells);
         r.stats.jobs_run
@@ -145,7 +145,7 @@ fn matrix64(g: &mut Bench) {
 
     let warm = Pipeline::in_memory();
     warm.run_sweep(&spec).expect("prewarm");
-    g.bench("matrix64/warm", || {
+    g.bench("matrix64/warm", 256, || {
         let r = warm.run_sweep(&spec).expect("warm sweep");
         assert_eq!(r.stats.jobs_cached, cells as u64);
         r.stats.jobs_cached
@@ -175,7 +175,7 @@ fn suite10(g: &mut Bench) {
     let nodes: Vec<_> = fleet::named_suite().into_iter().take(10).collect();
     let spec = search_spec(&nodes);
 
-    g.bench("suite10/cold_search", || {
+    g.bench("suite10/cold_search", 1, || {
         let r = Pipeline::in_memory()
             .search_wcet(&spec)
             .expect("cold search");
@@ -185,7 +185,7 @@ fn suite10(g: &mut Bench) {
     let warm = Pipeline::in_memory();
     warm.search_wcet(&spec).expect("prewarm");
     let mut step = 0u32;
-    g.bench("suite10/warm_1dirty", || {
+    g.bench("suite10/warm_1dirty", 4, || {
         step += 1;
         let mut dirty = nodes[..9].to_vec();
         dirty.push(dirty_filter(step));
@@ -210,7 +210,7 @@ fn main() {
     let e6 = pipeline::run(0);
     println!("{}", pipeline::render(&e6));
 
-    // ...then the calibrated benchmark rows
+    // ...then the timed benchmark rows, each a fixed amount of work
     let mut g = Bench::group("pipeline");
     fleet26(&mut g);
     matrix64(&mut g);

@@ -1,9 +1,9 @@
 //! Stable content hashing for cache keys and artifact digests.
 //!
 //! The cache is *content-addressed*: an artifact's identity is a digest of
-//! everything that determines the compilation result (generated source
-//! text, entry point, pass selection, machine configuration, toolchain
-//! generation stamps). The digest must therefore be stable across
+//! everything that determines the compilation result (the generated
+//! source text's own digest, entry point, pass selection, machine
+//! configuration, toolchain generation stamps). The digest must therefore be stable across
 //! processes, platforms and toolchain versions — `std::hash` promises none
 //! of that, so every digest is a 128-bit FNV-1a: the WCET analyzer's
 //! [`Fingerprint`](vericomp_wcet::share::Fingerprint), re-exported here as

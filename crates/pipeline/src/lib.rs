@@ -11,7 +11,8 @@
 //! * [`hash`] — stable 128-bit content digests ([`Digest`]);
 //! * [`store`] — the content-addressed [`ArtifactStore`]: compiled
 //!   binaries, translation-validator verdicts and WCET reports keyed by
-//!   [`artifact_key`], with optional on-disk persistence;
+//!   [`store::unit_key`] (a unit's [`source_digest`], entry, passes and
+//!   machine), with optional on-disk persistence;
 //! * [`stats`] — [`PipelineStats`] run metrics (jobs run/cached, per-stage
 //!   wall time, cache hit rate);
 //! * [`service`] — the [`Pipeline`] driver tying them together (the
@@ -97,7 +98,7 @@ pub use metrics::{bucket_index, bucket_upper, Histogram, Registry, HIST_BUCKETS}
 pub use pool::ThreadPool;
 pub use proto::{
     cells_digest, frame_text, normalize_spec, read_frame, CellSummary, ProtoError, Request,
-    Response, ServerStats, SweepResponse, WireSweep, WireUnit, MAX_BLOB_BYTES, PROTO_VERSION,
+    Response, ServerStats, SweepResponse, WireSweep, WireUnit, MAX_FRAME_BYTES, PROTO_VERSION,
 };
 pub use recorder::{FlightRecorder, RecorderEvent, DEFAULT_RECORDER_CAP};
 pub use search::{

@@ -15,7 +15,8 @@
 //! raw bytes and a newline; [`read_frame`] consumes blobs by length, so
 //! blob contents may contain anything — including a line reading `end` —
 //! without confusing the framing. A closed connection mid-message is a
-//! protocol error, never a partial result.
+//! protocol error, never a partial result, and so is a frame longer than
+//! [`MAX_FRAME_BYTES`], lines and blobs together.
 //!
 //! **One upload path.** Unit sources are identified by the digest of
 //! their canonical (pretty-printed) text ([`source_digest`]). A client
@@ -92,9 +93,10 @@ pub const PROTO_VERSION: u32 = 3;
 const REQUEST_WORD: &str = "vericomp-request";
 const RESPONSE_WORD: &str = "vericomp-response";
 
-/// Upper bound on a single `blob` payload. A peer declaring more is
-/// rejected at the framing layer before any allocation of that size.
-pub const MAX_BLOB_BYTES: u64 = 1 << 30;
+/// Upper bound on one frame's bytes, control lines and blobs together. A
+/// peer sending more — one endless line, or blobs whose total runs past
+/// it — is refused at the framing layer before the excess is buffered.
+pub const MAX_FRAME_BYTES: u64 = 1 << 30;
 
 /// A malformed or out-of-protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,13 +142,30 @@ fn check_word(kind: &str, word: &str) -> Result<(), ProtoError> {
 ///
 /// # Errors
 ///
-/// I/O errors from the stream; `InvalidData` for a blob declared larger
-/// than [`MAX_BLOB_BYTES`].
+/// I/O errors from the stream; `InvalidData` for a frame longer than
+/// [`MAX_FRAME_BYTES`].
 pub fn read_frame<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
+    read_frame_within(reader, MAX_FRAME_BYTES)
+}
+
+/// [`read_frame`] with the frame cap as an argument, so tests can
+/// exercise it without gigabytes.
+fn read_frame_within<R: BufRead>(reader: &mut R, cap: u64) -> io::Result<Option<Vec<u8>>> {
+    let over_cap = || {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame exceeds the {cap} byte cap"),
+        ))
+    };
     let mut frame: Vec<u8> = Vec::new();
     loop {
         let start = frame.len();
-        let n = reader.read_until(b'\n', &mut frame)?;
+        // a line may take what is left of the frame's budget, no more
+        let budget = cap - start as u64;
+        let n = reader.take(budget).read_until(b'\n', &mut frame)?;
+        if n as u64 == budget && !frame[start..].ends_with(b"\n") {
+            return over_cap();
+        }
         if n == 0 {
             return if frame.is_empty() {
                 Ok(None)
@@ -171,11 +190,8 @@ pub fn read_frame<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
             else {
                 continue;
             };
-            if nbytes > MAX_BLOB_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("blob of {nbytes} bytes exceeds the {MAX_BLOB_BYTES} byte cap"),
-                ));
+            if nbytes > cap - frame.len() as u64 {
+                return over_cap();
             }
             let before = frame.len();
             reader.take(nbytes).read_to_end(&mut frame)?;
@@ -251,20 +267,16 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Parses a `blob <nbytes>` control line.
+/// Parses a `blob <nbytes>` control line. The length needs no cap here:
+/// [`Cursor::blob`] refuses a blob that runs past its frame.
 fn blob_line(line: Option<&str>) -> Result<usize, ProtoError> {
     let line = line.ok_or_else(|| ProtoError("frame truncated before blob".into()))?;
     let count = line
         .strip_prefix("blob ")
         .ok_or_else(|| ProtoError(format!("expected a blob line, got `{line}`")))?;
-    let nbytes: u64 = count
+    count
         .parse()
-        .map_err(|_| ProtoError(format!("bad blob length `{count}`")))?;
-    if nbytes > MAX_BLOB_BYTES {
-        return err(format!("blob of {nbytes} bytes exceeds the cap"));
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    Ok(nbytes as usize)
+        .map_err(|_| ProtoError(format!("bad blob length `{count}`")))
 }
 
 /// Checks a `vericomp-request N` / `vericomp-response N` header line,
@@ -1606,9 +1618,41 @@ mod tests {
         let mut r = BufReader::new(doc.as_bytes());
         assert!(read_frame(&mut r).is_err());
         // oversized blob declaration rejected before allocation
-        let doc = request_doc(&format!("sweep\nblob {}\n", MAX_BLOB_BYTES + 1));
+        let doc = request_doc(&format!("sweep\nblob {}\n", MAX_FRAME_BYTES + 1));
         let mut r = BufReader::new(doc.as_bytes());
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn frames_past_the_cap_are_refused_and_one_at_the_cap_is_read() {
+        use std::io::BufReader;
+        let over_cap = |bytes: &[u8], cap: u64| {
+            let e = read_frame_within(&mut BufReader::new(bytes), cap).expect_err("over the cap");
+            e.kind() == io::ErrorKind::InvalidData
+        };
+        let doc = request_doc("sweep\nblob 5\nhello\nend\n");
+        let cap = doc.len() as u64;
+        // exactly at the cap: read whole
+        let mut r = BufReader::new(doc.as_bytes());
+        let frame = read_frame_within(&mut r, cap)
+            .expect("reads")
+            .expect("a frame");
+        assert_eq!(frame, doc.as_bytes());
+        // one byte less refuses it, wherever the excess falls
+        assert!(over_cap(doc.as_bytes(), cap - 1));
+        // so is a frame whose lines fill the cap without ending it
+        let full = request_doc("sweep\nstats\n");
+        assert!(over_cap(
+            format!("{full}end\n").as_bytes(),
+            full.len() as u64
+        ));
+        // a newline-free line is refused at the cap, never buffered whole
+        let endless = vec![b'x'; 4096];
+        assert!(over_cap(&endless, 64));
+        // a blob declared past the remaining budget is refused before it
+        // is read, however small each line is
+        let doc = request_doc("sweep\nblob 40\n");
+        assert!(over_cap(doc.as_bytes(), doc.len() as u64 + 39));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! **Incrementality falls out of content addressing**: there is no
 //! explicit dirty-bit protocol. A changed node changes its generated
-//! source, which changes its [`artifact_key`], which misses; every
+//! source, which changes its [`unit_key`], which misses; every
 //! untouched node hits and replays its stored verdict and WCET report.
 //! The dirty *cone* is exactly the set of units whose key changed —
 //! shared-global rewiring shows up in the consumer node's generated
@@ -30,7 +30,7 @@ use vericomp_wcet::AnalysisError;
 
 use crate::pool::ThreadPool;
 use crate::stats::{saturating_nanos, PipelineStats};
-use crate::store::{artifact_key, Artifact, ArtifactStore, Verdict};
+use crate::store::{unit_key, Artifact, ArtifactStore, Verdict};
 use crate::sweep::{SweepCell, SweepUnit};
 use crate::trace::{RunTrace, Span};
 
@@ -235,9 +235,8 @@ impl Pipeline {
         &self.store
     }
 
-    /// The WCET analyzer session backing this pipeline. Its cumulative
-    /// [`vericomp_wcet::AnalyzerStats`] expose fact-cache reuse across
-    /// every run this pipeline executed.
+    /// The WCET analyzer session backing this pipeline; its fact cache
+    /// stays warm across every run this pipeline executes.
     #[must_use]
     pub fn analyzer(&self) -> &vericomp_wcet::Analyzer {
         &self.analyzer
@@ -264,8 +263,9 @@ impl Pipeline {
         let n = units.len() * nc * nm;
         // flat cell index → (unit, config, machine) axis positions
         let coords = |i: usize| (i / (nc * nm), i / nm % nc, i % nm);
-        // the cells of a unit share it: the AST, canonical text (the
-        // cache-key material) and entry are never copied per cell
+        // the cells of a unit share it: the AST, canonical text, source
+        // digest (the cache-key material) and entry are never copied per
+        // cell
         let shared: Vec<Arc<SweepUnit>> = units.iter().cloned().map(Arc::new).collect();
         // ...and one compile session, which runs each pass prefix their
         // configs share once; the first of them to miss the store builds
@@ -373,10 +373,11 @@ impl CellJob {
             self.submitted,
             self.submitted.elapsed(),
         ));
-        // the memoized canonical text *is* the key material: no per-cell
-        // pretty-print on either the hit or miss path
-        let key = artifact_key(
-            self.unit.canonical(),
+        // the unit's memoized source digest names it in the key: its text
+        // is printed and hashed once per unit, not per cell, and a served
+        // unit brings the digest its upload was verified against
+        let key = unit_key(
+            self.unit.source_digest(),
             &self.unit.entry,
             &self.passes,
             &self.machine,
@@ -468,6 +469,7 @@ impl vericomp_core::PassObserver for PassTimes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::SpanKind;
     use vericomp_core::{Compiler, OptLevel};
     use vericomp_dataflow::{fleet, Application, Node};
 
@@ -517,16 +519,22 @@ mod tests {
             .config("opt-full", &passes);
         let cold = pipeline.run_sweep(&spec).expect("cold run");
         assert_eq!(cold.stats.jobs_run, nodes.len() as u64);
-        let after_cold = pipeline.analyzer().stats();
-        assert!(after_cold.functions_analyzed > 0);
-        assert!(after_cold.facts_cached > 0, "facts must persist");
+        // each cell records one event per function body it ran a fixpoint on
+        assert!(cold.trace().count_of(SpanKind::Event, "analyze:fixpoint") >= nodes.len() as u64);
         // the warm run is all store hits — the analyzer never runs
         let warm = pipeline.run_sweep(&spec).expect("warm run");
         assert_eq!(warm.stats.jobs_cached, nodes.len() as u64);
         assert_eq!(cold.digest(), warm.digest());
-        assert_eq!(pipeline.analyzer().stats(), after_cold);
+        for (kind, name) in [
+            (SpanKind::Stage, "analyze"),
+            (SpanKind::Event, "analyze:fixpoint"),
+            (SpanKind::Event, "analyze:reuse"),
+        ] {
+            assert_eq!(warm.trace().count_of(kind, name), 0, "warm run: {name}");
+        }
         // re-analyzing the artifacts through the warm session must replay
-        // every function from the fact cache, bit-identically
+        // every function from the fact cache — the facts persisted —
+        // bit-identically
         for cell in cold.cells() {
             let a = &cell.outcome.artifact;
             let again = pipeline

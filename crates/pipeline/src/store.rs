@@ -4,10 +4,12 @@
 //! unit: the linked binary, the translation-validator verdict it was
 //! accepted under, and its WCET report. Artifacts are addressed by a
 //! [`Digest`] of everything that determines them — the generated source
-//! text, the entry point, the exact [`PassConfig`], the full
-//! [`MachineConfig`], and the toolchain generation stamps
-//! ([`FORMAT_VERSION`], [`vericomp_dataflow::SYMBOL_LIBRARY_VERSION`]) —
-//! so a hit is a proof-carrying replay, never a guess.
+//! text (by its [`source_digest`], the unit's one identity on the wire,
+//! in the parse cache and here), the entry point, the exact
+//! [`PassConfig`], the full [`MachineConfig`], and the toolchain
+//! generation stamps ([`FORMAT_VERSION`],
+//! [`vericomp_dataflow::SYMBOL_LIBRARY_VERSION`]) — so a hit is a
+//! proof-carrying replay, never a guess.
 //!
 //! **Correctness invariant (paper §3.5 / translation validation):** an
 //! artifact is only ever inserted *after* its translation validators
@@ -35,7 +37,6 @@ use vericomp_arch::encode::encode;
 use vericomp_arch::program::{
     AnnotationEntry, ArgLoc, DataValue, ElemTy, FuncSym, GlobalSym, Program,
 };
-use vericomp_arch::reg::{Fpr, Gpr};
 use vericomp_arch::MachineConfig;
 use vericomp_core::PassConfig;
 use vericomp_minic::ast::Program as MinicProgram;
@@ -46,7 +47,7 @@ use crate::hash::{Digest, Hasher};
 /// Version stamp of the cache key derivation *and* the on-disk artifact
 /// format. Bump it whenever either changes — stale files then simply stop
 /// hitting.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Digest of a machine configuration (every field).
 #[must_use]
@@ -58,15 +59,18 @@ pub fn machine_digest(config: &MachineConfig) -> Digest {
     Digest(h.finish())
 }
 
-/// The content-addressed cache key of one compilation unit.
+/// The content-addressed cache key of one compilation unit, named by the
+/// [`source_digest`] of its canonical text.
 ///
-/// `source` is the pretty-printed MiniC translation unit — the compiler's
-/// exact input, which makes the key insensitive to *how* the unit was
-/// produced (hand-written, node codegen, application linking) and
-/// sensitive to *any* change in what gets compiled.
+/// The canonical text is the pretty-printed MiniC translation unit — the
+/// compiler's exact input, which makes the key insensitive to *how* the
+/// unit was produced (hand-written, node codegen, application linking)
+/// and sensitive to *any* change in what gets compiled. Sweeps pass the
+/// digest each unit memoizes, so a unit's text is hashed once however
+/// many cells it has.
 #[must_use]
-pub fn artifact_key(
-    source: &str,
+pub fn unit_key(
+    source: Digest,
     entry: &str,
     passes: &PassConfig,
     config: &MachineConfig,
@@ -74,7 +78,8 @@ pub fn artifact_key(
     let mut h = Hasher::new();
     h.u32(FORMAT_VERSION)
         .u32(vericomp_dataflow::SYMBOL_LIBRARY_VERSION)
-        .str(source)
+        .u64(source.0 as u64)
+        .u64((source.0 >> 64) as u64)
         .str(entry);
     for flag in passes.flags() {
         h.bool(flag);
@@ -84,10 +89,21 @@ pub fn artifact_key(
     Digest(h.finish())
 }
 
+/// [`unit_key`] of the canonical source text `source`.
+#[must_use]
+pub fn artifact_key(
+    source: &str,
+    entry: &str,
+    passes: &PassConfig,
+    config: &MachineConfig,
+) -> Digest {
+    unit_key(source_digest(source), entry, passes, config)
+}
+
 /// The content identity of one canonical (pretty-printed) MiniC source
 /// text — how a wire sweep names its units (and the server's `need`
-/// answer the bodies it lacks), and the address of the store's parse
-/// cache.
+/// answer the bodies it lacks), the address of the store's parse cache,
+/// and the source material of every [`unit_key`].
 ///
 /// Deliberately keyed on the text alone (no entry, passes or machine):
 /// one parsed AST serves every cell the unit appears in, whatever the
@@ -104,10 +120,10 @@ pub fn source_digest(canonical: &str) -> Digest {
 ///
 /// Invariant: `ast` is exactly `parse(&canonical)` and — because
 /// parse∘pretty is identity on ASTs (`tests/parser_roundtrip.rs`) —
-/// `program_to_c(&ast) == *canonical`. That makes `canonical` valid
-/// [`artifact_key`] material for any cell built from `ast`, which is
-/// what lets the daemon skip both the parse and the pretty-print on
-/// warm requests without perturbing a single cache key.
+/// `program_to_c(&ast) == *canonical`. That makes the entry's
+/// [`source_digest`] valid [`unit_key`] material for any cell built from
+/// `ast`, which is what lets the daemon skip the parse, the pretty-print
+/// and the hash on warm requests without perturbing a single cache key.
 #[derive(Debug, Clone)]
 pub struct ParsedUnit {
     /// The canonical pretty-printed source (the digest preimage).
@@ -168,7 +184,9 @@ pub struct Artifact {
     pub key: Digest,
     /// Entry-point function name.
     pub entry: String,
-    /// Display label of the configuration (e.g. `verified`).
+    /// Display label of the configuration that first compiled the key
+    /// (e.g. `verified`). Provenance only: the key does not cover it, so
+    /// no digest reads it.
     pub label: String,
     /// The linked binary.
     pub program: Program,
@@ -191,11 +209,14 @@ impl Artifact {
 
     /// A digest of the artifact's *outputs* (encoded text, annotation
     /// table, WCET bound) — used by determinism gates to compare serial
-    /// and parallel builds bit-for-bit.
+    /// and parallel builds bit-for-bit. It hashes only what the key
+    /// determines, so a hit digests like a fresh compile whichever cell
+    /// compiled the key first; the sweep digest hashes each cell's own
+    /// labels.
     #[must_use]
     pub fn output_digest(&self) -> Digest {
         let mut h = Hasher::new();
-        h.str(&self.entry).str(&self.label);
+        h.str(&self.entry);
         for w in self.program.encode_text() {
             h.u32(w);
         }
@@ -577,34 +598,6 @@ fn parse_elem(s: &str) -> Option<ElemTy> {
     }
 }
 
-fn write_argloc(a: &ArgLoc, out: &mut impl fmt::Write) -> fmt::Result {
-    match a {
-        ArgLoc::Gpr(r) => write!(out, "g{}", r.index()),
-        ArgLoc::Fpr(r) => write!(out, "f{}", r.index()),
-        ArgLoc::Stack(off, e) => write!(out, "s{off}:{}", elem_name(*e)),
-        ArgLoc::Global(addr, e) => write!(out, "m{addr}:{}", elem_name(*e)),
-    }
-}
-
-fn parse_argloc(s: &str) -> Option<ArgLoc> {
-    let mut chars = s.chars();
-    let tag = chars.next()?;
-    let rest = chars.as_str();
-    match tag {
-        'g' => Some(ArgLoc::Gpr(Gpr::try_new(rest.parse().ok()?)?)),
-        'f' => Some(ArgLoc::Fpr(Fpr::try_new(rest.parse().ok()?)?)),
-        's' => {
-            let (off, e) = rest.split_once(':')?;
-            Some(ArgLoc::Stack(off.parse().ok()?, parse_elem(e)?))
-        }
-        'm' => {
-            let (addr, e) = rest.split_once(':')?;
-            Some(ArgLoc::Global(addr.parse().ok()?, parse_elem(e)?))
-        }
-        _ => None,
-    }
-}
-
 /// Serializes an artifact to the `.vcart` text format.
 #[must_use]
 pub fn encode_artifact(a: &Artifact) -> String {
@@ -639,15 +632,11 @@ fn write_artifact(a: &Artifact, out: &mut impl fmt::Write) -> fmt::Result {
         u8::from(a.verdict.schedule_validated),
     )?;
     writeln!(out, "wcet {}", a.report.wcet)?;
-    writeln!(out, "blocks {}", a.report.block_count)?;
     for (addr, bound) in &a.report.loop_bounds {
         writeln!(out, "loopbound {addr} {bound}")?;
     }
     for (name, w) in &a.report.callees {
         writeln!(out, "callee {w} {name}")?;
-    }
-    for (addr, cost) in &a.report.block_costs {
-        writeln!(out, "blockcost {addr} {cost}")?;
     }
     writeln!(out, "prog-entry {}", a.program.entry)?;
     writeln!(out, "constpool {}", a.program.const_pool_base)?;
@@ -686,8 +675,7 @@ fn write_artifact(a: &Artifact, out: &mut impl fmt::Write) -> fmt::Result {
     for ann in &a.program.annotations {
         write!(out, "annot {} {} ", ann.id, ann.args.len())?;
         for loc in &ann.args {
-            write_argloc(loc, out)?;
-            out.write_char(' ')?;
+            write!(out, "{} ", loc.token())?;
         }
         writeln!(out, "| {}", ann.format)?;
     }
@@ -709,10 +697,8 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
     let mut label = None;
     let mut verdict = None;
     let mut wcet = None;
-    let mut block_count = 0usize;
     let mut loop_bounds = BTreeMap::new();
     let mut callees = BTreeMap::new();
-    let mut block_costs = BTreeMap::new();
     let mut prog_entry = None;
     let mut const_pool_base = None;
     let mut sda_base = None;
@@ -752,7 +738,6 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
                 }
             }
             "wcet" => wcet = rest.parse().ok(),
-            "blocks" => block_count = rest.parse().ok()?,
             "loopbound" => {
                 let (addr, bound) = rest.split_once(' ')?;
                 loop_bounds.insert(addr.parse().ok()?, bound.parse().ok()?);
@@ -760,10 +745,6 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
             "callee" => {
                 let (w, name) = rest.split_once(' ')?;
                 callees.insert(name.to_owned(), w.parse().ok()?);
-            }
-            "blockcost" => {
-                let (addr, cost) = rest.split_once(' ')?;
-                block_costs.insert(addr.parse().ok()?, cost.parse().ok()?);
             }
             "prog-entry" => prog_entry = rest.parse().ok(),
             "constpool" => const_pool_base = rest.parse().ok(),
@@ -824,7 +805,7 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
                 let mut it = head.split_whitespace();
                 let id: u16 = it.next()?.parse().ok()?;
                 let nargs: usize = it.next()?.parse().ok()?;
-                let args: Vec<ArgLoc> = it.map(parse_argloc).collect::<Option<_>>()?;
+                let args: Vec<ArgLoc> = it.map(ArgLoc::from_token).collect::<Option<_>>()?;
                 if args.len() != nargs {
                     return None;
                 }
@@ -876,9 +857,7 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
         report: WcetReport {
             wcet: wcet?,
             loop_bounds,
-            block_count,
             callees,
-            block_costs,
         },
     })
 }
@@ -957,17 +936,21 @@ mod tests {
         // truncation
         assert!(decode_artifact(&text[..text.len() / 2], &config).is_none());
         // version skew
-        let skewed = text.replace("vericomp-artifact 1", "vericomp-artifact 999");
+        let skewed = text.replace(
+            &format!("vericomp-artifact {FORMAT_VERSION}\n"),
+            "vericomp-artifact 999\n",
+        );
         assert!(decode_artifact(&skewed, &config).is_none());
         // machine mismatch
         assert!(decode_artifact(&text, &MachineConfig::tiny_caches()).is_none());
         // garbage
         assert!(decode_artifact("not an artifact", &config).is_none());
         // hostile lines that must be misses, not panics: a fourth verdict
-        // field, a code count too large to preallocate, an annotation
-        // argument starting with a multi-byte character, and function
-        // table entries the analyzer would index the code with (a length
-        // running past the text, an entry below it)
+        // field, a code count too large to preallocate, annotation
+        // arguments that start or end in a multi-byte character or stop
+        // short of their element type, and function table entries the
+        // analyzer would index the code with (a length running past the
+        // text, an entry below it)
         let line = |tag: &str| {
             let line = text.lines().find(|l| l.starts_with(tag)).expect("line");
             format!("\n{line}\n")
@@ -981,6 +964,9 @@ mod tests {
             text.replace(&verdict, &format!("{} extra=1\n", verdict.trim_end())),
             text.replace(&code, &format!("\ncode {}\n", usize::MAX)),
             text.replace("\nend\n", "\nannot 1 1 \u{e9}1 | %1\nend\n"),
+            text.replace("\nend\n", "\nannot 1 1 sp\u{e9} | %1\nend\n"),
+            text.replace("\nend\n", "\nannot 1 1 @0x1\u{e9} | %1\nend\n"),
+            text.replace("\nend\n", "\nannot 1 1 sp | %1\nend\n"),
             text.replace(&func, &format!("\nfunc {entry} 999999 {name}\n")),
             text.replace(&func, &format!("\nfunc 4 {len} {name}\n")),
         ] {
@@ -1190,7 +1176,7 @@ mod tests {
         let full = PassConfig::for_level(OptLevel::OptFull);
         assert_eq!(
             artifact_key(src, "step", &full, &MachineConfig::tiny_caches()).to_hex(),
-            "c25e61cd4bed4a5e5b3db200faa306f2"
+            "1630786ebd6b98d331e3e39e0da529ae"
         );
     }
 

@@ -184,15 +184,15 @@ impl SweepUnit {
         })
     }
 
-    /// The canonical pretty-printed source — the exact text cell cache
-    /// keys hash and the wire protocol uploads.
+    /// The canonical pretty-printed source — the exact text whose digest
+    /// names the unit and that the wire protocol uploads.
     #[must_use]
     pub fn canonical(&self) -> &Arc<String> {
         &self.rendered().canonical
     }
 
     /// [`source_digest`] of the canonical text — the unit's identity on
-    /// the wire and in the server's parse cache.
+    /// the wire, in the server's parse cache and in cell cache keys.
     #[must_use]
     pub fn source_digest(&self) -> Digest {
         self.rendered().digest

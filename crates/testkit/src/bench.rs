@@ -1,15 +1,12 @@
 //! A plain-`std::time::Instant` benchmark harness (criterion stand-in).
 //!
-//! Each benchmark is auto-calibrated (iterations are doubled until a batch
-//! exceeds ~50 ms), then timed over a fixed number of sample batches.
-//! Results render as a table and serialize to a `BENCH_<group>.json`
-//! machine-readable summary so benchmark trajectories can accumulate
-//! across PRs without any external crate.
-//!
-//! Environment knobs:
-//!
-//! * `TESTKIT_BENCH_MS` — target milliseconds per sample batch
-//!   (default 50; lower it for smoke runs).
+//! Each benchmark runs a caller-chosen number of iterations per batch,
+//! timed over a fixed number of sample batches, so a run does the same
+//! work whatever the machine's speed: any counter the benchmarked code
+//! keeps repeats exactly from run to run. Results render as a table and
+//! serialize to a `BENCH_<group>.json` machine-readable summary so
+//! benchmark trajectories can accumulate across PRs without any external
+//! crate.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -44,14 +41,6 @@ pub struct Bench {
     notes: Vec<(String, String)>,
 }
 
-fn target_batch_nanos() -> u128 {
-    let ms: u128 = std::env::var("TESTKIT_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
-    ms.max(1) * 1_000_000
-}
-
 impl Bench {
     /// Starts a group.
     #[must_use]
@@ -73,28 +62,10 @@ impl Bench {
         self.notes.push((name.to_string(), raw_json.to_string()));
     }
 
-    /// Times one closure: calibrate batch size, then measure.
-    pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
-        let target = target_batch_nanos();
-        // calibration: double until one batch crosses the target
-        let mut iters: u64 = 1;
-        loop {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            let elapsed = t0.elapsed().as_nanos();
-            if elapsed >= target || iters >= 1 << 30 {
-                break;
-            }
-            // jump close to the target in one step when far away
-            iters = if elapsed * 8 < target {
-                (iters * 8).max(iters + 1)
-            } else {
-                iters * 2
-            };
-        }
-
+    /// Times one closure over `iters` iterations per sample batch (at
+    /// least one).
+    pub fn bench<T>(&mut self, name: &str, iters: u64, mut f: impl FnMut() -> T) {
+        let iters = iters.max(1);
         let mut per_iter: Vec<f64> = Vec::with_capacity(self.samples_per_bench as usize);
         for _ in 0..self.samples_per_bench {
             let t0 = Instant::now();
@@ -218,17 +189,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn calibrates_measures_and_serializes() {
-        // keep the batch target tiny so the test is fast
-        std::env::set_var("TESTKIT_BENCH_MS", "1");
+    fn measures_the_given_work_and_serializes() {
         let mut g = Bench::group("selftest");
-        let mut acc = 0u64;
-        g.bench("wrapping_sum", || {
-            acc = acc.wrapping_add(black_box(17));
-            acc
+        let mut calls = 0u64;
+        g.bench("counting", 64, || {
+            calls += 1;
+            // enough work per call that no batch can time as 0 ns
+            (0..256u64).fold(calls, |acc, i| black_box(acc.wrapping_mul(31) ^ i))
         });
         assert_eq!(g.results().len(), 1);
         let r = &g.results()[0];
+        assert_eq!(r.iters_per_sample, 64);
+        assert_eq!(calls, 64 * u64::from(r.samples), "no calibration calls");
         assert!(r.mean_ns > 0.0 && r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns);
 
         let dir = std::env::temp_dir().join("vericomp-testkit-bench-test");
@@ -237,10 +209,9 @@ mod tests {
         let path = g.write_json(&dir).expect("writes");
         let text = fs::read_to_string(&path).expect("readable");
         assert!(text.contains("\"group\": \"selftest\""));
-        assert!(text.contains("\"name\": \"wrapping_sum\""));
+        assert!(text.contains("\"name\": \"counting\""));
         assert!(text.contains("\"notes\": {"));
         assert!(text.contains("\"stats\": {\"jobs_run\": 3}"));
         let _ = fs::remove_file(&path);
-        std::env::remove_var("TESTKIT_BENCH_MS");
     }
 }

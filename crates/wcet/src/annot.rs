@@ -18,8 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use vericomp_arch::program::{ArgLoc, ElemTy, Program};
-use vericomp_arch::reg::{Fpr, Gpr};
+use vericomp_arch::program::{ArgLoc, Program};
 
 /// One interval constraint on an annotation argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +135,7 @@ impl AnnotationFile {
         for e in self.entries.values() {
             out.push_str(&format!("annotation {} {:?}", e.id, e.format));
             for a in &e.args {
-                out.push_str(&format!(" {}", loc_text(a)));
+                out.push_str(&format!(" {}", a.token()));
             }
             out.push('\n');
         }
@@ -168,7 +167,7 @@ impl AnnotationFile {
             let format = rest[1..close].to_owned();
             let args = rest[close + 1..]
                 .split_whitespace()
-                .map(parse_loc)
+                .map(ArgLoc::from_token)
                 .collect::<Option<Vec<_>>>()
                 .ok_or_else(err)?;
             let constraints = parse_constraints(&format);
@@ -201,48 +200,11 @@ impl fmt::Display for ParseFileError {
 
 impl std::error::Error for ParseFileError {}
 
-fn loc_text(a: &ArgLoc) -> String {
-    match a {
-        ArgLoc::Gpr(r) => r.to_string(),
-        ArgLoc::Fpr(r) => r.to_string(),
-        ArgLoc::Stack(off, ElemTy::I32) => format!("sp{off:+}i"),
-        ArgLoc::Stack(off, ElemTy::F64) => format!("sp{off:+}f"),
-        ArgLoc::Global(addr, ElemTy::I32) => format!("@{addr:#x}i"),
-        ArgLoc::Global(addr, ElemTy::F64) => format!("@{addr:#x}f"),
-    }
-}
-
-fn parse_loc(s: &str) -> Option<ArgLoc> {
-    if let Some(rest) = s.strip_prefix("sp") {
-        let (num, ty) = rest.split_at(rest.len() - 1);
-        let off: i16 = num.parse().ok()?;
-        return Some(ArgLoc::Stack(off, elem(ty)?));
-    }
-    if let Some(rest) = s.strip_prefix('@') {
-        let (num, ty) = rest.split_at(rest.len() - 1);
-        let addr = u32::from_str_radix(num.strip_prefix("0x")?, 16).ok()?;
-        return Some(ArgLoc::Global(addr, elem(ty)?));
-    }
-    if let Some(idx) = s.strip_prefix('r') {
-        return Some(ArgLoc::Gpr(Gpr::try_new(idx.parse().ok()?)?));
-    }
-    if let Some(idx) = s.strip_prefix('f') {
-        return Some(ArgLoc::Fpr(Fpr::try_new(idx.parse().ok()?)?));
-    }
-    None
-}
-
-fn elem(s: &str) -> Option<ElemTy> {
-    match s {
-        "i" => Some(ElemTy::I32),
-        "f" => Some(ElemTy::F64),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vericomp_arch::program::ElemTy;
+    use vericomp_arch::reg::{Fpr, Gpr};
 
     #[test]
     fn parses_two_sided_bound() {
@@ -319,6 +281,11 @@ mod tests {
                             ArgLoc::Stack(16, ElemTy::I32),
                             ArgLoc::Global(0x1000_0008, ElemTy::F64),
                             ArgLoc::Fpr(Fpr::new(2)),
+                            // an address ending in the hex digit `f`,
+                            // under both element-type suffixes
+                            ArgLoc::Global(0x1000_000f, ElemTy::F64),
+                            ArgLoc::Global(0x1000_000f, ElemTy::I32),
+                            ArgLoc::Stack(-8, ElemTy::F64),
                         ],
                         constraints: parse_constraints("%1 == 2"),
                     },
@@ -334,6 +301,21 @@ mod tests {
     fn malformed_file_rejected() {
         assert!(AnnotationFile::parse("annotation x \"y\"").is_err());
         assert!(AnnotationFile::parse("nonsense").is_err());
+        // argument tokens that are truncated or end in a multi-byte
+        // character are errors, never panics
+        for token in [
+            "sp",
+            "sp\u{e9}",
+            "@0x1\u{e9}",
+            "@",
+            "@0x",
+            "r",
+            "f\u{e9}",
+            "sp+1",
+        ] {
+            let line = format!("annotation 0 \"%1 == 1\" {token}");
+            assert!(AnnotationFile::parse(&line).is_err(), "{token}");
+        }
         // comments and blanks fine
         assert!(AnnotationFile::parse("# comment\n\n").is_ok());
     }

@@ -67,7 +67,6 @@ pub mod value;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vericomp_arch::encode::DecodeError;
@@ -105,13 +104,8 @@ pub struct WcetReport {
     pub wcet: u64,
     /// Loop bounds by loop-header address (entry function only).
     pub loop_bounds: BTreeMap<u32, u64>,
-    /// Number of reconstructed basic blocks (entry function only).
-    pub block_count: usize,
     /// WCET bounds of callees, by name.
     pub callees: BTreeMap<String, u64>,
-    /// Per-block cycle bounds (entry function only), by block address —
-    /// diagnostic output for precision studies.
-    pub block_costs: BTreeMap<u32, u64>,
 }
 
 /// Analysis failures.
@@ -235,20 +229,6 @@ impl Analysis {
     }
 }
 
-/// Cumulative counters of an [`Analyzer`] session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalyzerStats {
-    /// Functions fresh-analyzed over the session lifetime.
-    pub functions_analyzed: u64,
-    /// Functions served from the fact cache over the session lifetime.
-    pub functions_reused: u64,
-    /// Live entries in the per-function fact cache.
-    pub facts_cached: usize,
-    /// Abstract-state tree nodes interned by the session's hash-consing
-    /// arenas over their lifetime.
-    pub arena_nodes: u64,
-}
-
 /// Incremental-cache entry: everything one function's analysis produced,
 /// plus the callee bounds it consumed (`deps`) so a hit can be validated
 /// against the callees' *current* bounds before being replayed.
@@ -256,8 +236,6 @@ pub struct AnalyzerStats {
 struct FuncFacts {
     wcet: u64,
     loop_bounds: BTreeMap<u32, u64>,
-    block_count: usize,
-    block_costs: BTreeMap<u32, u64>,
     /// `(callee, callee_sp, wcet_used)` for every call this function's
     /// bound depends on.
     deps: Vec<(String, u32, u64)>,
@@ -307,9 +285,6 @@ pub struct Analyzer {
     options: AnalysisOptions,
     arenas: Mutex<Vec<Arena>>,
     facts: Mutex<HashMap<u128, Arc<FuncFacts>>>,
-    analyzed: AtomicU64,
-    reused: AtomicU64,
-    arena_nodes: AtomicU64,
 }
 
 impl Default for Analyzer {
@@ -326,9 +301,6 @@ impl Analyzer {
             options,
             arenas: Mutex::new(Vec::new()),
             facts: Mutex::new(HashMap::new()),
-            analyzed: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            arena_nodes: AtomicU64::new(0),
         }
     }
 
@@ -336,17 +308,6 @@ impl Analyzer {
     #[must_use]
     pub fn options(&self) -> &AnalysisOptions {
         &self.options
-    }
-
-    /// Cumulative session counters.
-    #[must_use]
-    pub fn stats(&self) -> AnalyzerStats {
-        AnalyzerStats {
-            functions_analyzed: self.analyzed.load(Ordering::Relaxed),
-            functions_reused: self.reused.load(Ordering::Relaxed),
-            facts_cached: self.facts.lock().expect("facts lock").len(),
-            arena_nodes: self.arena_nodes.load(Ordering::Relaxed),
-        }
     }
 
     /// Analyzes one request.
@@ -381,7 +342,6 @@ impl Analyzer {
             .expect("arena pool lock")
             .pop()
             .unwrap_or_default();
-        let interned_before = arena.interned();
         let mut cx = Cx {
             program,
             file,
@@ -402,8 +362,6 @@ impl Analyzer {
             reused,
             ..
         } = cx;
-        self.arena_nodes
-            .fetch_add(arena.interned() - interned_before, Ordering::Relaxed);
         self.arenas.lock().expect("arena pool lock").push(arena);
         let top = result?;
         // The per-call memo also holds the entry function; callees are
@@ -418,9 +376,7 @@ impl Analyzer {
             report: WcetReport {
                 wcet: top.wcet,
                 loop_bounds: top.loop_bounds.clone(),
-                block_count: top.block_count,
                 callees,
-                block_costs: top.block_costs.clone(),
             },
             functions_analyzed: analyzed,
             functions_reused: reused,
@@ -517,7 +473,6 @@ impl Analyzer {
             cx.call_stack.pop();
             if verdict? {
                 cx.reused += 1;
-                self.reused.fetch_add(1, Ordering::Relaxed);
                 cx.memo.insert((func.to_owned(), sp), Arc::clone(&hit));
                 return Ok(hit);
             }
@@ -527,7 +482,6 @@ impl Analyzer {
         cx.call_stack.pop();
         let facts = Arc::new(result?);
         cx.analyzed += 1;
-        self.analyzed.fetch_add(1, Ordering::Relaxed);
         {
             let mut cache = self.facts.lock().expect("facts lock");
             if cache.len() >= FACTS_CAP {
@@ -719,8 +673,6 @@ impl Analyzer {
         Ok(FuncFacts {
             wcet,
             loop_bounds,
-            block_count: graph.blocks.len(),
-            block_costs: costs,
             deps: deps.into_iter().collect(),
         })
     }
@@ -939,7 +891,6 @@ mod tests {
         let p = program(vec![M::li(g(3), 1), M::li(g(4), 2), M::Blr]);
         let r = analyze(&p, "f").unwrap();
         assert!(r.wcet >= 3, "{}", r.wcet);
-        assert_eq!(r.block_count, 1);
         assert!(r.loop_bounds.is_empty());
     }
 

@@ -366,7 +366,6 @@ impl Iterator for PMapIter<'_> {
 pub struct Arena {
     table: HashMap<(u32, i64, i64, u64, u64), Arc<Node>>,
     next_id: u64,
-    interned: u64,
 }
 
 /// Arenas beyond this many live interned nodes are cleared wholesale; ids
@@ -378,18 +377,6 @@ impl Arena {
     #[must_use]
     pub fn new() -> Arena {
         Arena::default()
-    }
-
-    /// Total nodes interned over the arena's lifetime.
-    #[must_use]
-    pub fn interned(&self) -> u64 {
-        self.interned
-    }
-
-    /// Live entries in the intern table.
-    #[must_use]
-    pub fn live(&self) -> usize {
-        self.table.len()
     }
 
     fn canonize_link(&mut self, t: &Link) -> Link {
@@ -410,7 +397,6 @@ impl Arena {
             self.table.clear();
         }
         self.next_id += 1;
-        self.interned += 1;
         let fresh = Arc::new(Node {
             key: n.key,
             val: n.val,

@@ -147,26 +147,19 @@ fn warm_session_replays_an_unchanged_fleet_without_any_fixpoint() {
             session
                 .analyze(&AnalysisRequest::new(p, "step"))
                 .expect("analyzes")
-                .into_report()
         })
         .collect();
-    let analyzed_after_cold = session.stats().functions_analyzed;
-    assert!(analyzed_after_cold > 0);
-    assert!(session.stats().facts_cached > 0);
+    assert!(cold.iter().map(|a| a.functions_analyzed).sum::<u64>() > 0);
 
+    // every warm call is served by the facts the cold calls left behind
     for (p, want) in programs.iter().zip(&cold) {
         let a = session
             .analyze(&AnalysisRequest::new(p, "step"))
             .expect("analyzes");
         assert_eq!(a.functions_analyzed, 0, "warm replay ran a fixpoint");
         assert!(a.functions_reused >= 1);
-        assert_eq!(&a.into_report(), want);
+        assert_eq!(a.report, want.report);
     }
-    assert_eq!(
-        session.stats().functions_analyzed,
-        analyzed_after_cold,
-        "warm pass grew the fresh-analysis counter"
-    );
 }
 
 #[test]

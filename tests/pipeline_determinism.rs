@@ -6,7 +6,7 @@
 //! pure function of (source, passes, machine config).
 
 use vericomp::arch::MachineConfig;
-use vericomp::core::{Compiler, OptLevel};
+use vericomp::core::{Compiler, OptLevel, PassConfig};
 use vericomp::dataflow::fleet;
 use vericomp::pipeline::{Pipeline, PipelineOptions, SearchSpec, SpanKind, SweepSpec};
 use vericomp::testkit::scenario::{Scenario, ScenarioConfig};
@@ -200,6 +200,8 @@ fn lattice_search_is_bit_identical_across_job_counts_and_vs_serial() {
 /// pattern-O0,opt-no-regalloc,verified,opt-full --machines
 /// mpc755,tiny-caches`. It covers every cell's encoded text, annotation
 /// table and WCET report, so any change in what the backend emits moves it.
+/// (Each cell's labels enter through the sweep digest alone, not through
+/// the artifact's output digest.)
 #[test]
 fn suite_sweep_digest_is_pinned() {
     let nodes = fleet::named_suite();
@@ -212,7 +214,7 @@ fn suite_sweep_digest_is_pinned() {
     let result = pipeline_with_jobs(2).run_sweep(&spec).expect("sweep");
     assert_eq!(
         result.digest().to_string(),
-        "a2c80da6dee5c249fe83360ad23531f3",
+        "d3d0b699ba1e6e84e4b0011fc2f8e619",
         "backend output changed"
     );
 }
@@ -473,6 +475,50 @@ fn daemon_response_is_bit_identical_to_solo_across_jobs() {
         store_digests.windows(2).all(|w| w[0] == w[1]),
         "store digest varies with jobs: {store_digests:?}"
     );
+}
+
+/// Two config labels for one pass selection give each unit one key, so
+/// one label's cells replay artifacts the other's compiled. A replay must
+/// digest like a fresh compile whichever label came first: the sweep
+/// digest is the same at every job count, cold and warm, and a request
+/// naming only `b` digests alike when run alone and when a pipeline or a
+/// daemon that already ran `a` and `b` serves it.
+#[test]
+fn a_hit_compiled_under_another_config_label_digests_like_a_solo_run() {
+    let nodes: Vec<_> = fleet::named_suite().into_iter().take(6).collect();
+    let verified = PassConfig::for_level(OptLevel::Verified);
+    let machine = MachineConfig::mpc755();
+    let both = SweepSpec::new()
+        .nodes(&nodes)
+        .config("a", &verified)
+        .config("b", &verified);
+    let both = normalize_spec(&both, &machine);
+    let only_b = SweepSpec::new().nodes(&nodes).config("b", &verified);
+    let only_b = normalize_spec(&only_b, &machine);
+    let solo_both = pipeline_with_jobs(1).run_sweep(&both).expect("solo");
+    let solo_b = pipeline_with_jobs(1).run_sweep(&only_b).expect("solo b");
+    for jobs in [1usize, 2, 4] {
+        let pipeline = pipeline_with_jobs(jobs);
+        for run in ["cold", "warm"] {
+            let sweep = pipeline.run_sweep(&both).expect("a+b");
+            assert_eq!(sweep.digest(), solo_both.digest(), "jobs {jobs} {run}");
+        }
+        let served = pipeline.run_sweep(&only_b).expect("b after a+b");
+        assert_eq!(served.digest(), solo_b.digest(), "jobs {jobs}: b after a+b");
+
+        let socket = daemon_socket(&format!("labels-{jobs}"));
+        let mut options = ServerOptions::new(&socket);
+        options.jobs = jobs;
+        let server = Server::new(&options).expect("binds");
+        let handle = std::thread::spawn(move || server.run().expect("serves"));
+        let mut client = Client::connect(&socket).expect("connects");
+        let served = client.run_sweep(&both).expect("served a+b");
+        assert_eq!(served.digest, solo_both.digest(), "jobs {jobs}: served a+b");
+        let served = client.run_sweep(&only_b).expect("served b");
+        assert_eq!(served.digest, solo_b.digest(), "jobs {jobs}: served b");
+        client.shutdown().expect("acknowledged");
+        handle.join().expect("clean run");
+    }
 }
 
 #[test]

@@ -27,7 +27,8 @@ use std::time::Duration;
 
 use vericomp::pipeline::proto::{decode_response, encode_request};
 use vericomp::pipeline::{
-    normalize_spec, Client, Request, Server, ServerOptions, SweepSpec, WireSweep, PROTO_VERSION,
+    normalize_spec, Client, Request, Server, ServerOptions, SweepSpec, WireSweep, MAX_FRAME_BYTES,
+    PROTO_VERSION,
 };
 use vericomp_arch::MachineConfig;
 use vericomp_core::OptLevel;
@@ -128,7 +129,7 @@ fn hostile_bytes(seeds: &[Vec<u8>], which: u8, mutation: u8, a: u64, b: u64) -> 
                 if let Some(start) = text.find("blob ") {
                     let line_end = text[start..].find('\n').map_or(text.len(), |e| start + e);
                     let claimed = if a.is_multiple_of(2) {
-                        (1u64 << 30) + 1 + (b % 1024) // over MAX_BLOB_BYTES
+                        MAX_FRAME_BYTES + 1 + (b % 1024)
                     } else {
                         b % 100_000 // plain length mismatch
                     };
